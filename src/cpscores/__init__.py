@@ -34,21 +34,17 @@ from .io import (
     write_scores_csv,
 )
 from .linalg import (
-    SpectralDecomposition,
     mean_center,
     row_standardize,
     sample_corr,
-    spectral,
     sym_inv_sqrt,
     sym_sqrt,
 )
 from .model import (
+    Block,
     SemModel,
     ValidationReport,
     combined_factor_corr,
-    implied_cov_x,
-    implied_cov_y,
-    psi_from_eta_corr,
     validate_model,
 )
 from .regression import betas_from_corr, standardized_betas
@@ -56,13 +52,10 @@ from .scores import (
     cp_scores_from_orthogonal,
     cp_scores_from_params,
     cp_transform,
-    cp_transform_exo,
     joint_regression_scores,
     orthogonal_scores,
-    regression_score_corr,
-    regression_score_cov_exo,
-    regression_scores_endo,
-    regression_scores_exo,
+    regression_scores,
+    score_corr,
 )
 from .simulate import (
     ExampleReport,
@@ -76,20 +69,18 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CpscoresError", "DataError", "DataMatrix", "DeterminacyReport",
+    "Block", "CpscoresError", "DataError", "DataMatrix", "DeterminacyReport",
     "ENDOGENOUS", "EXOGENOUS", "ExampleReport", "FactorCorr", "ModelError",
     "NearSingularError", "ScoreMatrix", "SemModel", "SimulationSpec",
-    "SpectralDecomposition", "StructuralError", "ValidationReport",
+    "StructuralError", "ValidationReport",
     "betas_from_corr", "closed_form_regression_determinacy",
     "combined_factor_corr", "cp_scores_from_orthogonal",
-    "cp_scores_from_params", "cp_transform", "cp_transform_exo",
-    "determinacy_endo", "determinacy_exo", "example_model", "implied_cov_x",
-    "implied_cov_y", "joint_regression_scores", "mean_center", "model_hash",
-    "orthogonal_scores", "parse_model_file", "psi_from_eta_corr",
+    "cp_scores_from_params", "cp_transform",
+    "determinacy_endo", "determinacy_exo", "example_model",
+    "joint_regression_scores", "mean_center", "model_hash",
+    "orthogonal_scores", "parse_model_file",
     "random_model", "read_data_csv", "read_scores_csv",
-    "regression_score_corr", "regression_score_cov_exo",
-    "regression_scores_endo",
-    "regression_scores_exo", "row_standardize", "run_example", "sample_corr",
-    "simulate_dataset", "spectral", "standardized_betas", "sym_inv_sqrt",
+    "regression_scores", "row_standardize", "run_example", "sample_corr",
+    "score_corr", "simulate_dataset", "standardized_betas", "sym_inv_sqrt",
     "sym_sqrt", "validate_model", "write_scores_csv",
 ]

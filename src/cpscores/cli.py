@@ -21,7 +21,6 @@ import sys
 import numpy as np
 
 from . import io
-from .containers import ENDOGENOUS, EXOGENOUS
 from .determinacy import (
     NORMALIZER_SD,
     NORMALIZER_VARIANCE,
@@ -33,11 +32,9 @@ from .model import combined_factor_corr, validate_model
 from .scores import (
     cp_scores_from_params,
     cp_transform,
-    cp_transform_exo,
     joint_regression_scores,
     orthogonal_scores,
-    regression_scores_endo,
-    regression_scores_exo,
+    regression_scores,
 )
 from .simulate import (
     DEFAULT_N_CASES,
@@ -139,7 +136,7 @@ def _cmd_scores(args) -> int:
             result = joint_regression_scores(model, x_data, y_data)
             note = "joint regression scores (all indicators)"
         else:
-            result = regression_scores_exo(model, x_data)
+            result = regression_scores(model.exo, x_data)
             note = "exogenous regression scores"
     elif args.method == "takeuchi":
         result = orthogonal_scores(model, x_data)
@@ -158,22 +155,13 @@ def _cmd_scores(args) -> int:
 def _cmd_transform(args) -> int:
     model = io.parse_model_file(args.model)
     scores = io.read_scores_csv(args.scores, model, provenance="plausible-mean")
-    if args.mode == "joint":
-        expected = model.factor_labels
-        target = combined_factor_corr(model)
-        if scores.labels != expected:
-            raise CpscoresError(
-                f"joint transform needs all factors in model order "
-                f"{list(expected)}, got {list(scores.labels)}"
-            )
-        result = cp_transform(scores, target)
-    else:
-        if scores.labels != model.xi_labels:
-            raise CpscoresError(
-                f"exogenous transform needs columns {list(model.xi_labels)}, "
-                f"got {list(scores.labels)}"
-            )
-        result = cp_transform_exo(scores, model.phi)
+    target = combined_factor_corr(model) if args.mode == "joint" else model.phi
+    if scores.labels != target.labels:
+        raise CpscoresError(
+            f"{args.mode} transform needs columns {list(target.labels)} in "
+            f"model order, got {list(scores.labels)}"
+        )
+    result = cp_transform(scores, target)
     io.write_scores_csv(args.out, result)
     print(
         f"wrote correlation-preserving scores ({args.mode} mode) to "
@@ -186,33 +174,24 @@ def _cmd_determinacy(args) -> int:
     model = io.parse_model_file(args.model)
     scores = io.read_scores_csv(args.scores, model)
     normalizer = NORMALIZER_VARIANCE if args.appendix_compat else NORMALIZER_SD
-    xi_cols = [lb for lb, b in zip(scores.labels, scores.blocks) if b == EXOGENOUS]
-    eta_cols = [lb for lb, b in zip(scores.labels, scores.blocks) if b == ENDOGENOUS]
     print(f"model hash: {io.model_hash(model)}   cases: {scores.n_cases}")
     if args.appendix_compat:
         print(
             "note: endogenous coefficients use the variance-normalized "
             "compatibility variant; they are not correlations"
         )
-    ran = False
-    if xi_cols:
-        if args.x is None:
-            raise CpscoresError("--x is required for exogenous score columns")
-        x_data = io.read_data_csv(args.x)
-        report = determinacy_exo(scores.select(model.xi_labels), x_data, model)
-        print(report)
-        ran = True
-    if eta_cols:
-        if args.y is None:
-            raise CpscoresError("--y is required for endogenous score columns")
-        y_data = io.read_data_csv(args.y)
-        report = determinacy_endo(
-            scores.select(model.eta_labels), y_data, model, normalizer=normalizer
-        )
-        print(report)
-        ran = True
-    if not ran:
-        raise CpscoresError("no score columns matched the model factors")
+    # read_scores_csv tags every column with a model block, so at least one
+    # block is reported
+    for block, determinacy, path, flag, norm in (
+        (model.exo, determinacy_exo, args.x, "--x", NORMALIZER_SD),
+        (model.endo, determinacy_endo, args.y, "--y", normalizer),
+    ):
+        if block.name not in scores.blocks:
+            continue
+        if path is None:
+            raise CpscoresError(f"{flag} is required for {block.name} score columns")
+        data = io.read_data_csv(path)
+        print(determinacy(scores.select(block.factor_labels), data, model, norm))
     return 0
 
 

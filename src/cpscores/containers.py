@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, NearSingularError, StructuralError
+from .errors import DataError, StructuralError
 
 EXOGENOUS = "exogenous"
 ENDOGENOUS = "endogenous"
@@ -27,6 +27,17 @@ def _as_matrix(values, name: str) -> np.ndarray:
         raise DataError(f"{name} contains non-finite entries")
     a.setflags(write=False)
     return a
+
+
+def pd_violation(eigenvalues: np.ndarray, what: str) -> str | None:
+    """Say why a symmetric matrix with these ascending eigenvalues is not
+    positive definite (smallest at or below PD_RTOL times the largest)."""
+    if eigenvalues[0] <= PD_RTOL * eigenvalues[-1]:
+        return (
+            f"{what} not positive definite "
+            f"(smallest eigenvalue {eigenvalues[0]:.3e})"
+        )
+    return None
 
 
 def _check_labels(labels, count: int, name: str) -> tuple[str, ...]:
@@ -46,8 +57,8 @@ class FactorCorr:
 
     Symmetry and the unit diagonal are enforced on construction (within
     1e-12); positive definiteness is checked where consumers require it,
-    via :meth:`require_pd`, because sample correlations from short score
-    matrices may legitimately be singular.
+    because sample correlations from short score matrices may legitimately
+    be singular.
     """
 
     labels: tuple[str, ...]
@@ -72,23 +83,6 @@ class FactorCorr:
     @property
     def order(self) -> int:
         return self.values.shape[0]
-
-    def require_pd(self, rtol: float = PD_RTOL) -> None:
-        """Raise NearSingularError unless all eigenvalues clear rtol * max."""
-        w = np.linalg.eigvalsh(self.values)
-        if w[0] <= rtol * w[-1]:
-            raise NearSingularError(
-                f"correlation matrix not positive definite "
-                f"(smallest eigenvalue {w[0]:.3e})"
-            )
-
-    def is_pd(self, rtol: float = PD_RTOL) -> bool:
-        w = np.linalg.eigvalsh(self.values)
-        return bool(w[0] > rtol * w[-1])
-
-    def submatrix(self, labels) -> "FactorCorr":
-        idx = [self.labels.index(lb) for lb in labels]
-        return FactorCorr(tuple(labels), self.values[np.ix_(idx, idx)])
 
 
 @dataclass(frozen=True)
@@ -156,7 +150,14 @@ class ScoreMatrix:
         )
 
     def select(self, labels) -> "ScoreMatrix":
-        idx = [self.labels.index(lb) for lb in labels]
+        try:
+            idx = [self.labels.index(lb) for lb in labels]
+        except ValueError:
+            missing = [lb for lb in labels if lb not in self.labels]
+            raise StructuralError(
+                f"score columns {missing} not found "
+                f"(scores have {list(self.labels)})"
+            ) from None
         return ScoreMatrix(
             self.values[:, idx],
             tuple(self.labels[i] for i in idx),

@@ -7,8 +7,10 @@ and the model-implied indicator covariance:
 
     diag( diag(P'P/(n-1))^{-1/2} . P'X/(n-1) . sigma^{-1} lambda C )
 
-It applies to plain and correlation-preserving scores alike.  A closed-form
-population value for exact regression scores is provided as an oracle.
+where ``C lambda' sigma^{-1}`` is the block's regression weight matrix
+(:meth:`cpscores.model.Block.weights`).  It applies to plain and
+correlation-preserving scores alike.  A closed-form population value for
+exact regression scores is provided as an oracle.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .containers import DataMatrix, ScoreMatrix
+from .containers import ENDOGENOUS, EXOGENOUS, DataMatrix, ScoreMatrix
 from .errors import DataError, StructuralError
 from .linalg import center_columns
-from .model import SemModel, implied_cov_x, implied_cov_y
+from .model import Block, SemModel
 
 NORMALIZER_SD = "sd"
 # Divides by score variances instead of standard deviations.  Only useful to
@@ -53,7 +55,7 @@ class DeterminacyReport:
         return f"determinacy[{self.variant}; {self.score_provenance}]: {pairs}"
 
 
-def _determinacy(scores, data, predictor_map, labels, variant, normalizer):
+def _determinacy(scores, data, block: Block, normalizer):
     if scores.n_cases != data.n_cases:
         raise StructuralError(
             f"scores have {scores.n_cases} rows, data has {data.n_cases}"
@@ -61,6 +63,7 @@ def _determinacy(scores, data, predictor_map, labels, variant, normalizer):
     n = scores.n_cases
     if n < 2:
         raise DataError("determinacy needs at least 2 cases")
+    labels = block.factor_labels
     if scores.labels != labels:
         raise StructuralError(
             f"scores are ordered {scores.labels}, expected {labels}"
@@ -72,8 +75,9 @@ def _determinacy(scores, data, predictor_map, labels, variant, normalizer):
         raise DataError(f"zero variance in score column {bad!r}")
     cross = p.T @ center_columns(data.values) / (n - 1)
     scale = var if normalizer == NORMALIZER_VARIANCE else np.sqrt(var)
-    coeffs = np.einsum("ij,ji->i", cross / scale[:, None], predictor_map)
-    tag = variant if normalizer == NORMALIZER_SD else f"{variant}-variance-normalized"
+    coeffs = np.einsum("ij,ij->i", cross / scale[:, None], block.weights())
+    tag = (block.name if normalizer == NORMALIZER_SD
+           else f"{block.name}-variance-normalized")
     return DeterminacyReport(labels, coeffs, scores.provenance, n, tag)
 
 
@@ -84,11 +88,7 @@ def determinacy_exo(
     normalizer: str = NORMALIZER_SD,
 ) -> DeterminacyReport:
     """Determinacy of exogenous-factor scores against the x indicators."""
-    sigma_x = implied_cov_x(model)
-    predictor = np.linalg.solve(sigma_x, model.lambda_x @ model.phi.values)
-    return _determinacy(
-        scores, x_data, predictor, model.xi_labels, "exogenous", normalizer
-    )
+    return _determinacy(scores, x_data, model.exo, normalizer)
 
 
 def determinacy_endo(
@@ -98,11 +98,7 @@ def determinacy_endo(
     normalizer: str = NORMALIZER_SD,
 ) -> DeterminacyReport:
     """Determinacy of endogenous-factor scores against the y indicators."""
-    sigma_y = implied_cov_y(model)
-    predictor = np.linalg.solve(sigma_y, model.lambda_y @ model.eta_cov())
-    return _determinacy(
-        scores, y_data, predictor, model.eta_labels, "endogenous", normalizer
-    )
+    return _determinacy(scores, y_data, model.endo, normalizer)
 
 
 def closed_form_regression_determinacy(model: SemModel, block: str) -> DeterminacyReport:
@@ -111,19 +107,10 @@ def closed_form_regression_determinacy(model: SemModel, block: str) -> Determina
     The regression-score covariance equals its covariance with the factors,
     so the determinacy is the square root of its diagonal.
     """
-    if block == "exogenous":
-        sigma = implied_cov_x(model)
-        loadings = model.lambda_x
-        corr = model.phi.values
-        labels = model.xi_labels
-    elif block == "endogenous":
-        sigma = implied_cov_y(model)
-        loadings = model.lambda_y
-        corr = model.eta_cov()
-        labels = model.eta_labels
-    else:
+    if block not in (EXOGENOUS, ENDOGENOUS):
         raise StructuralError(f"unknown block {block!r}")
-    a = corr @ loadings.T @ np.linalg.solve(sigma, loadings) @ corr
+    b = model.exo if block == EXOGENOUS else model.endo
     return DeterminacyReport(
-        labels, np.sqrt(np.diag(a)), "regression (population)", 0, "closed-form"
+        b.factor_labels, np.sqrt(np.diag(b.score_cov())),
+        "regression (population)", 0, "closed-form",
     )

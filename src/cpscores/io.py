@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 
 import numpy as np
 
@@ -76,6 +77,8 @@ def _parse_matrix(rows, name):
             values = [float(tok) for tok in line.split()]
         except ValueError as exc:
             raise DataError(f"line {lineno}: non-numeric token in [{name}]") from exc
+        if not all(map(math.isfinite, values)):
+            raise DataError(f"line {lineno}: non-finite value in [{name}]")
         if width is None:
             width = len(values)
         elif len(values) != width:

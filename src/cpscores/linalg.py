@@ -5,37 +5,21 @@ Conventions used throughout the package:
 * sample moments divide by (n - 1) and are computed on mean-centered data;
 * symmetric matrix functions go through a full eigendecomposition, so only
   spectral functions of the input are ever exposed;
-* eigenvalues at or below ``rtol * max_eigenvalue`` make a matrix count as
-  singular.  A ``lenient=True`` escape hatch replaces eigenvalues by their
-  absolute values instead of failing; it is off by default because silently
-  flipping eigenvalue signs can mask a broken model.
+* eigenvalues at or below ``PD_RTOL * max_eigenvalue`` make a matrix count
+  as singular (:func:`cpscores.containers.pd_violation`).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .containers import PD_RTOL, FactorCorr, ScoreMatrix
+from .containers import FactorCorr, ScoreMatrix, pd_violation
 from .errors import DataError, NearSingularError, StructuralError
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.T
-
-
-def spectral(s: np.ndarray, tol: float = 1e-10) -> SpectralDecomposition:
-    """Eigendecompose a symmetric matrix; raise if it is not symmetric."""
+def _sym_power(s, power, tol):
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise StructuralError(f"expected a square matrix, got shape {s.shape}")
@@ -43,32 +27,20 @@ def spectral(s: np.ndarray, tol: float = 1e-10) -> SpectralDecomposition:
     if np.max(np.abs(s - s.T)) > tol * scale:
         raise StructuralError("matrix is not symmetric within tolerance")
     w, v = np.linalg.eigh(s)
-    return SpectralDecomposition(w[::-1].copy(), v[:, ::-1].copy())
-
-
-def _sym_power(s, power, tol, lenient):
-    dec = spectral(s, tol)
-    w = dec.eigenvalues
-    if lenient:
-        w = np.abs(w)
-    threshold = PD_RTOL * np.max(np.abs(w))
-    if np.min(w) <= threshold:
-        raise NearSingularError(
-            f"matrix is singular or indefinite (eigenvalue {np.min(w):.3e}, "
-            f"threshold {threshold:.3e})"
-        )
-    v = dec.eigenvectors
+    msg = pd_violation(w, "matrix")
+    if msg:
+        raise NearSingularError(msg)
     return (v * w**power) @ v.T
 
 
-def sym_sqrt(s: np.ndarray, tol: float = 1e-10, lenient: bool = False) -> np.ndarray:
+def sym_sqrt(s: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Symmetric square root: V diag(w)^{1/2} V' for s = V diag(w) V'."""
-    return _sym_power(s, 0.5, tol, lenient)
+    return _sym_power(s, 0.5, tol)
 
 
-def sym_inv_sqrt(s: np.ndarray, tol: float = 1e-10, lenient: bool = False) -> np.ndarray:
+def sym_inv_sqrt(s: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Symmetric inverse square root: V diag(w)^{-1/2} V'."""
-    return _sym_power(s, -0.5, tol, lenient)
+    return _sym_power(s, -0.5, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 A :class:`SemModel` holds the completely standardized parameter estimates of
 a latent regression model (endogenous factors regressed on exogenous
-factors, each block with its own measurement model).  Unique variances are
-always derived from the standardized solution as ``diag(I - L C L')`` rather
-than read from input, so they cannot drift out of sync with the loadings.
+factors, each block with its own measurement model).  Each measurement model
+is a :class:`Block`: the x indicators on the exogenous factors, the y
+indicators on the endogenous factors, and the stacked (x, y) indicators on
+all factors.  Unique variances are always derived from the standardized
+solution as ``diag(I - L C L')`` rather than read from input, so they cannot
+drift out of sync with the loadings.
 """
 
 from __future__ import annotations
@@ -13,19 +16,84 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .containers import ENDOGENOUS, EXOGENOUS, PD_RTOL, FactorCorr
-from .errors import ModelError, StructuralError
+from .containers import (
+    ENDOGENOUS,
+    EXOGENOUS,
+    FactorCorr,
+    _as_matrix,
+    pd_violation,
+)
+from .errors import ModelError, NearSingularError, StructuralError
 
 # Residual covariance supplied both ways must agree to this tolerance.
 PSI_CONSISTENCY_TOL = 1e-6
+JOINT = "joint"
 
 
-def _matrix(values, name):
-    a = np.array(values, dtype=float)
-    if a.ndim != 2:
-        raise StructuralError(f"{name} must be 2-d, got shape {a.shape}")
-    a.setflags(write=False)
-    return a
+@dataclass(frozen=True)
+class Block:
+    """A measurement model: indicators (rows of ``loadings``) on factors
+    with covariance ``corr``, the exogenous, endogenous or joint block of a
+    :class:`SemModel`.  The model builds a block on each access and keeps
+    none; a block keeps its one solve, shared by :meth:`weights` and
+    :meth:`score_cov`."""
+
+    name: str
+    loadings: np.ndarray
+    corr: np.ndarray
+    factor_labels: tuple[str, ...]
+    factor_blocks: tuple[str, ...]
+    indicator_labels: tuple[str, ...]
+    _sigma_inv_loadings: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def uniqueness(self) -> np.ndarray:
+        """Indicator unique variances ``1 - diag(L C L')``, clipped at 0.
+
+        Raises ModelError naming the indicator when one is negative.
+        """
+        uniq = 1.0 - np.einsum(
+            "ij,jk,ik->i", self.loadings, self.corr, self.loadings
+        )
+        if np.min(uniq) < -1e-10:
+            i = int(np.argmin(uniq))
+            raise ModelError(
+                f"negative implied uniqueness {uniq[i]:.6f} "
+                f"for indicator {self.indicator_labels[i]}"
+            )
+        return np.clip(uniq, 0.0, None)
+
+    def sigma(self) -> np.ndarray:
+        """Model-implied indicator covariance ``L C L' + diag(uniqueness)``."""
+        sigma = self.loadings @ self.corr @ self.loadings.T
+        sigma += np.diag(self.uniqueness())
+        return (sigma + sigma.T) / 2.0
+
+    def sigma_inv_loadings(self) -> np.ndarray:
+        """``sigma^{-1} L``; raises NearSingularError for a singular sigma."""
+        if self._sigma_inv_loadings is None:
+            try:
+                sil = np.linalg.solve(self.sigma(), self.loadings)
+            except np.linalg.LinAlgError as exc:
+                raise NearSingularError(
+                    f"implied covariance of the {self.name} indicators "
+                    "is singular"
+                ) from exc
+            object.__setattr__(self, "_sigma_inv_loadings", sil)
+        return self._sigma_inv_loadings
+
+    def weights(self) -> np.ndarray:
+        """Weights of the best linear predictor of the factors from the
+        indicators, ``C L' sigma^{-1}`` (one row per factor)."""
+        return self.corr @ self.sigma_inv_loadings().T
+
+    def score_cov(self) -> np.ndarray:
+        """Population covariance of the regression scores,
+        ``C L' sigma^{-1} L C``; it is also their covariance with the
+        factors."""
+        a = self.weights() @ self.loadings @ self.corr
+        return (a + a.T) / 2.0
 
 
 @dataclass(frozen=True)
@@ -61,9 +129,9 @@ class SemModel:
     y_labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        lx = _matrix(self.lambda_x, "lambda_x")
-        ly = _matrix(self.lambda_y, "lambda_y")
-        gamma = _matrix(self.gamma, "gamma")
+        lx = _as_matrix(self.lambda_x, "lambda_x")
+        ly = _as_matrix(self.lambda_y, "lambda_y")
+        gamma = _as_matrix(self.gamma, "gamma")
         object.__setattr__(self, "lambda_x", lx)
         object.__setattr__(self, "lambda_y", ly)
         object.__setattr__(self, "gamma", gamma)
@@ -102,7 +170,7 @@ class SemModel:
         if psi is None and eta_corr is None:
             raise StructuralError("one of psi or eta_corr is required")
         if psi is not None:
-            psi = _matrix(psi, "psi")
+            psi = _as_matrix(psi, "psi")
             if psi.shape != (n_eta, n_eta):
                 raise StructuralError(f"psi shape {psi.shape}, expected {(n_eta, n_eta)}")
             if eta_corr is not None:
@@ -113,7 +181,7 @@ class SemModel:
                         f"(max deviation {dev:.2e})"
                     )
         else:
-            psi = _matrix(eta_corr.values - implied, "psi")
+            psi = _as_matrix(eta_corr.values - implied, "psi")
 
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "eta_corr", eta_corr)
@@ -152,6 +220,37 @@ class SemModel:
         """Model-implied covariance of the endogenous factors."""
         return self.gamma @ self.phi.values @ self.gamma.T + self.psi
 
+    # -- measurement blocks (built on each access, never kept) -------------
+    @property
+    def exo(self) -> Block:
+        """The x indicators on the exogenous factors, C = phi."""
+        return Block(
+            EXOGENOUS, self.lambda_x, self.phi.values, self.xi_labels,
+            (EXOGENOUS,) * self.n_xi, self.x_labels,
+        )
+
+    @property
+    def endo(self) -> Block:
+        """The y indicators on the endogenous factors, C = implied eta
+        covariance."""
+        return Block(
+            ENDOGENOUS, self.lambda_y, self.eta_cov(), self.eta_labels,
+            (ENDOGENOUS,) * self.n_eta, self.y_labels,
+        )
+
+    @property
+    def joint(self) -> Block:
+        """The stacked (x, y) indicators on all factors: block-diagonal
+        loadings and the combined factor correlation."""
+        loadings = np.zeros((self.n_x + self.n_y, self.n_xi + self.n_eta))
+        loadings[: self.n_x, : self.n_xi] = self.lambda_x
+        loadings[self.n_x:, self.n_xi:] = self.lambda_y
+        return Block(
+            JOINT, loadings, combined_factor_corr(self).values,
+            self.factor_labels, self.factor_blocks,
+            self.x_labels + self.y_labels,
+        )
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -168,10 +267,7 @@ class ValidationReport:
 
 
 def _pd_violation(values, what):
-    w = np.linalg.eigvalsh(values)
-    if w[0] <= PD_RTOL * w[-1]:
-        return f"{what} not positive definite (smallest eigenvalue {w[0]:.3e})"
-    return None
+    return pd_violation(np.linalg.eigvalsh(values), what)
 
 
 def validate_model(model: SemModel, loading_tol: float = 1e-6) -> ValidationReport:
@@ -188,7 +284,8 @@ def validate_model(model: SemModel, loading_tol: float = 1e-6) -> ValidationRepo
     if msg:
         v.append(msg)
 
-    eta_cov = model.eta_cov()
+    endo = model.endo
+    eta_cov = endo.corr
     dev = np.abs(np.diag(eta_cov) - 1.0)
     if np.max(dev) > loading_tol:
         i = int(np.argmax(dev))
@@ -200,68 +297,24 @@ def validate_model(model: SemModel, loading_tol: float = 1e-6) -> ValidationRepo
     if msg:
         v.append(msg)
 
-    for name, loadings, labels in (
-        ("lambda_x", model.lambda_x, model.x_labels),
-        ("lambda_y", model.lambda_y, model.y_labels),
-    ):
-        mags = np.abs(loadings)
+    for name, block in (("x", model.exo), ("y", endo)):
+        mags = np.abs(block.loadings)
         if np.max(mags) > 1.0 + loading_tol:
             i, j = np.unravel_index(int(np.argmax(mags)), mags.shape)
             v.append(
-                f"{name} loading {loadings[i, j]:.4f} for {labels[i]} exceeds 1"
+                f"lambda_{name} loading {block.loadings[i, j]:.4f} for "
+                f"{block.indicator_labels[i]} exceeds 1"
             )
-
-    for name, loadings, corr, labels in (
-        ("x", model.lambda_x, model.phi.values, model.x_labels),
-        ("y", model.lambda_y, eta_cov, model.y_labels),
-    ):
-        common = np.einsum("ij,jk,ik->i", loadings, corr, loadings)
-        uniq = 1.0 - common
-        if np.min(uniq) < -1e-10:
-            i = int(np.argmin(uniq))
-            v.append(
-                f"negative implied uniqueness {uniq[i]:.6f} for indicator {labels[i]}"
-            )
+        try:
+            sigma = block.sigma()
+        except ModelError as exc:
+            v.append(str(exc))
         else:
-            sigma = loadings @ corr @ loadings.T + np.diag(np.clip(uniq, 0.0, None))
             msg = _pd_violation(sigma, f"implied covariance of the {name} indicators")
             if msg:
                 v.append(msg)
 
     return ValidationReport(tuple(v))
-
-
-def _implied_cov(loadings, factor_cov, labels):
-    common = loadings @ factor_cov @ loadings.T
-    uniq = 1.0 - np.diag(common)
-    if np.min(uniq) < -1e-10:
-        i = int(np.argmin(uniq))
-        raise ModelError(
-            f"negative implied uniqueness {uniq[i]:.6f} for indicator {labels[i]}"
-        )
-    sigma = common + np.diag(np.clip(uniq, 0.0, None))
-    return (sigma + sigma.T) / 2.0
-
-
-def implied_cov_x(model: SemModel) -> np.ndarray:
-    """Model-implied covariance of the x indicators (unit diagonal)."""
-    return _implied_cov(model.lambda_x, model.phi.values, model.x_labels)
-
-
-def implied_cov_y(model: SemModel) -> np.ndarray:
-    """Model-implied covariance of the y indicators (unit diagonal)."""
-    return _implied_cov(model.lambda_y, model.eta_cov(), model.y_labels)
-
-
-def psi_from_eta_corr(model: SemModel) -> np.ndarray:
-    """Residual covariance implied by the endogenous factor correlations."""
-    if model.eta_corr is None:
-        raise StructuralError("model was not supplied with eta_corr")
-    psi = model.eta_corr.values - model.gamma @ model.phi.values @ model.gamma.T
-    msg = _pd_violation(model.eta_corr.values, "endogenous factor correlation")
-    if msg:
-        raise ModelError(msg)
-    return psi
 
 
 def combined_factor_corr(model: SemModel) -> FactorCorr:
@@ -281,6 +334,6 @@ def combined_factor_corr(model: SemModel) -> FactorCorr:
         )
     np.fill_diagonal(c, 1.0)
     corr = FactorCorr(model.factor_labels, c)
-    if not corr.is_pd():
+    if _pd_violation(corr.values, "combined factor correlation"):
         raise ModelError("degenerate model-implied correlation")
     return corr

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .containers import PD_RTOL, ScoreMatrix
-from .errors import StructuralError
+from .containers import ScoreMatrix, pd_violation
+from .errors import NearSingularError, StructuralError
 from .linalg import corr_from_data
 
 def betas_from_corr(r_xx: np.ndarray, r_xy: np.ndarray) -> np.ndarray:
@@ -19,11 +19,9 @@ def betas_from_corr(r_xx: np.ndarray, r_xy: np.ndarray) -> np.ndarray:
     ``r_xx`` is the predictor correlation matrix, ``r_xy`` the matrix of
     predictor-outcome correlations (one column per outcome).
     """
-    w = np.linalg.eigvalsh(r_xx)
-    if w[0] <= PD_RTOL * w[-1]:
-        raise StructuralError(
-            f"collinear predictors (smallest eigenvalue {w[0]:.3e})"
-        )
+    msg = pd_violation(np.linalg.eigvalsh(r_xx), "collinear predictors: correlation")
+    if msg:
+        raise NearSingularError(msg)
     return np.linalg.solve(r_xx, r_xy)
 
 

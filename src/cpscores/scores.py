@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .containers import ENDOGENOUS, EXOGENOUS, FactorCorr, ScoreMatrix, DataMatrix
+from .containers import FactorCorr, ScoreMatrix, DataMatrix
 from .errors import StructuralError
 from .linalg import (
     center_columns,
@@ -30,7 +30,7 @@ from .linalg import (
     sym_inv_sqrt,
     sym_sqrt,
 )
-from .model import SemModel, combined_factor_corr, implied_cov_x, implied_cov_y
+from .model import Block, SemModel
 
 PROV_REGRESSION = "regression"
 PROV_ORTHOGONAL = "orthogonal"
@@ -45,44 +45,14 @@ def _check_data(data: DataMatrix, expected: int, what: str) -> np.ndarray:
     return center_columns(data.values)
 
 
-def _solve_spd(sigma, rhs, what):
-    try:
-        return np.linalg.solve(sigma, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise StructuralError(f"{what}: implied covariance is singular") from exc
-
-
-def regression_weights_exo(model: SemModel) -> np.ndarray:
-    """Weight matrix of the best linear predictor of the exogenous factors
-    from the x indicators:  phi lambda_x' sigma_x^{-1}."""
-    sigma_x = implied_cov_x(model)
-    return model.phi.values @ _solve_spd(sigma_x, model.lambda_x, "sigma_x").T
-
-
-def regression_weights_endo(model: SemModel) -> np.ndarray:
-    """Analogue for the endogenous factors from the y indicators."""
-    sigma_y = implied_cov_y(model)
-    return model.eta_cov() @ _solve_spd(sigma_y, model.lambda_y, "sigma_y").T
-
-
-def regression_scores_exo(model: SemModel, x_data: DataMatrix) -> ScoreMatrix:
-    """Regression factor scores for the exogenous factors."""
-    x = _check_data(x_data, model.n_x, "regression_scores_exo")
+def regression_scores(block: Block, data: DataMatrix) -> ScoreMatrix:
+    """Regression factor scores for the factors of one block, e.g.
+    ``model.exo`` with the x data or ``model.endo`` with the y data."""
+    x = _check_data(data, len(block.indicator_labels), f"{block.name} scores")
     return ScoreMatrix(
-        x @ regression_weights_exo(model).T,
-        model.xi_labels,
-        (EXOGENOUS,) * model.n_xi,
-        PROV_REGRESSION,
-    )
-
-
-def regression_scores_endo(model: SemModel, y_data: DataMatrix) -> ScoreMatrix:
-    """Regression factor scores for the endogenous factors."""
-    y = _check_data(y_data, model.n_y, "regression_scores_endo")
-    return ScoreMatrix(
-        y @ regression_weights_endo(model).T,
-        model.eta_labels,
-        (ENDOGENOUS,) * model.n_eta,
+        x @ block.weights().T,
+        block.factor_labels,
+        block.factor_blocks,
         PROV_REGRESSION,
     )
 
@@ -96,13 +66,7 @@ def joint_regression_weights(model: SemModel) -> np.ndarray:
     values behave; the per-block regression scores above condition on one
     indicator block only.
     """
-    c = combined_factor_corr(model).values
-    loadings = np.zeros((model.n_x + model.n_y, model.n_xi + model.n_eta))
-    loadings[: model.n_x, : model.n_xi] = model.lambda_x
-    loadings[model.n_x:, model.n_xi:] = model.lambda_y
-    common = loadings @ c @ loadings.T
-    sigma = common + np.diag(1.0 - np.diag(common))
-    return c @ _solve_spd(sigma, loadings, "joint sigma").T
+    return model.joint.weights()
 
 
 def joint_regression_scores(
@@ -124,34 +88,25 @@ def joint_regression_scores(
     )
 
 
-def regression_score_cov_exo(model: SemModel) -> np.ndarray:
-    """Population covariance of the exogenous regression scores:
-    phi lambda_x' sigma_x^{-1} lambda_x phi (also their covariance with the
-    factors)."""
-    w = regression_weights_exo(model)
-    a = w @ model.lambda_x @ model.phi.values
-    return (a + a.T) / 2.0
+def score_corr(block: Block) -> FactorCorr:
+    """Population correlation of the block's regression scores.
 
-
-def regression_score_corr(model: SemModel) -> FactorCorr:
-    """Population correlation of the exogenous regression scores.
-
-    The regression score does not preserve phi: its covariance is
-    A = phi lambda_x' sigma_x^{-1} lambda_x phi, and this returns
-    diag(A)^{-1/2} A diag(A)^{-1/2}.
+    The regression score does not preserve C: its covariance is
+    A = C lambda' sigma^{-1} lambda C (:meth:`Block.score_cov`), and this
+    returns diag(A)^{-1/2} A diag(A)^{-1/2}.
     """
-    a = regression_score_cov_exo(model)
+    a = block.score_cov()
     d = np.diag(a)
     if np.min(d) <= 0.0:
         i = int(np.argmin(d))
         raise StructuralError(
             f"degenerate determinacy: score variance {d[i]:.3e} "
-            f"for factor {model.xi_labels[i]}"
+            f"for factor {block.factor_labels[i]}"
         )
     inv = 1.0 / np.sqrt(d)
     r = a * np.outer(inv, inv)
     np.fill_diagonal(r, 1.0)
-    return FactorCorr(model.xi_labels, (r + r.T) / 2.0)
+    return FactorCorr(block.factor_labels, (r + r.T) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -196,24 +151,8 @@ def cp_transform(
             f"score correlation is ordered {c_p.labels}, "
             f"scores are ordered {p.labels}"
         )
-    c_target.require_pd()
-    c_p.require_pd()
     t = sym_sqrt(c_target.values) @ sym_inv_sqrt(c_p.values)
     return std.replace_values(std.values @ t.T, PROV_CP)
-
-
-def cp_transform_exo(
-    p_xi: ScoreMatrix,
-    phi: FactorCorr,
-    c_p_xi: FactorCorr | None = None,
-    score_variances: np.ndarray | None = None,
-) -> ScoreMatrix:
-    """Block-wise variant of :func:`cp_transform` for the exogenous factors
-    alone, with the factor correlation phi as the target."""
-    for b in p_xi.blocks:
-        if b != EXOGENOUS:
-            raise StructuralError("cp_transform_exo expects exogenous scores only")
-    return cp_transform(p_xi, phi, c_p_xi, score_variances)
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +168,11 @@ def cp_scores_from_params(model: SemModel, x_data: DataMatrix) -> ScoreMatrix:
     population covariance of the result is phi.
     """
     x = _check_data(x_data, model.n_x, "cp_scores_from_params")
-    w_reg = regression_weights_exo(model)
-    a = w_reg @ model.lambda_x @ model.phi.values
-    d_inv = np.diag(1.0 / np.sqrt(np.diag(a)))
-    r = d_inv @ a @ d_inv
-    w = sym_sqrt(model.phi.values) @ sym_inv_sqrt((r + r.T) / 2.0) @ d_inv @ w_reg
-    return ScoreMatrix(
-        x @ w.T, model.xi_labels, (EXOGENOUS,) * model.n_xi, PROV_CP
-    )
+    block = model.exo
+    d_inv = np.diag(1.0 / np.sqrt(np.diag(block.score_cov())))
+    r = score_corr(block).values
+    w = sym_sqrt(block.corr) @ sym_inv_sqrt(r) @ d_inv @ block.weights()
+    return ScoreMatrix(x @ w.T, block.factor_labels, block.factor_blocks, PROV_CP)
 
 
 def orthogonal_scores(model: SemModel, x_data: DataMatrix) -> ScoreMatrix:
@@ -246,11 +182,12 @@ def orthogonal_scores(model: SemModel, x_data: DataMatrix) -> ScoreMatrix:
     the population covariance of the scores is the identity.
     """
     x = _check_data(x_data, model.n_x, "orthogonal_scores")
-    sigma_inv_l = _solve_spd(implied_cov_x(model), model.lambda_x, "sigma_x")
-    m = model.lambda_x.T @ sigma_inv_l
+    block = model.exo
+    sigma_inv_l = block.sigma_inv_loadings()
+    m = block.loadings.T @ sigma_inv_l
     w = sym_inv_sqrt((m + m.T) / 2.0) @ sigma_inv_l.T
     return ScoreMatrix(
-        x @ w.T, model.xi_labels, (EXOGENOUS,) * model.n_xi, PROV_ORTHOGONAL
+        x @ w.T, block.factor_labels, block.factor_blocks, PROV_ORTHOGONAL
     )
 
 

@@ -20,14 +20,13 @@ from .determinacy import determinacy_endo, determinacy_exo
 from .errors import DataError
 from .io import model_hash, parse_model_file
 from .linalg import sample_corr, sym_sqrt
-from .model import SemModel, combined_factor_corr, implied_cov_x, implied_cov_y
+from .model import SemModel, combined_factor_corr
 from .regression import standardized_betas
 from .scores import (
     cp_scores_from_orthogonal,
     cp_transform,
     joint_regression_scores,
-    regression_scores_endo,
-    regression_scores_exo,
+    regression_scores,
 )
 
 RNG_NAME = "numpy default_rng (PCG64)"
@@ -56,13 +55,8 @@ def simulate_dataset(
     """
     model = spec.model
     c = combined_factor_corr(model)
-    sigma_x = implied_cov_x(model)  # also validates uniquenesses
-    sigma_y = implied_cov_y(model)
-    uniq_x = np.clip(1.0 - np.einsum(
-        "ij,jk,ik->i", model.lambda_x, model.phi.values, model.lambda_x), 0.0, None)
-    uniq_y = np.clip(1.0 - np.einsum(
-        "ij,jk,ik->i", model.lambda_y, model.eta_cov(), model.lambda_y), 0.0, None)
-    del sigma_x, sigma_y
+    uniq_x = model.exo.uniqueness()
+    uniq_y = model.endo.uniqueness()
 
     rng = np.random.default_rng(spec.seed)
     k = model.n_xi + model.n_eta
@@ -255,8 +249,8 @@ def run_example(seed: int = DEFAULT_SEED, n_cases: int = DEFAULT_N_CASES) -> Exa
     cp_betas = standardized_betas(cp_xi, cp_eta)
 
     # determinacy rows: per-block regression scores vs the cp scores
-    reg_xi = regression_scores_exo(model, x_data)
-    reg_eta = regression_scores_endo(model, y_data)
+    reg_xi = regression_scores(model.exo, x_data)
+    reg_eta = regression_scores(model.endo, y_data)
     plain_det = np.concatenate([
         determinacy_exo(reg_xi, x_data, model).coefficients,
         determinacy_endo(reg_eta, y_data, model).coefficients,

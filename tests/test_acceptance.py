@@ -19,15 +19,13 @@ from cpscores import (
     combined_factor_corr,
     cp_scores_from_params,
     cp_transform,
-    cp_transform_exo,
     determinacy_exo,
     example_model,
     orthogonal_scores,
-    regression_score_corr,
-    regression_score_cov_exo,
-    regression_scores_exo,
+    regression_scores,
     run_example,
     sample_corr,
+    score_corr,
     simulate_dataset,
     standardized_betas,
 )
@@ -117,11 +115,10 @@ def test_criterion_4_determinacy_reference_values():
 def test_criterion_5_orthogonal_score_covariance():
     """Orthogonal scores have identity covariance: exactly in population
     weight algebra, within 0.03 in a 10,000-case sample."""
-    from cpscores.model import implied_cov_x
     from cpscores.linalg import sym_inv_sqrt
 
     model = example_model()
-    sigma = implied_cov_x(model)
+    sigma = model.exo.sigma()
     sigma_inv_l = np.linalg.solve(sigma, model.lambda_x)
     m = model.lambda_x.T @ sigma_inv_l
     w = sym_inv_sqrt((m + m.T) / 2.0) @ sigma_inv_l.T
@@ -150,11 +147,11 @@ def test_criterion_6_substitution_identity():
         x_data, _, _ = simulate_dataset(
             SimulationSpec(model, 200, int(rng.integers(10_000)),
                            emit_true_factors=False))
-        reg = regression_scores_exo(model, x_data)
-        via_transform = cp_transform_exo(
+        reg = regression_scores(model.exo, x_data)
+        via_transform = cp_transform(
             reg, model.phi,
-            c_p_xi=regression_score_corr(model),
-            score_variances=np.diag(regression_score_cov_exo(model)),
+            c_p=score_corr(model.exo),
+            score_variances=np.diag(model.exo.score_cov()),
         )
         via_params = cp_scores_from_params(model, x_data)
         worst = max(worst, float(np.max(np.abs(
@@ -173,7 +170,7 @@ def test_criterion_7_determinacy_estimator_matches_closed_form():
         model = random_model(rng, n_xi=int(rng.integers(2, 5)))
         x_data, _, _ = simulate_dataset(
             SimulationSpec(model, 10_000, 2000 + i, emit_true_factors=False))
-        scores = regression_scores_exo(model, x_data)
+        scores = regression_scores(model.exo, x_data)
         estimated = determinacy_exo(scores, x_data, model).coefficients
         closed = closed_form_regression_determinacy(model, "exogenous").coefficients
         worst = max(worst, float(np.max(np.abs(estimated - closed))))
@@ -189,13 +186,13 @@ def test_criterion_8_scale_invariance_properties():
     model = example_model()
     x_data, _, _ = simulate_dataset(
         SimulationSpec(model, 500, 8, emit_true_factors=False))
-    scores = regression_scores_exo(model, x_data)
+    scores = regression_scores(model.exo, x_data)
     scales = rng.uniform(0.2, 5.0, size=model.n_xi)
     rescaled = scores.replace_values(scores.values * scales)
 
     cp_dev = float(np.max(np.abs(
-        cp_transform_exo(scores, model.phi).values
-        - cp_transform_exo(rescaled, model.phi).values)))
+        cp_transform(scores, model.phi).values
+        - cp_transform(rescaled, model.phi).values)))
 
     reg_eta = ScoreMatrix(
         rng.standard_normal((500, model.n_eta)), model.eta_labels,

@@ -186,6 +186,18 @@ class TestDeterminacy:
         ])
         assert main(["determinacy", model_file, "--scores", raw]) == 2
 
+    def test_missing_score_column_exits_two(
+        self, tmp_path, model_file, simulated, capsys
+    ):
+        partial = tmp_path / "partial.csv"
+        partial.write_text("xi1,eta1\n0.5,0.1\n-0.5,0.3\n1.5,-0.2\n")
+        assert main([
+            "determinacy", model_file, "--scores", str(partial),
+            "--x", simulated[0], "--y", simulated[1],
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "xi2" in err
+
     def test_appendix_compat_is_flagged(
         self, tmp_path, model_file, simulated, capsys
     ):

@@ -4,6 +4,7 @@ import pytest
 from cpscores import (
     DataError,
     DataMatrix,
+    NearSingularError,
     ScoreMatrix,
     SemModel,
     StructuralError,
@@ -13,9 +14,7 @@ from cpscores import (
     determinacy_endo,
     determinacy_exo,
     joint_regression_scores,
-    regression_score_cov_exo,
-    regression_scores_endo,
-    regression_scores_exo,
+    regression_scores,
 )
 from cpscores.determinacy import NORMALIZER_VARIANCE
 from cpscores.simulate import SimulationSpec, random_model, simulate_dataset
@@ -28,7 +27,7 @@ def simulate(model, n=10_000, seed=7):
 class TestDeterminacyExo:
     def test_example_reference_values(self, model):
         x_data, y_data, _ = simulate(model, seed=0)
-        reg = regression_scores_exo(model, x_data)
+        reg = regression_scores(model.exo, x_data)
         plain = determinacy_exo(reg, x_data, model)
         assert plain.coefficients == pytest.approx([0.97, 0.97, 0.97], abs=0.02)
         proxy = joint_regression_scores(model, x_data, y_data)
@@ -38,7 +37,7 @@ class TestDeterminacyExo:
 
     def test_matches_closed_form_oracle(self, model):
         x_data, _, _ = simulate(model, seed=5)
-        reg = regression_scores_exo(model, x_data)
+        reg = regression_scores(model.exo, x_data)
         observed = determinacy_exo(reg, x_data, model).coefficients
         oracle = closed_form_regression_determinacy(model, "exogenous").coefficients
         assert observed == pytest.approx(oracle, abs=0.02)
@@ -53,7 +52,7 @@ class TestDeterminacyExo:
 
     def test_scale_invariance(self, model):
         x_data, _, _ = simulate(model, n=500, seed=1)
-        reg = regression_scores_exo(model, x_data)
+        reg = regression_scores(model.exo, x_data)
         base = determinacy_exo(reg, x_data, model).coefficients
         rescaled = ScoreMatrix(
             reg.values * np.array([5.0, 0.02, 17.0]), reg.labels, reg.blocks,
@@ -79,7 +78,7 @@ class TestDeterminacyExo:
 class TestDeterminacyEndo:
     def test_example_reference_values(self, model):
         x_data, y_data, _ = simulate(model, seed=0)
-        reg = regression_scores_endo(model, y_data)
+        reg = regression_scores(model.endo, y_data)
         plain = determinacy_endo(reg, y_data, model)
         # reference endogenous row (.97, .85); exact regression scores for a
         # factor with near-unit loadings sit at the top of the band
@@ -102,14 +101,14 @@ class TestDeterminacyEndo:
 
     def test_matches_closed_form_oracle(self, model):
         _, y_data, _ = simulate(model, seed=13)
-        reg = regression_scores_endo(model, y_data)
+        reg = regression_scores(model.endo, y_data)
         observed = determinacy_endo(reg, y_data, model).coefficients
         oracle = closed_form_regression_determinacy(model, "endogenous").coefficients
         assert observed == pytest.approx(oracle, abs=0.02)
 
     def test_variance_normalizer_variant(self, model):
         _, y_data, _ = simulate(model, n=2_000, seed=4)
-        reg = regression_scores_endo(model, y_data)
+        reg = regression_scores(model.endo, y_data)
         sd_report = determinacy_endo(reg, y_data, model)
         var_report = determinacy_endo(
             reg, y_data, model, normalizer=NORMALIZER_VARIANCE
@@ -129,7 +128,7 @@ class TestClosedForm:
         assert report.variant == "closed-form"
         # oracle: sqrt of the diagonal of the score covariance
         assert report.coefficients == pytest.approx(
-            np.sqrt(np.diag(regression_score_cov_exo(model))), abs=1e-12
+            np.sqrt(np.diag(model.exo.score_cov())), abs=1e-12
         )
 
     def test_single_indicator_equals_loading(self):
@@ -160,11 +159,32 @@ class TestClosedForm:
             closed_form_regression_determinacy(model, "sideways")
 
 
+def test_singular_implied_covariance_raises_package_error(rng):
+    # two indicators with unit loadings on one factor: sigma is exactly singular
+    m = SemModel(
+        lambda_x=np.array([[1.0], [1.0]]),
+        phi=np.eye(1),
+        lambda_y=np.array([[1.0], [1.0]]),
+        gamma=np.array([[0.2]]),
+        eta_corr=np.eye(1),
+    )
+    data = DataMatrix(rng.standard_normal((20, 2)), ("v1", "v2"))
+    xi = ScoreMatrix(rng.standard_normal((20, 1)), m.xi_labels)
+    eta = ScoreMatrix(rng.standard_normal((20, 1)), m.eta_labels, ("endogenous",))
+    with pytest.raises(NearSingularError, match="exogenous"):
+        determinacy_exo(xi, data, m)
+    with pytest.raises(NearSingularError, match="endogenous"):
+        determinacy_endo(eta, data, m)
+    for block in ("exogenous", "endogenous"):
+        with pytest.raises(NearSingularError, match=block):
+            closed_form_regression_determinacy(m, block)
+
+
 def test_regression_determinacy_converges_across_random_models(rng):
     for seed in range(5):
         m = random_model(rng)
         x_data, _, _ = simulate(m, n=10_000, seed=seed)
-        reg = regression_scores_exo(m, x_data)
+        reg = regression_scores(m.exo, x_data)
         observed = determinacy_exo(reg, x_data, m).coefficients
         oracle = closed_form_regression_determinacy(m, "exogenous").coefficients
         assert observed == pytest.approx(oracle, abs=0.02)
@@ -173,14 +193,13 @@ def test_regression_determinacy_converges_across_random_models(rng):
 def test_cp_determinacy_not_above_regression_at_population(rng):
     # population-level: the regression score maximizes determinacy, so the
     # correlation-preserving weights cannot beat it (weight-matrix algebra)
-    from cpscores import implied_cov_x, sym_sqrt, sym_inv_sqrt
-    from cpscores.scores import regression_weights_exo
+    from cpscores import sym_sqrt, sym_inv_sqrt
 
     for _ in range(5):
         m = random_model(rng)
-        sigma = implied_cov_x(m)
-        w_reg = regression_weights_exo(m)
-        a = regression_score_cov_exo(m)
+        sigma = m.exo.sigma()
+        w_reg = m.exo.weights()
+        a = m.exo.score_cov()
         d_inv = np.diag(1.0 / np.sqrt(np.diag(a)))
         r = d_inv @ a @ d_inv
         w_cp = sym_sqrt(m.phi.values) @ sym_inv_sqrt(r) @ d_inv @ w_reg

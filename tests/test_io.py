@@ -87,6 +87,11 @@ class TestParseModelFile:
         text = GOOD_MODEL.replace("0.3 1.0", "0.3 oops")
         with pytest.raises(DataError, match="non-numeric"):
             parse_model_file(write(tmp_path, text))
+        # line 9 is the first [lambda_x] row
+        for token in ("nan", "inf", "-inf"):
+            text = GOOD_MODEL.replace("0.8 0.0", f"0.8 {token}")
+            with pytest.raises(DataError, match=r"line 9: non-finite .*\[lambda_x\]"):
+                parse_model_file(write(tmp_path, text))
 
     def test_unknown_block_rejected(self, tmp_path):
         with pytest.raises(DataError, match="unknown block"):

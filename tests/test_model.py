@@ -7,9 +7,6 @@ from cpscores import (
     SemModel,
     StructuralError,
     combined_factor_corr,
-    implied_cov_x,
-    implied_cov_y,
-    psi_from_eta_corr,
     validate_model,
 )
 
@@ -73,7 +70,7 @@ def test_inconsistent_psi_and_eta_corr_rejected():
 
 class TestImpliedCovX:
     def test_example_entries(self, model):
-        sigma = implied_cov_x(model)
+        sigma = model.exo.sigma()
         assert sigma.shape == (15, 15)
         assert np.allclose(np.diag(sigma), 1.0, atol=1e-10)
         # oracle: entry (x1, x2) from the loading rows directly
@@ -89,7 +86,7 @@ class TestImpliedCovX:
             gamma=np.array([[0.2]]),
             eta_corr=np.eye(1),
         )
-        assert implied_cov_x(m) == pytest.approx(np.array([[1.0]]))
+        assert m.exo.sigma() == pytest.approx(np.array([[1.0]]))
 
     def test_zero_loadings_give_identity(self):
         m = SemModel(
@@ -99,7 +96,7 @@ class TestImpliedCovX:
             gamma=np.array([[0.0, 0.0]]),
             eta_corr=np.eye(1),
         )
-        assert implied_cov_x(m) == pytest.approx(np.eye(4))
+        assert m.exo.sigma() == pytest.approx(np.eye(4))
 
     def test_negative_uniqueness_names_indicator(self):
         m = SemModel(
@@ -110,12 +107,12 @@ class TestImpliedCovX:
             eta_corr=np.eye(1),
         )
         with pytest.raises(ModelError, match="x1"):
-            implied_cov_x(m)
+            m.exo.sigma()
 
 
 class TestImpliedCovY:
     def test_example(self, model):
-        sigma = implied_cov_y(model)
+        sigma = model.endo.sigma()
         assert sigma.shape == (10, 10)
         assert np.allclose(np.diag(sigma), 1.0, atol=1e-10)
         # oracle: entry (y3, y6) across the two endogenous factors
@@ -132,7 +129,7 @@ class TestImpliedCovY:
             gamma=np.array([[0.0], [0.0]]),
             eta_corr=np.eye(2),
         )
-        sigma = implied_cov_y(m)
+        sigma = m.endo.sigma()
         assert sigma == pytest.approx(np.eye(2))
 
     def test_unit_loadings_give_unit_offdiagonal(self):
@@ -143,19 +140,19 @@ class TestImpliedCovY:
             gamma=np.array([[0.0]]),
             eta_corr=np.eye(1),
         )
-        assert implied_cov_y(m)[0, 1] == pytest.approx(1.0)
+        assert m.endo.sigma()[0, 1] == pytest.approx(1.0)
 
 
 class TestPsiFromEtaCorr:
     def test_example_values(self, model):
-        psi = psi_from_eta_corr(model)
+        psi = model.psi
         # frozen from the direct arithmetic eta_corr - gamma phi gamma'
         assert psi[0, 0] == pytest.approx(0.9245112, abs=1e-7)
         assert psi[0, 1] == pytest.approx(0.4703226, abs=1e-7)
         assert psi[1, 1] == pytest.approx(0.7881047, abs=1e-7)
 
     def test_round_trip(self, model):
-        psi = psi_from_eta_corr(model)
+        psi = model.psi
         implied = model.gamma @ model.phi.values @ model.gamma.T + psi
         assert implied == pytest.approx(model.eta_corr.values, abs=1e-12)
 
@@ -168,7 +165,7 @@ class TestPsiFromEtaCorr:
             gamma=np.zeros((2, 1)),
             eta_corr=eta_corr,
         )
-        assert psi_from_eta_corr(m) == pytest.approx(eta_corr)
+        assert m.psi == pytest.approx(eta_corr)
 
     def test_saturated_gamma_gives_zero_psi(self):
         gamma = np.array([[1.0]])
@@ -179,7 +176,7 @@ class TestPsiFromEtaCorr:
             gamma=gamma,
             eta_corr=np.eye(1),
         )
-        assert psi_from_eta_corr(m) == pytest.approx(np.zeros((1, 1)), abs=1e-12)
+        assert m.psi == pytest.approx(np.zeros((1, 1)), abs=1e-12)
 
 
 class TestCombinedFactorCorr:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from cpscores import EXOGENOUS, FactorCorr, ScoreMatrix, cp_transform, sample_corr
 from cpscores.linalg import sym_inv_sqrt, sym_sqrt
 from cpscores.regression import betas_from_corr
-from cpscores.simulate import random_correlation
+from cpscores.simulate import random_correlation, random_model
 
 dims = st.integers(min_value=2, max_value=6)
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -69,3 +69,15 @@ def test_betas_solve_the_normal_equations(k, m, seed):
     r_xy = rng.uniform(-0.4, 0.4, size=(k, m))
     betas = betas_from_corr(r_xx, r_xy)
     assert np.max(np.abs(r_xx @ betas - r_xy)) < 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_xi=dims, n_eta=st.integers(min_value=1, max_value=4), seed=seeds)
+def test_block_weights_and_joint_sigma(n_xi, n_eta, seed):
+    model = random_model(np.random.default_rng(seed), n_xi=n_xi, n_eta=n_eta)
+    for block in (model.exo, model.endo, model.joint):
+        oracle = block.corr @ block.loadings.T @ np.linalg.inv(block.sigma())
+        assert np.max(np.abs(block.weights() - oracle)) < 1e-9
+    joint = model.joint.sigma()
+    assert np.max(np.abs(joint[: model.n_x, : model.n_x] - model.exo.sigma())) < 1e-10
+    assert np.max(np.abs(joint[model.n_x:, model.n_x:] - model.endo.sigma())) < 1e-10

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cpscores import (
+    NearSingularError,
     ScoreMatrix,
     StructuralError,
     betas_from_corr,
@@ -60,7 +61,7 @@ def test_scale_invariance(rng):
 def test_collinear_predictors_rejected(rng):
     col = rng.standard_normal(30)
     x = np.column_stack([col, 2.0 * col])
-    with pytest.raises(StructuralError, match="collinear"):
+    with pytest.raises(NearSingularError, match="collinear"):
         standardized_betas(scores(x), scores(col[:, None], ("out",)))
 
 

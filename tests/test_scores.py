@@ -11,23 +11,16 @@ from cpscores import (
     cp_scores_from_orthogonal,
     cp_scores_from_params,
     cp_transform,
-    cp_transform_exo,
-    implied_cov_x,
     joint_regression_scores,
     orthogonal_scores,
-    regression_score_corr,
-    regression_scores_endo,
-    regression_scores_exo,
+    regression_scores,
     sample_corr,
+    score_corr,
     simulate_dataset,
     sym_sqrt,
 )
 from cpscores.linalg import center_columns, corr_from_data
-from cpscores.scores import (
-    joint_regression_weights,
-    regression_weights_endo,
-    regression_weights_exo,
-)
+from cpscores.scores import joint_regression_weights
 from cpscores.simulate import SimulationSpec
 
 
@@ -52,12 +45,12 @@ class TestRegressionScoresExo:
         sigma = m.lambda_x @ m.lambda_x.T + np.diag(1 - (m.lambda_x**2).ravel())
         w_oracle = (np.linalg.inv(sigma) @ m.lambda_x).ravel()
         x = DataMatrix(np.eye(3), ("x1", "x2", "x3"))
-        out = regression_scores_exo(m, x)
+        out = regression_scores(m.exo, x)
         # data are centered internally; apply the oracle to centered rows
         expected = center_columns(np.eye(3)) @ w_oracle
         assert out.values[:, 0] == pytest.approx(expected, abs=1e-12)
         # population score variance
-        w = regression_weights_exo(m)
+        w = m.exo.weights()
         var = (w @ sigma @ w.T)[0, 0]
         assert var == pytest.approx(
             (m.lambda_x.T @ np.linalg.inv(sigma) @ m.lambda_x)[0, 0]
@@ -65,35 +58,35 @@ class TestRegressionScoresExo:
 
     def test_zero_row_maps_to_zero(self, model):
         x = DataMatrix(np.zeros((4, 15)), model.x_labels)
-        out = regression_scores_exo(model, x)
+        out = regression_scores(model.exo, x)
         assert out.values == pytest.approx(np.zeros((4, 3)))
 
     def test_sample_corr_is_shrunk_toward_score_corr(self, model):
         x_data, _, _ = simulate(model)
-        out = regression_scores_exo(model, x_data)
+        out = regression_scores(model.exo, x_data)
         observed = sample_corr(out).values
-        predicted = regression_score_corr(model).values
+        predicted = score_corr(model.exo).values
         assert np.max(np.abs(observed - predicted)) < 0.03
         # and differs from phi itself
         assert np.max(np.abs(predicted - model.phi.values)) > 1e-3
 
     def test_column_mismatch(self, model):
         with pytest.raises(StructuralError):
-            regression_scores_exo(model, DataMatrix(np.zeros((2, 14)),
-                                                    [f"x{i}" for i in range(14)]))
+            regression_scores(model.exo, DataMatrix(np.zeros((2, 14)),
+                                                   [f"x{i}" for i in range(14)]))
 
 
 class TestRegressionScoresEndo:
     def test_one_factor_closed_form(self, model):
         _, y_data, _ = simulate(model)
-        out = regression_scores_endo(model, y_data)
-        w = regression_weights_endo(model)
+        out = regression_scores(model.endo, y_data)
+        w = model.endo.weights()
         assert out.values == pytest.approx(center_columns(y_data.values) @ w.T)
         assert out.blocks == ("endogenous", "endogenous")
 
     def test_zero_row_maps_to_zero(self, model):
         y = DataMatrix(np.zeros((3, 10)), model.y_labels)
-        assert regression_scores_endo(model, y).values == pytest.approx(
+        assert regression_scores(model.endo, y).values == pytest.approx(
             np.zeros((3, 2))
         )
 
@@ -109,12 +102,12 @@ class TestRegressionScoreCorr:
             gamma=np.array([[0.2, 0.0]]),
             eta_corr=np.eye(1),
         )
-        assert regression_score_corr(m).values == pytest.approx(np.eye(2), abs=1e-12)
+        assert score_corr(m.exo).values == pytest.approx(np.eye(2), abs=1e-12)
 
     def test_example_differs_from_phi(self, model):
-        r = regression_score_corr(model)
+        r = score_corr(model.exo)
         # oracle: direct matrix arithmetic
-        sigma = implied_cov_x(model)
+        sigma = model.exo.sigma()
         a = (model.phi.values @ model.lambda_x.T @ np.linalg.inv(sigma)
              @ model.lambda_x @ model.phi.values)
         d = 1.0 / np.sqrt(np.diag(a))
@@ -122,7 +115,7 @@ class TestRegressionScoreCorr:
         assert np.max(np.abs(r.values - model.phi.values)) > 1e-3
 
     def test_single_factor(self):
-        assert regression_score_corr(one_factor_model()).values == pytest.approx(
+        assert score_corr(one_factor_model().exo).values == pytest.approx(
             np.eye(1)
         )
 
@@ -176,15 +169,15 @@ class TestCpTransform:
 class TestCpTransformExo:
     def test_restriction_matches_joint_on_uncorrelated_blocks(self, rng, model):
         x_data, _, _ = simulate(model, n=400, seed=11)
-        p_xi = regression_scores_exo(model, x_data)
-        out = cp_transform_exo(p_xi, model.phi)
+        p_xi = regression_scores(model.exo, x_data)
+        out = cp_transform(p_xi, model.phi)
         assert np.max(np.abs(sample_corr(out).values - model.phi.values)) < 1e-10
 
     def test_joint_and_blockwise_differ_on_xi_block(self, model):
         x_data, y_data, _ = simulate(model, n=600, seed=5)
         p = joint_regression_scores(model, x_data, y_data)
         joint = cp_transform(p, combined_factor_corr(model))
-        blockwise = cp_transform_exo(p.select(model.xi_labels), model.phi)
+        blockwise = cp_transform(p.select(model.xi_labels), model.phi)
         dev = np.max(np.abs(
             joint.values[:, :3] - blockwise.values
         ))
@@ -193,35 +186,28 @@ class TestCpTransformExo:
     def test_identity_phi_whitens(self, rng):
         values = rng.standard_normal((300, 2)) @ np.array([[1.0, 0.6], [0.0, 0.8]])
         p = ScoreMatrix(values, ("xi1", "xi2"))
-        out = cp_transform_exo(p, FactorCorr(("xi1", "xi2"), np.eye(2)))
+        out = cp_transform(p, FactorCorr(("xi1", "xi2"), np.eye(2)))
         assert sample_corr(out).values == pytest.approx(np.eye(2), abs=1e-10)
-
-    def test_endogenous_scores_rejected(self, rng):
-        p = ScoreMatrix(rng.standard_normal((10, 1)), ("eta1",), ("endogenous",))
-        with pytest.raises(StructuralError):
-            cp_transform_exo(p, FactorCorr(("eta1",), np.eye(1)))
 
 
 class TestParameterRoute:
     def test_matches_blockwise_transform_of_exact_regression_scores(self, model):
-        from cpscores import regression_score_cov_exo
-
         x_data, _, _ = simulate(model, n=200, seed=2)
         from_params = cp_scores_from_params(model, x_data)
         # the same substitution by hand: exact regression scores with the
         # model-implied score correlation and variances
-        p_xi = regression_scores_exo(model, x_data)
-        substituted = cp_transform_exo(
+        p_xi = regression_scores(model.exo, x_data)
+        substituted = cp_transform(
             p_xi,
             model.phi,
-            regression_score_corr(model),
-            score_variances=np.diag(regression_score_cov_exo(model)),
+            score_corr(model.exo),
+            score_variances=np.diag(model.exo.score_cov()),
         )
         assert from_params.values == pytest.approx(substituted.values, abs=1e-9)
 
     def test_population_covariance_is_phi(self, model):
-        sigma = implied_cov_x(model)
-        w_reg = regression_weights_exo(model)
+        sigma = model.exo.sigma()
+        w_reg = model.exo.weights()
         a = w_reg @ model.lambda_x @ model.phi.values
         d_inv = np.diag(1.0 / np.sqrt(np.diag(a)))
         r = d_inv @ a @ d_inv
@@ -260,9 +246,9 @@ class TestOrthogonalScores:
     def test_single_factor_is_rescaled_regression_score(self):
         m = one_factor_model()
         x = DataMatrix(np.eye(3), ("x1", "x2", "x3"))
-        reg = regression_scores_exo(m, x)
+        reg = regression_scores(m.exo, x)
         ortho = orthogonal_scores(m, x)
-        sigma = implied_cov_x(m)
+        sigma = m.exo.sigma()
         var = (m.lambda_x.T @ np.linalg.inv(sigma) @ m.lambda_x)[0, 0]
         assert ortho.values == pytest.approx(reg.values / np.sqrt(var), abs=1e-12)
 

@@ -5,7 +5,6 @@ from cpscores import (
     DataError,
     SemModel,
     combined_factor_corr,
-    implied_cov_x,
     run_example,
     sample_corr,
     simulate_dataset,
@@ -22,7 +21,7 @@ class TestSimulateDataset:
 
     def test_indicator_corr_recovered(self, model):
         x_data, _, _ = simulate_dataset(SimulationSpec(model, 10_000, 11))
-        sigma = implied_cov_x(model)
+        sigma = model.exo.sigma()
         assert np.max(np.abs(corr_from_data(x_data.values) - sigma)) < 0.03
 
     def test_zero_uniqueness_limit(self):

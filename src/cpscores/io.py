@@ -24,17 +24,35 @@ The gamma block uses the printed layout (one row per exogenous factor) and
 is transposed on load to the internal row-per-endogenous-factor convention.
 Exactly one of ``[psi]`` / ``[eta_corr]`` is required.
 
-CSV files carry a header row of labels and one numeric row per case; an
-optional leading ``case``/``case_id``/``id`` column is ignored on read.
-Values are written with 17 significant digits so a write/read round trip is
-exact to double precision.
+CSV files carry a header row of labels and one row of numbers per case.
+The reader accepts this dialect:
+
+* UTF-8 text, comma-delimited, ``"`` as the quote character, LF, CRLF or
+  CR line ends, with or without a final one;
+* a header of unique labels, stripped of surrounding whitespace; a leading
+  ``case``/``case_id``/``id`` column (in any letter case) is dropped and
+  its cells are not parsed;
+* on every other line, one cell per label: a decimal or exponent-form
+  number as ``float`` reads it, possibly quoted and padded with
+  whitespace.  ``_`` digit groups, non-ASCII digits and hex floats are
+  refused, and so is a non-finite value;
+* lines holding only whitespace are skipped.  There are no comment lines,
+  and a line holding only a quoted blank cell (``""``) is not skipped.
+
+Errors name the file and the line, or the data row and the column for a
+non-finite value.  The writer emits the header through ``csv.writer`` and
+each value with ``%.17g`` and CRLF line ends, so a write/read round trip is
+exact to double precision; the bytes are the same as the earlier
+cell-by-cell writer produced.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import math
+from typing import NoReturn
 
 import numpy as np
 
@@ -45,6 +63,8 @@ from .model import SemModel, validate_model
 MODEL_BLOCKS = ("dimensions", "lambda_x", "phi", "lambda_y", "gamma", "psi", "eta_corr")
 DIMENSION_KEYS = ("n_x", "n_xi", "n_y", "n_eta")
 CASE_ID_LABELS = ("case", "case_id", "id")
+# Cells formatted per write call: bounds the chunk's temporary list and text.
+_WRITE_CHUNK_CELLS = 1024
 
 
 def _parse_blocks(lines):
@@ -171,32 +191,77 @@ def model_hash(model: SemModel) -> str:
 # CSV matrices
 
 def write_matrix_csv(path, labels, values) -> None:
+    """Write a header row of labels and one row of 17-digit values per case.
+
+    The body is formatted a chunk of rows at a time by one ``%`` call on a
+    repeated row template. The bytes are those of ``csv.writer`` writing
+    ``f"{v:.17g}"`` cells: CRLF line ends, and ``nan``, ``inf`` and ``-0``
+    spelled as Python spells them.
+    """
     values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise StructuralError(
+            f"{path}: values must be a 2-d matrix, got shape {values.shape}"
+        )
+    labels = list(labels)
+    k = values.shape[1]
+    if len(labels) != k:
+        raise StructuralError(f"{path}: {len(labels)} labels for {k} columns")
+    row_template = ",".join(["%.17g"] * k) + "\r\n"
+    chunk_rows = max(1, _WRITE_CHUNK_CELLS // max(k, 1))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(labels)
-        for row in values:
-            writer.writerow([f"{v:.17g}" for v in row])
+        csv.writer(fh).writerow(labels)
+        for start in range(0, values.shape[0], chunk_rows):
+            block = values[start:start + chunk_rows]
+            fh.write((row_template * len(block)) % tuple(block.ravel().tolist()))
 
 
-def read_labeled_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
+def _read_header(path, fh) -> tuple[list[str], bool]:
+    """Parse the header row; say whether a leading case-id column is dropped."""
+    try:
+        header = next(csv.reader(fh))
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    drop_first = bool(header) and header[0].lower() in CASE_ID_LABELS
+    if drop_first:
+        header = header[1:]
+    if not header:
+        raise DataError(f"{path}: no data columns in header")
+    if len(set(header)) != len(header):
+        raise DataError(f"{path}: duplicate column labels")
+    return header, drop_first
+
+
+def _strict_float(cell: str) -> float:
+    """``float`` cut down to the grammar of numpy's C reader: it refuses
+    the ``_`` digit groups and non-ASCII digits that ``float`` accepts."""
+    text = cell.strip()
+    if "_" in text or not text.isascii():
+        raise ValueError(cell)
+    return float(text)
+
+
+def _reject(path, cause: Exception) -> NoReturn:
+    """Raise the ``DataError`` for the first bad row of ``path``.
+
+    Called only after the bulk parse has failed, this re-reads the file row
+    by row under the same rules and names the line at fault.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        drop_first = bool(header) and header[0].lower() in CASE_ID_LABELS
-        if drop_first:
-            header = header[1:]
-        if not header:
-            raise DataError(f"{path}: no data columns in header")
-        if len(set(header)) != len(header):
-            raise DataError(f"{path}: duplicate column labels")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
+        header, drop_first = _read_header(path, fh)
+        last_line = ""
+
+        def tap():
+            nonlocal last_line
+            for last_line in fh:
+                yield last_line
+
+        # Line numbers count CSV records, so a quoted cell that spans lines
+        # counts once. As in the bulk parse, a line holding only whitespace
+        # is skipped; a quoted blank cell is not.
+        for lineno, row in enumerate(csv.reader(tap()), start=2):
+            if last_line.isspace() and not any(cell.strip() for cell in row):
                 continue
             if drop_first:
                 row = row[1:]
@@ -206,12 +271,53 @@ def read_labeled_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
                     f"{len(header)}"
                 )
             try:
-                rows.append([float(cell) for cell in row])
+                for cell in row:
+                    _strict_float(cell)
             except ValueError as exc:
                 raise DataError(f"{path}: non-numeric cell on line {lineno}") from exc
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    return tuple(header), np.array(rows)
+    raise DataError(f"{path}: {cause}") from cause
+
+
+def _ignore_cell(cell) -> float:
+    return 0.0
+
+
+def read_labeled_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
+    """Read a header row of labels and one row of finite numbers per case.
+
+    numpy's C reader parses the body in bulk, streaming from the open file;
+    lines holding only whitespace are skipped, and a leading case-id column
+    is not parsed. If the bulk parse fails, a row-by-row pass names the
+    line at fault.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, drop_first = _read_header(path, fh)
+        lines = itertools.filterfalse(str.isspace, fh)
+        first = next(lines, None)
+        if first is None:
+            raise DataError(f"{path}: no data rows")
+        try:
+            # numpy < 2 by default hands the converter each case id encoded
+            # as latin-1, which fails for ids outside latin-1
+            values = np.loadtxt(
+                itertools.chain((first,), lines), delimiter=",", comments=None,
+                quotechar='"', ndmin=2, encoding=None,
+                converters={0: _ignore_cell} if drop_first else None,
+            )
+        except ValueError as exc:
+            _reject(path, exc)
+    if values.shape[1] != len(header) + drop_first:
+        _reject(path, ValueError(f"rows have {values.shape[1]} cells"))
+    if drop_first:
+        values = np.ascontiguousarray(values[:, 1:])
+    finite = np.isfinite(values)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise DataError(
+            f"{path}: non-finite value {values[row, col]} in data row "
+            f"{row + 1}, column {header[col]}"
+        )
+    return tuple(header), values
 
 
 def read_data_csv(path) -> DataMatrix:

@@ -1,6 +1,16 @@
+import csv
+import io
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import cpscores.io
 from cpscores import (
     DataError,
     ScoreMatrix,
@@ -170,6 +180,120 @@ class TestCsvRoundTrip:
         path.write_text("nope\n1.0\n2.0\n")
         with pytest.raises(StructuralError, match="nope"):
             read_scores_csv(path, model)
+
+    def test_writer_rejects_non_matrix(self, tmp_path):
+        path = tmp_path / "m.csv"
+        with pytest.raises(StructuralError, match=r"2-d matrix.*\(3,\)"):
+            write_matrix_csv(path, ("a", "b", "c"), np.zeros(3))
+        assert not path.exists()
+
+    def test_writer_rejects_label_count_mismatch(self, tmp_path):
+        path = tmp_path / "m.csv"
+        with pytest.raises(StructuralError, match="2 labels for 3 columns"):
+            write_matrix_csv(path, ("a", "b"), np.zeros((2, 3)))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("token", ["nan", "-inf"])
+    def test_non_finite_cell_named(self, tmp_path, token):
+        path = tmp_path / "x.csv"
+        path.write_text(f"id,a,b\n1,0.5,1.5\n\n2,2.5,{token}\n3,{token},1\n")
+        with pytest.raises(DataError) as info:
+            read_data_csv(path)
+        value = float(token)
+        assert str(info.value) == (
+            f"{path}: non-finite value {value} in data row 2, column b"
+        )
+
+
+# Each input gives the labels and values, or the DataError text, that the
+# row-by-row reader of earlier versions gave.  The intended differences:
+# ``float`` accepts ``_`` digit groups and non-ASCII digits, numpy's C
+# reader does not.
+READER_CONTRACT = [
+    ("blank-lines", "a,b\n1,2\n\n3,4\n\n", (("a", "b"), [[1, 2], [3, 4]])),
+    ("whitespace-lines", "a,b\n  \n1,2\n \t \r\n3,4\n   ",
+     (("a", "b"), [[1, 2], [3, 4]])),
+    ("crlf", "a,b\r\n1,2\r\n3,4\r\n", (("a", "b"), [[1, 2], [3, 4]])),
+    ("cr", "a,b\r1,2\r\r3,4", (("a", "b"), [[1, 2], [3, 4]])),
+    ("quoted-numbers", 'a,b\n"1.5","-2e3"\n3,"4"\n',
+     (("a", "b"), [[1.5, -2000], [3, 4]])),
+    ("padded-cells", " a , b \n 1.5 ,2  \n\t3, 4\n",
+     (("a", "b"), [[1.5, 2], [3, 4]])),
+    ("case-id", "Case,a,b\nA-1,1,2\n\"B,2\",3,4\n",
+     (("a", "b"), [[1, 2], [3, 4]])),
+    ("case-id-not-latin-1", "id,a\n\u65e5\u672c,1\n", (("a",), [[1]])),
+    ("id-only", "id\n1\n", "no data columns in header"),
+    ("ragged", "a,b\n1,2\n3\n", "line 3 has 1 cells, expected 2"),
+    ("ragged-after-blanks", "a,b\n1,2\n\n  \n3,4,5\n",
+     "line 5 has 3 cells, expected 2"),
+    ("too-wide", "a,b\n1,2,3\n4,5,6\n", "line 2 has 3 cells, expected 2"),
+    ("too-narrow", "a,b,c\n1,2\n4,5\n", "line 2 has 2 cells, expected 3"),
+    ("case-id-narrow", "case,a\n1,2\n2\n", "line 3 has 0 cells, expected 1"),
+    ("trailing-comma", "a,b\n1,2\n3,4,\n", "line 3 has 3 cells, expected 2"),
+    ("empty-cell", "a,b\n1,2\n3,\n", "non-numeric cell on line 3"),
+    ("text-cell", "a,b\n1,2\n\nx,4\n", "non-numeric cell on line 4"),
+    ("header-only", "a,b\n", "no data rows"),
+    ("header-then-blanks", "a,b\r\n\r\n  \n", "no data rows"),
+    ("empty-file", "", "empty file"),
+    ("no-final-newline", "a,b\n1,2\n3,4", (("a", "b"), [[1, 2], [3, 4]])),
+    ("hex-float", "a\n1\n0x1p3\n", "non-numeric cell on line 3"),
+    ("underscore-digits", "a\n1\n1_0\n", "non-numeric cell on line 3"),
+    ("non-ascii-digits", "a\n1\n\u0661\n", "non-numeric cell on line 3"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, expected", [pytest.param(t, e, id=name) for name, t, e in READER_CONTRACT]
+)
+def test_reader_contract(tmp_path, text, expected):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode())
+    if isinstance(expected, str):
+        with pytest.raises(DataError) as info:
+            read_labeled_csv(path)
+        assert str(info.value) == f"{path}: {expected}"
+    else:
+        labels, values = read_labeled_csv(path)
+        assert labels == expected[0]
+        assert values.dtype == np.float64
+        assert np.array_equal(values, expected[1])
+
+
+def _per_cell_csv(labels, values) -> bytes:
+    """The writer of earlier versions: ``csv.writer`` with one 17-digit
+    f-string per cell."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(labels)
+    for row in values:
+        writer.writerow([f"{v:.17g}" for v in row])
+    return buf.getvalue().encode()
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1e-310, 1.7e308, -1.7e308, np.finfo(float).max]
+finite_matrices = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+    elements=st.one_of(
+        st.sampled_from(EDGE_FLOATS),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=finite_matrices, chunk_cells=st.integers(1, 40))
+def test_writer_bytes_and_round_trip(values, chunk_cells):
+    labels = tuple(f"v{j}" for j in range(values.shape[1]))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cpscores.io, "_WRITE_CHUNK_CELLS", chunk_cells):
+        path = Path(tmp) / "m.csv"
+        write_matrix_csv(path, labels, values)
+        assert path.read_bytes() == _per_cell_csv(labels, values)
+        back_labels, back = read_labeled_csv(path)
+    assert back_labels == labels
+    assert back.tobytes() == values.tobytes()
 
 
 class TestFormatCorr:

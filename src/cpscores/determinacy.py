@@ -9,8 +9,10 @@ and the model-implied indicator covariance:
 
 where ``C lambda' sigma^{-1}`` is the block's regression weight matrix
 (:meth:`cpscores.model.Block.weights`).  It applies to plain and
-correlation-preserving scores alike.  A closed-form population value for
-exact regression scores is provided as an oracle.
+correlation-preserving scores alike; the score moments come from
+:func:`cpscores.linalg.moments`, which refuses a constant score column.
+A closed-form population value for exact regression scores is provided as
+an oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .containers import ENDOGENOUS, EXOGENOUS, DataMatrix, ScoreMatrix
 from .errors import DataError, StructuralError
-from .linalg import center_columns
+from .linalg import center_columns, moments
 from .model import Block, SemModel
 
 NORMALIZER_SD = "sd"
@@ -61,18 +63,13 @@ def _determinacy(scores, data, block: Block, normalizer):
             f"scores have {scores.n_cases} rows, data has {data.n_cases}"
         )
     n = scores.n_cases
-    if n < 2:
-        raise DataError("determinacy needs at least 2 cases")
     labels = block.factor_labels
     if scores.labels != labels:
         raise StructuralError(
             f"scores are ordered {scores.labels}, expected {labels}"
         )
-    p = center_columns(scores.values)
-    var = np.einsum("ij,ij->j", p, p) / (n - 1)
-    if np.any(var <= 0.0):
-        bad = scores.labels[int(np.argmin(var))]
-        raise DataError(f"zero variance in score column {bad!r}")
+    p, cov = moments(scores.values, labels)
+    var = np.diag(cov)
     cross = p.T @ center_columns(data.values) / (n - 1)
     scale = var if normalizer == NORMALIZER_VARIANCE else np.sqrt(var)
     coeffs = np.einsum("ij,ij->i", cross / scale[:, None], block.weights())

@@ -40,10 +40,10 @@ The reader accepts this dialect:
   and a line holding only a quoted blank cell (``""``) is not skipped.
 
 Errors name the file and the line, or the data row and the column for a
-non-finite value.  The writer emits the header through ``csv.writer`` and
-each value with ``%.17g`` and CRLF line ends, so a write/read round trip is
-exact to double precision; the bytes are the same as the earlier
-cell-by-cell writer produced.
+non-finite value, which the writer refuses too.  The writer emits the
+header through ``csv.writer`` and each value with ``%.17g`` and CRLF line
+ends, so a write/read round trip is exact to double precision; the bytes
+are the same as the earlier cell-by-cell writer produced.
 """
 
 from __future__ import annotations
@@ -190,13 +190,25 @@ def model_hash(model: SemModel) -> str:
 # ---------------------------------------------------------------------------
 # CSV matrices
 
+def _require_finite(path, labels, values) -> None:
+    """Raise DataError naming the first non-finite cell of ``values``."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise DataError(
+            f"{path}: non-finite value {values[row, col]} in data row "
+            f"{row + 1}, column {labels[col]}"
+        )
+
+
 def write_matrix_csv(path, labels, values) -> None:
     """Write a header row of labels and one row of 17-digit values per case.
 
     The body is formatted a chunk of rows at a time by one ``%`` call on a
     repeated row template. The bytes are those of ``csv.writer`` writing
-    ``f"{v:.17g}"`` cells: CRLF line ends, and ``nan``, ``inf`` and ``-0``
-    spelled as Python spells them.
+    ``f"{v:.17g}"`` cells: CRLF line ends, and ``-0`` spelled as Python
+    spells it.  A non-finite value, which the reader refuses, raises
+    DataError before the file is opened.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
@@ -207,6 +219,7 @@ def write_matrix_csv(path, labels, values) -> None:
     k = values.shape[1]
     if len(labels) != k:
         raise StructuralError(f"{path}: {len(labels)} labels for {k} columns")
+    _require_finite(path, labels, values)
     row_template = ",".join(["%.17g"] * k) + "\r\n"
     chunk_rows = max(1, _WRITE_CHUNK_CELLS // max(k, 1))
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -310,13 +323,7 @@ def read_labeled_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
         _reject(path, ValueError(f"rows have {values.shape[1]} cells"))
     if drop_first:
         values = np.ascontiguousarray(values[:, 1:])
-    finite = np.isfinite(values)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise DataError(
-            f"{path}: non-finite value {values[row, col]} in data row "
-            f"{row + 1}, column {header[col]}"
-        )
+    _require_finite(path, header, values)
     return tuple(header), values
 
 

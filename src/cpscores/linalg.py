@@ -2,7 +2,12 @@
 
 Conventions used throughout the package:
 
-* sample moments divide by (n - 1) and are computed on mean-centered data;
+* sample moments come from :func:`moments` alone: columns are centred on
+  their means, cross products divided by (n - 1), and a column whose
+  sample sd is at most ``CONSTANT_RTOL`` times its largest absolute value
+  is refused by label as constant.  The rule is scale-free and also
+  catches a constant like 0.1, whose computed variance is about 1e-33;
+* :func:`corr_from_cov` is the one covariance-to-correlation conversion;
 * symmetric matrix functions go through a full eigendecomposition, so only
   spectral functions of the input are ever exposed;
 * eigenvalues at or below ``PD_RTOL * max_eigenvalue`` make a matrix count
@@ -46,53 +51,50 @@ def sym_inv_sqrt(s: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # column-wise sample moments
 
+# Relative sample sd at or below which a column counts as constant.  numpy
+# sums a column mean row by row, so a constant column keeps an sd of about
+# n * 1e-17 times its value after centring; 1e-8 covers ~10^8 rows and
+# refuses only columns constant to eight significant digits.
+CONSTANT_RTOL = 1e-8
+
+
 def center_columns(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     return a - a.mean(axis=0)
 
 
-def column_variances(a: np.ndarray) -> np.ndarray:
-    """Sample variances with divisor (n - 1)."""
+def moments(a: np.ndarray, labels=None) -> tuple[np.ndarray, np.ndarray]:
+    """Centred columns of ``a`` and their sample covariance, divisor (n - 1).
+
+    Raises DataError for fewer than 2 rows, or for a constant column (see
+    ``CONSTANT_RTOL``), naming its label, or its index without ``labels``.
+    """
     a = np.asarray(a, dtype=float)
-    if a.shape[0] < 2:
-        raise DataError("at least 2 cases required for sample variances")
-    c = center_columns(a)
-    return np.einsum("ij,ij->j", c, c) / (a.shape[0] - 1)
-
-
-def corr_from_data(a: np.ndarray) -> np.ndarray:
-    """Sample correlation matrix, divisor (n - 1), on centered columns."""
-    c = center_columns(a)
-    n = c.shape[0]
+    n = a.shape[0]
     if n < 2:
-        raise DataError("at least 2 cases required for a sample correlation")
-    s = c.T @ c / (n - 1)
-    d = np.sqrt(np.diag(s))
-    if np.any(d <= 0.0):
-        bad = int(np.argmin(d))
-        raise DataError(f"zero variance in column {bad}")
-    r = s / np.outer(d, d)
+        raise DataError(f"at least 2 cases required for sample moments, got {n}")
+    centred = center_columns(a)
+    cov = centred.T @ centred / (n - 1)
+    largest = np.maximum(a.max(axis=0), -a.min(axis=0))
+    constant = np.flatnonzero(np.sqrt(np.diag(cov)) <= CONSTANT_RTOL * largest)
+    if constant.size:
+        j = int(constant[0])
+        name = j if labels is None else repr(labels[j])
+        raise DataError(f"constant column {name}: zero sample variance")
+    return centred, cov
+
+
+def corr_from_cov(cov: np.ndarray) -> np.ndarray:
+    """Correlation matrix of a covariance with a positive diagonal."""
+    inv = 1.0 / np.sqrt(np.diag(cov))
+    r = cov * np.outer(inv, inv)
     np.fill_diagonal(r, 1.0)
     return (r + r.T) / 2.0
 
 
-# ---------------------------------------------------------------------------
-# score-matrix level operations
-
-def mean_center(scores: ScoreMatrix) -> ScoreMatrix:
-    """Shift each factor column to mean zero (no rescaling)."""
-    if scores.n_cases < 2:
-        raise DataError("mean centering needs at least 2 cases")
-    return scores.replace_values(center_columns(scores.values))
-
-
-def row_standardize(scores: ScoreMatrix) -> ScoreMatrix:
-    """Scale each factor column to unit sample variance (divisor n - 1)."""
-    var = column_variances(scores.values)
-    if np.any(var <= 0.0):
-        bad = scores.labels[int(np.argmin(var))]
-        raise DataError(f"zero variance in score column {bad!r}")
-    return scores.replace_values(scores.values / np.sqrt(var))
+def corr_from_data(a: np.ndarray) -> np.ndarray:
+    """Sample correlation matrix of the columns of ``a``."""
+    return corr_from_cov(moments(a)[1])
 
 
 def sample_corr(scores: ScoreMatrix) -> FactorCorr:
@@ -104,8 +106,5 @@ def sample_corr(scores: ScoreMatrix) -> FactorCorr:
             "deficient or unstable",
             stacklevel=2,
         )
-    for j, lb in enumerate(scores.labels):
-        col = scores.values[:, j]
-        if np.ptp(col) == 0.0:
-            raise DataError(f"constant score column {lb!r}")
-    return FactorCorr(scores.labels, corr_from_data(scores.values))
+    cov = moments(scores.values, scores.labels)[1]
+    return FactorCorr(scores.labels, corr_from_cov(cov))

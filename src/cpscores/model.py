@@ -27,6 +27,10 @@ from .errors import ModelError, NearSingularError, StructuralError
 
 # Residual covariance supplied both ways must agree to this tolerance.
 PSI_CONSISTENCY_TOL = 1e-6
+# Implied factor variances are 1 to UNIT_DIAGONAL_TOL, for validation and
+# combined_factor_corr alike; |loadings| exceed 1 by at most LOADING_TOL.
+UNIT_DIAGONAL_TOL = 1e-8
+LOADING_TOL = 1e-6
 JOINT = "joint"
 
 
@@ -270,7 +274,7 @@ def _pd_violation(values, what):
     return pd_violation(np.linalg.eigvalsh(values), what)
 
 
-def validate_model(model: SemModel, loading_tol: float = 1e-6) -> ValidationReport:
+def validate_model(model: SemModel) -> ValidationReport:
     """Check the standardized-solution invariants; structural errors raise.
 
     Dimension mismatches raise StructuralError at SemModel construction, so
@@ -287,10 +291,10 @@ def validate_model(model: SemModel, loading_tol: float = 1e-6) -> ValidationRepo
     endo = model.endo
     eta_cov = endo.corr
     dev = np.abs(np.diag(eta_cov) - 1.0)
-    if np.max(dev) > loading_tol:
+    if np.max(dev) > UNIT_DIAGONAL_TOL:
         i = int(np.argmax(dev))
         v.append(
-            f"diagonal of implied endogenous covariance is {eta_cov[i, i]:.6f} "
+            f"diagonal of implied endogenous covariance is {eta_cov[i, i]:.10f} "
             f"for {model.eta_labels[i]}, expected 1"
         )
     msg = _pd_violation(eta_cov, "implied endogenous covariance")
@@ -299,7 +303,7 @@ def validate_model(model: SemModel, loading_tol: float = 1e-6) -> ValidationRepo
 
     for name, block in (("x", model.exo), ("y", endo)):
         mags = np.abs(block.loadings)
-        if np.max(mags) > 1.0 + loading_tol:
+        if np.max(mags) > 1.0 + LOADING_TOL:
             i, j = np.unravel_index(int(np.argmax(mags)), mags.shape)
             v.append(
                 f"lambda_{name} loading {block.loadings[i, j]:.4f} for "
@@ -327,7 +331,7 @@ def combined_factor_corr(model: SemModel) -> FactorCorr:
     c = np.block([[phi, cross.T], [cross, model.eta_cov()]])
     c = (c + c.T) / 2.0
     d = np.abs(np.diag(c) - 1.0)
-    if np.max(d) > 1e-8:
+    if np.max(d) > UNIT_DIAGONAL_TOL:
         raise ModelError(
             "combined factor correlation has a non-unit diagonal; "
             "the model is not completely standardized"

@@ -11,7 +11,7 @@ import numpy as np
 
 from .containers import ScoreMatrix, pd_violation
 from .errors import NearSingularError, StructuralError
-from .linalg import corr_from_data
+from .linalg import corr_from_cov, moments
 
 def betas_from_corr(r_xx: np.ndarray, r_xy: np.ndarray) -> np.ndarray:
     """Solve the normal equations on correlation matrices.
@@ -33,5 +33,7 @@ def standardized_betas(predictors: ScoreMatrix, outcomes: ScoreMatrix) -> np.nda
             f"outcomes have {outcomes.n_cases}"
         )
     k = predictors.n_factors
-    r = corr_from_data(np.hstack([predictors.values, outcomes.values]))
+    labels = predictors.labels + outcomes.labels
+    _, cov = moments(np.hstack([predictors.values, outcomes.values]), labels)
+    r = corr_from_cov(cov)
     return betas_from_corr(r[:k, :k], r[:k, k:])

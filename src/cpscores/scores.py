@@ -22,14 +22,7 @@ import numpy as np
 
 from .containers import FactorCorr, ScoreMatrix, DataMatrix
 from .errors import StructuralError
-from .linalg import (
-    center_columns,
-    mean_center,
-    row_standardize,
-    sample_corr,
-    sym_inv_sqrt,
-    sym_sqrt,
-)
+from .linalg import center_columns, corr_from_cov, moments, sym_inv_sqrt, sym_sqrt
 from .model import Block, SemModel
 
 PROV_REGRESSION = "regression"
@@ -88,13 +81,8 @@ def joint_regression_scores(
     )
 
 
-def score_corr(block: Block) -> FactorCorr:
-    """Population correlation of the block's regression scores.
-
-    The regression score does not preserve C: its covariance is
-    A = C lambda' sigma^{-1} lambda C (:meth:`Block.score_cov`), and this
-    returns diag(A)^{-1/2} A diag(A)^{-1/2}.
-    """
+def _score_cov(block: Block) -> np.ndarray:
+    """:meth:`Block.score_cov`, refused if a score variance is not positive."""
     a = block.score_cov()
     d = np.diag(a)
     if np.min(d) <= 0.0:
@@ -103,10 +91,17 @@ def score_corr(block: Block) -> FactorCorr:
             f"degenerate determinacy: score variance {d[i]:.3e} "
             f"for factor {block.factor_labels[i]}"
         )
-    inv = 1.0 / np.sqrt(d)
-    r = a * np.outer(inv, inv)
-    np.fill_diagonal(r, 1.0)
-    return FactorCorr(block.factor_labels, (r + r.T) / 2.0)
+    return a
+
+
+def score_corr(block: Block) -> FactorCorr:
+    """Population correlation of the block's regression scores.
+
+    The regression score does not preserve C: its covariance is
+    A = C lambda' sigma^{-1} lambda C (:meth:`Block.score_cov`), and this
+    returns diag(A)^{-1/2} A diag(A)^{-1/2}.
+    """
+    return FactorCorr(block.factor_labels, corr_from_cov(_score_cov(block)))
 
 
 # ---------------------------------------------------------------------------
@@ -127,32 +122,31 @@ def cp_transform(
     ``c_p`` (e.g. a model-implied score correlation) is used as-is; pair it
     with the matching ``score_variances`` (population column variances used
     for the standardization step) to stay on model-implied moments
-    throughout.
+    throughout.  A constant score column raises DataError naming it.
     """
     if c_target.labels != p.labels:
         raise StructuralError(
             f"target correlation is ordered {c_target.labels}, "
             f"scores are ordered {p.labels}"
         )
-    centered = mean_center(p)
+    centred, cov = moments(p.values, p.labels)
     if score_variances is None:
-        std = row_standardize(centered)
+        sd = np.sqrt(np.diag(cov))
     else:
         score_variances = np.asarray(score_variances, dtype=float)
         if score_variances.shape != (p.n_factors,) or np.any(score_variances <= 0):
             raise StructuralError(
                 "score_variances must give one positive variance per factor"
             )
-        std = centered.replace_values(centered.values / np.sqrt(score_variances))
-    if c_p is None:
-        c_p = sample_corr(std)
-    elif c_p.labels != p.labels:
+        sd = np.sqrt(score_variances)
+    if c_p is not None and c_p.labels != p.labels:
         raise StructuralError(
             f"score correlation is ordered {c_p.labels}, "
             f"scores are ordered {p.labels}"
         )
-    t = sym_sqrt(c_target.values) @ sym_inv_sqrt(c_p.values)
-    return std.replace_values(std.values @ t.T, PROV_CP)
+    r = corr_from_cov(cov) if c_p is None else c_p.values
+    t = sym_sqrt(c_target.values) @ sym_inv_sqrt(r)
+    return ScoreMatrix(centred @ (t / sd).T, p.labels, p.blocks, PROV_CP)
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +163,9 @@ def cp_scores_from_params(model: SemModel, x_data: DataMatrix) -> ScoreMatrix:
     """
     x = _check_data(x_data, model.n_x, "cp_scores_from_params")
     block = model.exo
-    d_inv = np.diag(1.0 / np.sqrt(np.diag(block.score_cov())))
-    r = score_corr(block).values
+    a = _score_cov(block)
+    d_inv = np.diag(1.0 / np.sqrt(np.diag(a)))
+    r = corr_from_cov(a)
     w = sym_sqrt(block.corr) @ sym_inv_sqrt(r) @ d_inv @ block.weights()
     return ScoreMatrix(x @ w.T, block.factor_labels, block.factor_blocks, PROV_CP)
 

@@ -3,7 +3,7 @@ import pytest
 
 from cpscores import combined_factor_corr, sample_corr
 from cpscores.cli import main
-from cpscores.io import read_scores_csv
+from cpscores.io import read_labeled_csv, read_scores_csv, write_matrix_csv
 
 MODEL_TEXT = """
 [dimensions]
@@ -197,6 +197,24 @@ class TestDeterminacy:
         ]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "xi2" in err
+
+    def test_constant_score_column_exits_two(
+        self, tmp_path, model_file, simulated, capsys
+    ):
+        raw = str(tmp_path / "raw.csv")
+        main([
+            "scores", model_file, "--x", simulated[0], "--method",
+            "regression", "--out", raw,
+        ])
+        labels, values = read_labeled_csv(raw)
+        values[:, 1] = 0.1
+        write_matrix_csv(raw, labels, values)
+        capsys.readouterr()
+        assert main([
+            "determinacy", model_file, "--scores", raw, "--x", simulated[0],
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "error: constant column 'xi2'" in err
 
     def test_appendix_compat_is_flagged(
         self, tmp_path, model_file, simulated, capsys

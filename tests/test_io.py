@@ -204,6 +204,16 @@ class TestCsvRoundTrip:
             f"{path}: non-finite value {value} in data row 2, column b"
         )
 
+    @pytest.mark.parametrize("token", ["nan", "-inf"])
+    def test_writer_refuses_non_finite(self, tmp_path, token):
+        path = tmp_path / "m.csv"
+        with pytest.raises(DataError) as info:
+            write_matrix_csv(path, ("a", "b"), [[1.0, 2.0], [1.0, float(token)]])
+        assert str(info.value) == (
+            f"{path}: non-finite value {float(token)} in data row 2, column b"
+        )
+        assert not path.exists()
+
 
 # Each input gives the labels and values, or the DataError text, that the
 # row-by-row reader of earlier versions gave.  The intended differences:

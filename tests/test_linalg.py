@@ -5,12 +5,17 @@ from cpscores import (
     DataError,
     NearSingularError,
     ScoreMatrix,
-    mean_center,
-    row_standardize,
+    cp_transform,
+    determinacy_endo,
+    determinacy_exo,
+    regression_scores,
     sample_corr,
+    standardized_betas,
     sym_inv_sqrt,
     sym_sqrt,
 )
+from cpscores.linalg import corr_from_cov, moments
+from cpscores.simulate import SimulationSpec, simulate_dataset
 from conftest import spd_matrix
 
 
@@ -82,44 +87,41 @@ class TestSymInvSqrt:
         assert m @ s @ m == pytest.approx(np.eye(3), abs=1e-9)
 
 
-class TestMeanCenter:
+class TestMoments:
     def test_simple_column(self):
-        out = mean_center(scores([[1.0], [2.0], [3.0]]))
-        assert out.values[:, 0] == pytest.approx([-1.0, 0.0, 1.0])
+        centred, cov = moments([[1.0], [2.0], [3.0]])
+        assert centred[:, 0] == pytest.approx([-1.0, 0.0, 1.0])
+        assert cov == pytest.approx(np.ones((1, 1)))
 
     def test_already_centered_unchanged(self):
         values = np.array([[-1.0, 2.0], [1.0, -2.0]])
-        out = mean_center(scores(values))
-        assert out.values == pytest.approx(values)
+        centred, _ = moments(values)
+        assert centred == pytest.approx(values)
 
-    def test_constant_column_goes_to_zero(self):
-        out = mean_center(scores([[5.0], [5.0], [5.0]]))
-        assert out.values == pytest.approx(np.zeros((3, 1)))
+    def test_covariance_divides_by_n_minus_one(self, rng):
+        values = rng.standard_normal((30, 4)) + np.array([5.0, -2.0, 0.0, 1e3])
+        centred, cov = moments(values)
+        assert centred.mean(axis=0) == pytest.approx(np.zeros(4), abs=1e-12)
+        assert cov == pytest.approx(np.cov(values, rowvar=False), abs=1e-12)
 
     def test_single_case_rejected(self):
-        with pytest.raises(DataError):
-            mean_center(scores([[1.0]]))
-
-
-class TestRowStandardize:
-    def test_scales_variance_to_one(self):
-        col = np.array([0.0, 4.0, 8.0])  # variance 16
-        out = row_standardize(scores(col[:, None]))
-        assert out.values[:, 0] == pytest.approx(col / 4.0)
-
-    def test_unit_variance_unchanged(self, rng):
-        col = rng.standard_normal(50)
-        col = col / col.std(ddof=1)
-        out = row_standardize(scores(col[:, None]))
-        assert out.values[:, 0] == pytest.approx(col, abs=1e-12)
-
-    def test_result_has_unit_variance(self):
-        out = row_standardize(scores(np.array([[-2.0], [0.0], [2.0]])))
-        assert out.values[:, 0].var(ddof=1) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(DataError, match="at least 2 cases"):
+            moments([[1.0]])
 
     def test_zero_variance_rejected(self):
-        with pytest.raises(DataError, match="f1"):
-            row_standardize(scores([[1.0], [1.0]]))
+        with pytest.raises(DataError, match="'f1'"):
+            moments([[1.0], [1.0]], ("f1",))
+        with pytest.raises(DataError, match="column 1"):
+            moments([[1.0, 2.0], [3.0, 2.0]])
+
+
+def test_corr_from_cov_unit_diagonal_and_symmetric(rng):
+    cov = spd_matrix(rng, 4)
+    r = corr_from_cov(cov)
+    assert np.array_equal(np.diag(r), np.ones(4))
+    assert np.array_equal(r, r.T)
+    d = np.sqrt(np.diag(cov))
+    assert r == pytest.approx(cov / np.outer(d, d), abs=1e-15)
 
 
 class TestSampleCorr:
@@ -161,3 +163,53 @@ class TestSampleCorr:
         values = rng.standard_normal((3, 4))
         with pytest.warns(UserWarning, match="rank"):
             sample_corr(scores(values))
+
+
+# Every consumer of the sample moments, called on a score matrix of the
+# example model's ``block`` whose second column is replaced; each returns
+# an array of the numbers it computes.
+MOMENT_CONSUMERS = [
+    ("sample_corr", "exo", lambda s, m, x, y: sample_corr(s).values),
+    ("cp_transform", "exo", lambda s, m, x, y: cp_transform(s, m.phi).values),
+    ("determinacy_exo", "exo",
+     lambda s, m, x, y: determinacy_exo(s, x, m).coefficients),
+    ("determinacy_endo", "endo",
+     lambda s, m, x, y: determinacy_endo(s, y, m).coefficients),
+    ("betas_predictor", "exo",
+     lambda s, m, x, y: standardized_betas(s, regression_scores(m.endo, y))),
+    ("betas_outcome", "endo",
+     lambda s, m, x, y: standardized_betas(regression_scores(m.exo, x), s)),
+]
+
+
+def _second_column(model, block, fill):
+    x, y, _ = simulate_dataset(SimulationSpec(model, 50, 1))
+    b = getattr(model, block)
+    scores = regression_scores(b, x if block == "exo" else y)
+    values = scores.values.copy()
+    values[:, 1] = fill(values[:, 1])
+    return scores.replace_values(values), b.factor_labels[1], x, y
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0 / 3.0, 1e6 + 0.1])
+@pytest.mark.parametrize(
+    "block, call", [pytest.param(b, c, id=n) for n, b, c in MOMENT_CONSUMERS]
+)
+def test_constant_column_refused_by_label(model, block, call, value):
+    # the column means are inexact in binary, so the centred columns are
+    # a few ulps off zero rather than exactly zero
+    scores, label, x, y = _second_column(model, block, lambda c: value)
+    with pytest.raises(DataError, match=f"constant column '{label}'"):
+        call(scores, model, x, y)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+@pytest.mark.parametrize(
+    "block, call", [pytest.param(b, c, id=n) for n, b, c in MOMENT_CONSUMERS]
+)
+def test_rescaled_column_accepted(model, block, call, scale):
+    base, _, x, y = _second_column(model, block, lambda c: c)
+    scaled, _, _, _ = _second_column(model, block, lambda c: c * scale)
+    assert call(scaled, model, x, y) == pytest.approx(
+        call(base, model, x, y), abs=1e-10
+    )

@@ -21,6 +21,26 @@ def test_example_model_dimensions(model):
     assert model.factor_labels == ("xi1", "xi2", "xi3", "eta1", "eta2")
 
 
+def test_validation_refuses_what_combined_corr_refuses(model):
+    # a residual variance 5e-7 too large leaves the implied variance of
+    # eta1 off 1 by more than the unit-diagonal tolerance
+    psi = model.psi.copy()
+    psi[0, 0] += 5e-7
+    m = SemModel(
+        lambda_x=model.lambda_x, phi=model.phi, lambda_y=model.lambda_y,
+        gamma=model.gamma, psi=psi, xi_labels=model.xi_labels,
+        eta_labels=model.eta_labels,
+    )
+    report = validate_model(m)
+    assert not report.ok
+    assert report.violations == (
+        "diagonal of implied endogenous covariance is 1.0000005000 for eta1, "
+        "expected 1",
+    )
+    with pytest.raises(ModelError, match="non-unit diagonal"):
+        combined_factor_corr(m)
+
+
 def test_non_pd_phi_rejected():
     phi = np.array([[1.0, 1.5], [1.5, 1.0]])
     m = SemModel(

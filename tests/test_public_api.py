@@ -8,9 +8,9 @@ PUBLIC_NAMES = [
     "closed_form_regression_determinacy", "combined_factor_corr",
     "cp_scores_from_orthogonal", "cp_scores_from_params", "cp_transform",
     "determinacy_endo", "determinacy_exo", "example_model",
-    "joint_regression_scores", "mean_center", "model_hash",
+    "joint_regression_scores", "model_hash",
     "orthogonal_scores", "parse_model_file", "random_model", "read_data_csv",
-    "read_scores_csv", "regression_scores", "row_standardize", "run_example",
+    "read_scores_csv", "regression_scores", "run_example",
     "sample_corr", "score_corr", "simulate_dataset", "standardized_betas",
     "sym_inv_sqrt", "sym_sqrt", "validate_model", "write_scores_csv",
 ]

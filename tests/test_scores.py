@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cpscores import (
+    DataError,
     DataMatrix,
     FactorCorr,
     ScoreMatrix,
@@ -32,6 +33,9 @@ def one_factor_model(loadings=(0.8, 0.8, 0.8)):
         gamma=np.array([[0.3]]),
         eta_corr=np.eye(1),
     )
+
+
+ONE = FactorCorr(("f1",), np.eye(1))
 
 
 def simulate(model, n=10_000, seed=7):
@@ -164,6 +168,28 @@ class TestCpTransform:
         target = FactorCorr(("b", "a"), np.eye(2))
         with pytest.raises(StructuralError, match="ordered"):
             cp_transform(p, target)
+
+    # one factor: the transform only centres and scales to unit variance
+    def test_scales_variance_to_one(self):
+        col = np.array([0.0, 4.0, 8.0])  # variance 16
+        out = cp_transform(ScoreMatrix(col[:, None], ("f1",)), ONE)
+        assert out.values[:, 0] == pytest.approx((col - 4.0) / 4.0)
+
+    def test_unit_variance_unchanged(self, rng):
+        col = rng.standard_normal(50)
+        col = col - col.mean()
+        col = col / col.std(ddof=1)
+        out = cp_transform(ScoreMatrix(col[:, None], ("f1",)), ONE)
+        assert out.values[:, 0] == pytest.approx(col, abs=1e-12)
+
+    def test_result_has_unit_variance(self):
+        p = ScoreMatrix(np.array([[-2.0], [0.0], [5.0]]), ("f1",))
+        out = cp_transform(p, ONE)
+        assert out.values[:, 0].var(ddof=1) == pytest.approx(1.0, abs=1e-12)
+
+    def test_single_case_rejected(self):
+        with pytest.raises(DataError, match="at least 2 cases"):
+            cp_transform(ScoreMatrix([[1.0]], ("f1",)), ONE)
 
 
 class TestCpTransformExo:

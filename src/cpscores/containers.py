@@ -1,7 +1,13 @@
 """Labeled matrix containers passed between the numerical modules.
 
-All containers are immutable after construction; the wrapped arrays are
-copied and write-protected so results can safely be shared across threads.
+All containers are immutable after construction, so results can safely be
+shared across threads.  A container adopts an array without copying it
+only when the array is float64, owns its data and is already read-only:
+the package's producers freeze each fresh result (``setflags(write=False)``)
+before wrapping it, and containers built from another container's values
+share them.  Every other input (a writable array, a view, another dtype, a
+list) is copied and the copy is write-protected.  Shape and finiteness
+are checked either way.
 """
 
 from __future__ import annotations
@@ -20,7 +26,11 @@ PD_RTOL = 1e-10
 
 
 def _as_matrix(values, name: str) -> np.ndarray:
-    a = np.array(values, dtype=float)
+    if (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and values.flags.owndata and not values.flags.writeable):
+        a = values
+    else:
+        a = np.array(values, dtype=float)
     if a.ndim != 2:
         raise StructuralError(f"{name} must be a 2-d matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):

@@ -10,7 +10,9 @@ and the model-implied indicator covariance:
 where ``C lambda' sigma^{-1}`` is the block's regression weight matrix
 (:meth:`cpscores.model.Block.weights`).  It applies to plain and
 correlation-preserving scores alike; the score moments come from
-:func:`cpscores.linalg.moments`, which refuses a constant score column.
+:func:`cpscores.linalg.moments`, which refuses a constant score column,
+and the cross moment is summed a block of rows at a time
+(:func:`cpscores.linalg.centred_blocks`), with no centred copy of the data.
 A closed-form population value for exact regression scores is provided as
 an oracle.
 """
@@ -23,7 +25,7 @@ import numpy as np
 
 from .containers import ENDOGENOUS, EXOGENOUS, DataMatrix, ScoreMatrix
 from .errors import DataError, StructuralError
-from .linalg import center_columns, moments
+from .linalg import centred_blocks, moments
 from .model import Block, SemModel
 
 NORMALIZER_SD = "sd"
@@ -58,6 +60,11 @@ class DeterminacyReport:
 
 
 def _determinacy(scores, data, block: Block, normalizer):
+    if normalizer not in (NORMALIZER_SD, NORMALIZER_VARIANCE):
+        raise StructuralError(
+            f"unknown determinacy normalizer {normalizer!r}: expected "
+            f"{NORMALIZER_SD!r} or {NORMALIZER_VARIANCE!r}"
+        )
     if scores.n_cases != data.n_cases:
         raise StructuralError(
             f"scores have {scores.n_cases} rows, data has {data.n_cases}"
@@ -70,7 +77,8 @@ def _determinacy(scores, data, block: Block, normalizer):
         )
     p, cov = moments(scores.values, labels)
     var = np.diag(cov)
-    cross = p.T @ center_columns(data.values) / (n - 1)
+    cross = sum(p[rows].T @ z for rows, z in centred_blocks([data.values]))
+    cross /= n - 1
     scale = var if normalizer == NORMALIZER_VARIANCE else np.sqrt(var)
     coeffs = np.einsum("ij,ij->i", cross / scale[:, None], block.weights())
     tag = (block.name if normalizer == NORMALIZER_SD

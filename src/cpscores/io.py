@@ -329,6 +329,7 @@ def read_labeled_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
 
 def read_data_csv(path) -> DataMatrix:
     labels, values = read_labeled_csv(path)
+    values.setflags(write=False)  # adopted by the container, not copied
     return DataMatrix(values, labels)
 
 
@@ -336,6 +337,7 @@ def read_scores_csv(path, model: SemModel | None = None,
                     provenance: str = "file") -> ScoreMatrix:
     """Read a score matrix; block tags are taken from the model if given."""
     labels, values = read_labeled_csv(path)
+    values.setflags(write=False)  # adopted by the container, not copied
     if model is None:
         return ScoreMatrix(values, labels, provenance=provenance)
     tags = dict(zip(model.factor_labels, model.factor_blocks))

@@ -12,8 +12,9 @@ Score construction comes in two routes:
   (:func:`cp_scores_from_params`) or by rescaling the orthogonal score
   (:func:`cp_scores_from_orthogonal`).
 
-All functions are pure; score matrices are centered internally where the
-construction requires it.
+All functions are pure.  Indicator data are centred a block of rows at a
+time inside the weight product (:func:`cpscores.linalg.centred_product`),
+and each result is frozen so its ScoreMatrix adopts it without a copy.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .containers import FactorCorr, ScoreMatrix, DataMatrix
 from .errors import StructuralError
-from .linalg import center_columns, corr_from_cov, moments, sym_inv_sqrt, sym_sqrt
+from .linalg import centred_product, corr_from_cov, moments, sym_inv_sqrt, sym_sqrt
 from .model import Block, SemModel
 
 PROV_REGRESSION = "regression"
@@ -35,7 +36,7 @@ def _check_data(data: DataMatrix, expected: int, what: str) -> np.ndarray:
         raise StructuralError(
             f"{what}: data has {data.n_vars} columns, model expects {expected}"
         )
-    return center_columns(data.values)
+    return data.values
 
 
 def regression_scores(block: Block, data: DataMatrix) -> ScoreMatrix:
@@ -43,7 +44,7 @@ def regression_scores(block: Block, data: DataMatrix) -> ScoreMatrix:
     ``model.exo`` with the x data or ``model.endo`` with the y data."""
     x = _check_data(data, len(block.indicator_labels), f"{block.name} scores")
     return ScoreMatrix(
-        x @ block.weights().T,
+        centred_product([x], block.weights()),
         block.factor_labels,
         block.factor_blocks,
         PROV_REGRESSION,
@@ -72,9 +73,8 @@ def joint_regression_scores(
         raise StructuralError(
             f"x has {x_data.n_cases} cases but y has {y_data.n_cases}"
         )
-    z = np.hstack([x, y])
     return ScoreMatrix(
-        z @ joint_regression_weights(model).T,
+        centred_product([x, y], joint_regression_weights(model)),
         model.factor_labels,
         model.factor_blocks,
         PROV_REGRESSION,
@@ -146,7 +146,9 @@ def cp_transform(
         )
     r = corr_from_cov(cov) if c_p is None else c_p.values
     t = sym_sqrt(c_target.values) @ sym_inv_sqrt(r)
-    return ScoreMatrix(centred @ (t / sd).T, p.labels, p.blocks, PROV_CP)
+    values = centred @ (t / sd).T
+    values.setflags(write=False)
+    return ScoreMatrix(values, p.labels, p.blocks, PROV_CP)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +169,9 @@ def cp_scores_from_params(model: SemModel, x_data: DataMatrix) -> ScoreMatrix:
     d_inv = np.diag(1.0 / np.sqrt(np.diag(a)))
     r = corr_from_cov(a)
     w = sym_sqrt(block.corr) @ sym_inv_sqrt(r) @ d_inv @ block.weights()
-    return ScoreMatrix(x @ w.T, block.factor_labels, block.factor_blocks, PROV_CP)
+    return ScoreMatrix(
+        centred_product([x], w), block.factor_labels, block.factor_blocks, PROV_CP
+    )
 
 
 def orthogonal_scores(model: SemModel, x_data: DataMatrix) -> ScoreMatrix:
@@ -182,7 +186,8 @@ def orthogonal_scores(model: SemModel, x_data: DataMatrix) -> ScoreMatrix:
     m = block.loadings.T @ sigma_inv_l
     w = sym_inv_sqrt((m + m.T) / 2.0) @ sigma_inv_l.T
     return ScoreMatrix(
-        x @ w.T, block.factor_labels, block.factor_blocks, PROV_ORTHOGONAL
+        centred_product([x], w), block.factor_labels, block.factor_blocks,
+        PROV_ORTHOGONAL,
     )
 
 
@@ -191,4 +196,5 @@ def cp_scores_from_orthogonal(model: SemModel, x_data: DataMatrix) -> ScoreMatri
     orthogonal score; population covariance phi."""
     ortho = orthogonal_scores(model, x_data)
     values = ortho.values @ sym_sqrt(model.phi.values).T
+    values.setflags(write=False)
     return ortho.replace_values(values, PROV_CP)

@@ -61,12 +61,16 @@ def simulate_dataset(
     rng = np.random.default_rng(spec.seed)
     k = model.n_xi + model.n_eta
     factors = rng.standard_normal((spec.n_cases, k)) @ sym_sqrt(c.values)
-    xi = factors[:, : model.n_xi]
-    eta = factors[:, model.n_xi:]
-    x = xi @ model.lambda_x.T + rng.standard_normal(
-        (spec.n_cases, model.n_x)) * np.sqrt(uniq_x)
-    y = eta @ model.lambda_y.T + rng.standard_normal(
-        (spec.n_cases, model.n_y)) * np.sqrt(uniq_y)
+    # built in place on the unique-variate draw; the draw order and every
+    # value are those of ``common + draw * sqrt(uniqueness)``
+    x = rng.standard_normal((spec.n_cases, model.n_x))
+    x *= np.sqrt(uniq_x)
+    x += factors[:, : model.n_xi] @ model.lambda_x.T
+    y = rng.standard_normal((spec.n_cases, model.n_y))
+    y *= np.sqrt(uniq_y)
+    y += factors[:, model.n_xi:] @ model.lambda_y.T
+    for a in (factors, x, y):
+        a.setflags(write=False)
 
     x_data = DataMatrix(x, model.x_labels)
     y_data = DataMatrix(y, model.y_labels)

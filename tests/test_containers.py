@@ -1,0 +1,94 @@
+"""When a container adopts an array and when it copies one.
+
+Only a float64 array that owns its data and is already read-only is
+adopted; anything else is copied, and the container's values are read-only
+either way.
+"""
+
+import numpy as np
+import pytest
+
+from cpscores import DataError, DataMatrix, ScoreMatrix, StructuralError
+
+LABELS = ("a", "b")
+
+
+def frozen(values, dtype=float):
+    a = np.array(values, dtype=dtype)
+    a.setflags(write=False)
+    return a
+
+
+def data(values):
+    return DataMatrix(values, LABELS)
+
+
+def scores(values):
+    return ScoreMatrix(values, LABELS)
+
+
+CONTAINERS = pytest.mark.parametrize("wrap", [data, scores], ids=["data", "scores"])
+
+
+def assert_read_only(m):
+    assert not m.values.flags.writeable
+    with pytest.raises(ValueError):
+        m.values[0, 0] = 1.0
+
+
+@CONTAINERS
+def test_frozen_owning_float64_is_adopted(wrap):
+    src = frozen([[1.0, 2.0], [3.0, 4.0]])
+    m = wrap(src)
+    assert m.values is src
+    assert_read_only(m)
+
+
+@CONTAINERS
+def test_writable_input_is_copied(wrap):
+    src = np.array([[1.0, 2.0], [3.0, 4.0]])
+    m = wrap(src)
+    assert not np.shares_memory(m.values, src)
+    src[0, 0] = 99.0
+    assert m.values[0, 0] == 1.0
+    assert src.flags.writeable
+    assert_read_only(m)
+
+
+@CONTAINERS
+def test_read_only_view_of_writable_base_is_copied(wrap):
+    base = np.array([[1.0, 2.0], [3.0, 4.0]])
+    view = base[:]
+    view.setflags(write=False)
+    m = wrap(view)
+    assert not np.shares_memory(m.values, base)
+    base[0, 0] = 99.0
+    assert m.values[0, 0] == 1.0
+    assert_read_only(m)
+
+
+@CONTAINERS
+@pytest.mark.parametrize("dtype", [np.float32, np.int64, np.dtype(">f8")])
+def test_other_dtype_is_copied(wrap, dtype):
+    src = frozen([[1, 2], [3, 4]], dtype=dtype)
+    m = wrap(src)
+    assert m.values.dtype == np.float64
+    assert m.values is not src
+    assert not np.shares_memory(m.values, src)
+    assert_read_only(m)
+
+
+@CONTAINERS
+def test_checks_fire_on_adopted_arrays(wrap):
+    with pytest.raises(DataError, match="non-finite"):
+        wrap(frozen([[1.0, np.nan], [3.0, 4.0]]))
+    with pytest.raises(StructuralError, match="2-d"):
+        wrap(frozen([1.0, 2.0]))
+    with pytest.raises(StructuralError, match="labels"):
+        wrap(frozen([[1.0, 2.0, 3.0]]))
+
+
+def test_derived_score_matrices_share_values():
+    m = scores(frozen([[1.0, 2.0], [3.0, 4.0]]))
+    assert m.replace_values(m.values, "renamed").values is m.values
+    assert ScoreMatrix(m.values, m.labels).values is m.values

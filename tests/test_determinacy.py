@@ -159,6 +159,14 @@ class TestClosedForm:
             closed_form_regression_determinacy(model, "sideways")
 
 
+@pytest.mark.parametrize("normalizer", ["Variance", "SD", "", None])
+def test_unknown_normalizer_refused(model, normalizer):
+    x_data, _, _ = simulate(model, n=200, seed=4)
+    reg = regression_scores(model.exo, x_data)
+    with pytest.raises(StructuralError, match="expected 'sd' or 'variance'"):
+        determinacy_exo(reg, x_data, model, normalizer=normalizer)
+
+
 def test_singular_implied_covariance_raises_package_error(rng):
     # two indicators with unit loadings on one factor: sigma is exactly singular
     m = SemModel(

@@ -214,6 +214,22 @@ class TestCsvRoundTrip:
         )
         assert not path.exists()
 
+    @pytest.mark.parametrize("reader", [read_data_csv, read_scores_csv])
+    def test_container_adopts_the_parsed_array(self, tmp_path, reader):
+        path = tmp_path / "m.csv"
+        path.write_text("a,b\n1,2\n3,4\n")
+        parsed = []
+
+        def parse(p):
+            labels, values = read_labeled_csv(p)
+            parsed.append(values)
+            return labels, values
+
+        with mock.patch.object(cpscores.io, "read_labeled_csv", parse):
+            m = reader(path)
+        assert m.values is parsed[0]
+        assert not m.values.flags.writeable
+
 
 # Each input gives the labels and values, or the DataError text, that the
 # row-by-row reader of earlier versions gave.  The intended differences:

@@ -20,7 +20,7 @@ from cpscores import (
     simulate_dataset,
     sym_sqrt,
 )
-from cpscores.linalg import center_columns, corr_from_data
+from cpscores.linalg import corr_from_data
 from cpscores.scores import joint_regression_weights
 from cpscores.simulate import SimulationSpec
 
@@ -42,6 +42,10 @@ def simulate(model, n=10_000, seed=7):
     return simulate_dataset(SimulationSpec(model, n, seed))
 
 
+def centred(a):
+    return a - a.mean(axis=0)
+
+
 class TestRegressionScoresExo:
     def test_one_factor_closed_form(self):
         m = one_factor_model()
@@ -51,7 +55,7 @@ class TestRegressionScoresExo:
         x = DataMatrix(np.eye(3), ("x1", "x2", "x3"))
         out = regression_scores(m.exo, x)
         # data are centered internally; apply the oracle to centered rows
-        expected = center_columns(np.eye(3)) @ w_oracle
+        expected = centred(np.eye(3)) @ w_oracle
         assert out.values[:, 0] == pytest.approx(expected, abs=1e-12)
         # population score variance
         w = m.exo.weights()
@@ -85,7 +89,7 @@ class TestRegressionScoresEndo:
         _, y_data, _ = simulate(model)
         out = regression_scores(model.endo, y_data)
         w = model.endo.weights()
-        assert out.values == pytest.approx(center_columns(y_data.values) @ w.T)
+        assert out.values == pytest.approx(centred(y_data.values) @ w.T)
         assert out.blocks == ("endogenous", "endogenous")
 
     def test_zero_row_maps_to_zero(self, model):
@@ -131,13 +135,13 @@ class TestCpTransform:
         c_p = sample_corr(p)
         out = cp_transform(p, c_p)
         # input is standardized first, so compare against the standardized input
-        std = center_columns(values)
+        std = centred(values)
         std = std / std.std(axis=0, ddof=1)
         assert out.values == pytest.approx(std, abs=1e-10)
 
     def test_identity_cp_substitutes_sqrt_target(self, rng):
         values = rng.standard_normal((50, 2))
-        std = center_columns(values)
+        std = centred(values)
         std = std / std.std(axis=0, ddof=1)
         p = ScoreMatrix(values, ("a", "b"))
         target = FactorCorr(("a", "b"), np.array([[1.0, 0.6], [0.6, 1.0]]))

@@ -128,6 +128,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_scores(args) -> int:
+    if args.y is not None and args.method != "regression":
+        raise CpscoresError(f"--y is for --method regression, not {args.method}")
     model = io.parse_model_file(args.model)
     x_data = io.read_data_csv(args.x)
     if args.method == "regression":
@@ -180,13 +182,13 @@ def _cmd_determinacy(args) -> int:
             "note: endogenous coefficients use the variance-normalized "
             "compatibility variant; they are not correlations"
         )
-    # read_scores_csv tags every column with a model block, so at least one
-    # block is reported
+    # read_scores_csv refuses a column that names no model factor, so at
+    # least one block is reported
     for block, determinacy, path, flag, norm in (
         (model.exo, determinacy_exo, args.x, "--x", NORMALIZER_SD),
         (model.endo, determinacy_endo, args.y, "--y", normalizer),
     ):
-        if block.name not in scores.blocks:
+        if not set(block.factor_labels) & set(scores.labels):
             continue
         if path is None:
             raise CpscoresError(f"{flag} is required for {block.name} score columns")

@@ -1,18 +1,19 @@
 """Labeled matrix containers passed between the numerical modules.
 
 All containers are immutable after construction, so results can safely be
-shared across threads.  A container adopts an array without copying it
-only when the array is float64, owns its data and is already read-only:
-the package's producers freeze each fresh result (``setflags(write=False)``)
-before wrapping it, and containers built from another container's values
-share them.  Every other input (a writable array, a view, another dtype, a
-list) is copied and the copy is write-protected.  Shape and finiteness
-are checked either way.
+shared across threads.  A container adopts, without a copy, a read-only
+float64 array whose memory is all of a read-only array owning its data
+(the array itself or, say, its transpose): the package's producers freeze
+each fresh result (``setflags(write=False)``) before wrapping it.  Every
+other input (a writable array, part of a buffer, another dtype, a list) is
+copied and the copy is write-protected.  Shape and finiteness are checked
+either way.  A :class:`ScoreMatrix` carries factor labels only; the
+model's blocks say which block each factor belongs to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +26,17 @@ ENDOGENOUS = "endogenous"
 PD_RTOL = 1e-10
 
 
+def _adoptable(values) -> bool:
+    if not (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and not values.flags.writeable):
+        return False
+    owner = values if values.flags.owndata else values.base
+    return (isinstance(owner, np.ndarray) and owner.flags.owndata
+            and not owner.flags.writeable and owner.size == values.size)
+
+
 def _as_matrix(values, name: str) -> np.ndarray:
-    if (isinstance(values, np.ndarray) and values.dtype == np.float64
-            and values.flags.owndata and not values.flags.writeable):
+    if _adoptable(values):
         a = values
     else:
         a = np.array(values, dtype=float)
@@ -120,15 +129,11 @@ class DataMatrix:
 
 @dataclass(frozen=True)
 class ScoreMatrix:
-    """Cases-by-factors score matrix.
-
-    Each factor column carries a block tag (exogenous or endogenous) and the
-    whole matrix records how the scores were produced (``provenance``).
-    """
+    """Cases-by-factors score matrix, one column per factor label; the
+    whole matrix records how the scores were produced (``provenance``)."""
 
     values: np.ndarray
     labels: tuple[str, ...]
-    blocks: tuple[str, ...] = field(default=())
     provenance: str = "unspecified"
 
     def __post_init__(self):
@@ -137,13 +142,6 @@ class ScoreMatrix:
         object.__setattr__(
             self, "labels", _check_labels(self.labels, values.shape[1], "ScoreMatrix")
         )
-        blocks = tuple(self.blocks) if self.blocks else (EXOGENOUS,) * values.shape[1]
-        if len(blocks) != values.shape[1]:
-            raise StructuralError("one block tag required per factor column")
-        for b in blocks:
-            if b not in (EXOGENOUS, ENDOGENOUS):
-                raise StructuralError(f"unknown block tag {b!r}")
-        object.__setattr__(self, "blocks", blocks)
 
     @property
     def n_cases(self) -> int:
@@ -155,11 +153,13 @@ class ScoreMatrix:
 
     def replace_values(self, values, provenance: str | None = None) -> "ScoreMatrix":
         return ScoreMatrix(
-            values, self.labels, self.blocks,
+            values, self.labels,
             self.provenance if provenance is None else provenance,
         )
 
     def select(self, labels) -> "ScoreMatrix":
+        """The named columns, gathered in one copy and kept column-major
+        (the adopted transpose of a fresh factors-by-cases array)."""
         try:
             idx = [self.labels.index(lb) for lb in labels]
         except ValueError:
@@ -168,9 +168,8 @@ class ScoreMatrix:
                 f"score columns {missing} not found "
                 f"(scores have {list(self.labels)})"
             ) from None
+        columns = self.values.T[idx]
+        columns.setflags(write=False)
         return ScoreMatrix(
-            self.values[:, idx],
-            tuple(self.labels[i] for i in idx),
-            tuple(self.blocks[i] for i in idx),
-            self.provenance,
+            columns.T, tuple(self.labels[i] for i in idx), self.provenance
         )

@@ -49,9 +49,6 @@ class DeterminacyReport:
             raise DataError("non-finite determinacy coefficient")
         object.__setattr__(self, "coefficients", c)
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.labels, self.coefficients))
-
     def __str__(self) -> str:
         pairs = ", ".join(
             f"{lb}={c:.3f}" for lb, c in zip(self.labels, self.coefficients)

@@ -56,7 +56,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .containers import DataMatrix, FactorCorr, ScoreMatrix
+from .containers import DataMatrix, ScoreMatrix
 from .errors import DataError, StructuralError
 from .model import SemModel, validate_model
 
@@ -335,33 +335,19 @@ def read_data_csv(path) -> DataMatrix:
 
 def read_scores_csv(path, model: SemModel | None = None,
                     provenance: str = "file") -> ScoreMatrix:
-    """Read a score matrix; block tags are taken from the model if given."""
+    """Read a score matrix; given a model, every column must name one of
+    its factors."""
     labels, values = read_labeled_csv(path)
+    if model is not None:
+        unknown = [lb for lb in labels if lb not in model.factor_labels]
+        if unknown:
+            raise StructuralError(
+                f"{path}: score columns {unknown} do not match any model "
+                f"factor (model factors: {list(model.factor_labels)})"
+            )
     values.setflags(write=False)  # adopted by the container, not copied
-    if model is None:
-        return ScoreMatrix(values, labels, provenance=provenance)
-    tags = dict(zip(model.factor_labels, model.factor_blocks))
-    unknown = [lb for lb in labels if lb not in tags]
-    if unknown:
-        raise StructuralError(
-            f"{path}: score columns {unknown} do not match any model factor "
-            f"(model factors: {list(model.factor_labels)})"
-        )
-    return ScoreMatrix(
-        values, labels, tuple(tags[lb] for lb in labels), provenance
-    )
+    return ScoreMatrix(values, labels, provenance)
 
 
 def write_scores_csv(path, scores: ScoreMatrix) -> None:
     write_matrix_csv(path, scores.labels, scores.values)
-
-
-def format_corr(corr: FactorCorr, decimals: int = 3) -> str:
-    """Human-readable correlation matrix, labels in the margin."""
-    width = max(max(len(lb) for lb in corr.labels), decimals + 3)
-    head = " " * (width + 1) + " ".join(f"{lb:>{width}}" for lb in corr.labels)
-    lines = [head]
-    for lb, row in zip(corr.labels, corr.values):
-        cells = " ".join(f"{v:>{width}.{decimals}f}" for v in row)
-        lines.append(f"{lb:>{width}} {cells}")
-    return "\n".join(lines)

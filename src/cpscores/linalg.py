@@ -14,7 +14,8 @@ Conventions used throughout the package:
   the data is made; each centred value is the one a whole-matrix
   ``a - a.mean(axis=0)`` gives;
 * symmetric matrix functions go through a full eigendecomposition, so only
-  spectral functions of the input are ever exposed;
+  spectral functions of the input are ever exposed, and refuse an input
+  asymmetric beyond ``SYMMETRY_RTOL``;
 * eigenvalues at or below ``PD_RTOL * max_eigenvalue`` make a matrix count
   as singular (:func:`cpscores.containers.pd_violation`).
 """
@@ -30,12 +31,16 @@ from .containers import FactorCorr, ScoreMatrix, pd_violation
 from .errors import DataError, NearSingularError, StructuralError
 
 
-def _sym_power(s, power, tol):
+# Asymmetry, relative to max(1, max |s|), accepted by the symmetric powers.
+SYMMETRY_RTOL = 1e-10
+
+
+def _sym_power(s, power):
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise StructuralError(f"expected a square matrix, got shape {s.shape}")
     scale = max(np.max(np.abs(s)), 1.0)
-    if np.max(np.abs(s - s.T)) > tol * scale:
+    if np.max(np.abs(s - s.T)) > SYMMETRY_RTOL * scale:
         raise StructuralError("matrix is not symmetric within tolerance")
     w, v = np.linalg.eigh(s)
     msg = pd_violation(w, "matrix")
@@ -44,14 +49,14 @@ def _sym_power(s, power, tol):
     return (v * w**power) @ v.T
 
 
-def sym_sqrt(s: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def sym_sqrt(s: np.ndarray) -> np.ndarray:
     """Symmetric square root: V diag(w)^{1/2} V' for s = V diag(w) V'."""
-    return _sym_power(s, 0.5, tol)
+    return _sym_power(s, 0.5)
 
 
-def sym_inv_sqrt(s: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def sym_inv_sqrt(s: np.ndarray) -> np.ndarray:
     """Symmetric inverse square root: V diag(w)^{-1/2} V'."""
-    return _sym_power(s, -0.5, tol)
+    return _sym_power(s, -0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +140,6 @@ def corr_from_cov(cov: np.ndarray) -> np.ndarray:
     r = cov * np.outer(inv, inv)
     np.fill_diagonal(r, 1.0)
     return (r + r.T) / 2.0
-
-
-def corr_from_data(a: np.ndarray) -> np.ndarray:
-    """Sample correlation matrix of the columns of ``a``."""
-    return corr_from_cov(moments(a)[1])
 
 
 def sample_corr(scores: ScoreMatrix) -> FactorCorr:

@@ -46,7 +46,6 @@ class Block:
     loadings: np.ndarray
     corr: np.ndarray
     factor_labels: tuple[str, ...]
-    factor_blocks: tuple[str, ...]
     indicator_labels: tuple[str, ...]
     _sigma_inv_loadings: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
@@ -216,10 +215,6 @@ class SemModel:
     def factor_labels(self) -> tuple[str, ...]:
         return self.xi_labels + self.eta_labels
 
-    @property
-    def factor_blocks(self) -> tuple[str, ...]:
-        return (EXOGENOUS,) * self.n_xi + (ENDOGENOUS,) * self.n_eta
-
     def eta_cov(self) -> np.ndarray:
         """Model-implied covariance of the endogenous factors."""
         return self.gamma @ self.phi.values @ self.gamma.T + self.psi
@@ -230,7 +225,7 @@ class SemModel:
         """The x indicators on the exogenous factors, C = phi."""
         return Block(
             EXOGENOUS, self.lambda_x, self.phi.values, self.xi_labels,
-            (EXOGENOUS,) * self.n_xi, self.x_labels,
+            self.x_labels,
         )
 
     @property
@@ -239,7 +234,7 @@ class SemModel:
         covariance."""
         return Block(
             ENDOGENOUS, self.lambda_y, self.eta_cov(), self.eta_labels,
-            (ENDOGENOUS,) * self.n_eta, self.y_labels,
+            self.y_labels,
         )
 
     @property
@@ -251,8 +246,7 @@ class SemModel:
         loadings[self.n_x:, self.n_xi:] = self.lambda_y
         return Block(
             JOINT, loadings, combined_factor_corr(self).values,
-            self.factor_labels, self.factor_blocks,
-            self.x_labels + self.y_labels,
+            self.factor_labels, self.x_labels + self.y_labels,
         )
 
 

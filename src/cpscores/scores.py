@@ -1,16 +1,18 @@
 """Factor score families and the correlation-preserving transformation.
 
-Score construction comes in two routes:
+Every family built from indicator data is one weight matrix ``w`` applied
+to the centred indicators: regression scores ``C L' sigma^{-1}`` of one
+block or of the stacked (x, y) block, orthogonal scores
+``(L' sigma^{-1} L)^{-1/2} L' sigma^{-1}``, and correlation-preserving
+scores from parameters, which premultiply the regression weights by the
+multiplier below, or the orthogonal weights by ``phi^{1/2}``.
 
-* the data route: take an existing score matrix (typically mean plausible
-  values or regression scores), standardize it, and rotate it with
-  ``C^{1/2} C_P^{-1/2}`` so its sample correlation becomes the model-implied
-  factor correlation C (:func:`cp_transform`);
-* the parameter route: build the correlation-preserving scores directly
-  from model parameters and raw indicator data, either by substituting the
-  regression-score moments into the transformation
-  (:func:`cp_scores_from_params`) or by rescaling the orthogonal score
-  (:func:`cp_scores_from_orthogonal`).
+The correlation-preserving multiplier ``C^{1/2} R^{-1/2} diag(cov)^{-1/2}``
+standardizes scores of covariance ``cov`` (correlation R) and rotates them
+to correlation C.  The data route (:func:`cp_transform`) takes ``cov`` from
+the sample, so the sample correlation of its result is C up to floating
+point; the parameter route (:func:`cp_scores_from_params`) takes the
+population covariance of the regression scores.
 
 All functions are pure.  Indicator data are centred a block of rows at a
 time inside the weight product (:func:`cpscores.linalg.centred_product`),
@@ -31,23 +33,26 @@ PROV_ORTHOGONAL = "orthogonal"
 PROV_CP = "correlation-preserving"
 
 
-def _check_data(data: DataMatrix, expected: int, what: str) -> np.ndarray:
-    if data.n_vars != expected:
-        raise StructuralError(
-            f"{what}: data has {data.n_vars} columns, model expects {expected}"
-        )
-    return data.values
+def _scores(labels, data, widths, w, provenance) -> ScoreMatrix:
+    """``hstack([d - mean(d) for d in data]) @ w.T``, one column per label,
+    once each DataMatrix has its width of columns and the first's cases."""
+    for d, width in zip(data, widths):
+        if d.n_vars != width or d.n_cases != data[0].n_cases:
+            raise StructuralError(
+                f"{provenance} scores: indicator data has {d.n_cases} cases x "
+                f"{d.n_vars} columns, expected {data[0].n_cases} x {width}"
+            )
+    return ScoreMatrix(
+        centred_product([d.values for d in data], w), labels, provenance
+    )
 
 
 def regression_scores(block: Block, data: DataMatrix) -> ScoreMatrix:
     """Regression factor scores for the factors of one block, e.g.
     ``model.exo`` with the x data or ``model.endo`` with the y data."""
-    x = _check_data(data, len(block.indicator_labels), f"{block.name} scores")
-    return ScoreMatrix(
-        centred_product([x], block.weights()),
-        block.factor_labels,
-        block.factor_blocks,
-        PROV_REGRESSION,
+    return _scores(
+        block.factor_labels, [data], [len(block.indicator_labels)],
+        block.weights(), PROV_REGRESSION,
     )
 
 
@@ -67,17 +72,9 @@ def joint_regression_scores(
     model: SemModel, x_data: DataMatrix, y_data: DataMatrix
 ) -> ScoreMatrix:
     """Regression scores for all factors conditioning on x and y jointly."""
-    x = _check_data(x_data, model.n_x, "joint_regression_scores")
-    y = _check_data(y_data, model.n_y, "joint_regression_scores")
-    if x_data.n_cases != y_data.n_cases:
-        raise StructuralError(
-            f"x has {x_data.n_cases} cases but y has {y_data.n_cases}"
-        )
-    return ScoreMatrix(
-        centred_product([x, y], joint_regression_weights(model)),
-        model.factor_labels,
-        model.factor_blocks,
-        PROV_REGRESSION,
+    return _scores(
+        model.factor_labels, [x_data, y_data], [model.n_x, model.n_y],
+        joint_regression_weights(model), PROV_REGRESSION,
     )
 
 
@@ -104,25 +101,21 @@ def score_corr(block: Block) -> FactorCorr:
     return FactorCorr(block.factor_labels, corr_from_cov(_score_cov(block)))
 
 
-# ---------------------------------------------------------------------------
-# the correlation-preserving transformation (data route)
+def _cp_multiplier(target: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """``target^{1/2} R^{-1/2} diag(cov)^{-1/2}``, R the correlation of
+    ``cov``: scores with covariance ``cov`` times its transpose have
+    covariance ``target``."""
+    t = sym_sqrt(target) @ sym_inv_sqrt(corr_from_cov(cov))
+    return t / np.sqrt(np.diag(cov))
 
-def cp_transform(
-    p: ScoreMatrix,
-    c_target: FactorCorr,
-    c_p: FactorCorr | None = None,
-    score_variances: np.ndarray | None = None,
-) -> ScoreMatrix:
-    """Rotate scores so their correlation matrix equals ``c_target``.
 
-    The input is mean-centered and scaled to unit column variances, then
-    multiplied by ``c_target^{1/2} c_p^{-1/2}``.  When ``c_p`` is omitted it
-    is the sample correlation of ``p``, in which case the sample correlation
-    of the result equals ``c_target`` up to floating point.  A supplied
-    ``c_p`` (e.g. a model-implied score correlation) is used as-is; pair it
-    with the matching ``score_variances`` (population column variances used
-    for the standardization step) to stay on model-implied moments
-    throughout.  A constant score column raises DataError naming it.
+def cp_transform(p: ScoreMatrix, c_target: FactorCorr) -> ScoreMatrix:
+    """Rotate scores so their sample correlation matrix equals ``c_target``
+    up to floating point (the data route).
+
+    The input is centred and multiplied by the correlation-preserving
+    multiplier of its sample covariance.  A constant score column raises
+    DataError naming it.
     """
     if c_target.labels != p.labels:
         raise StructuralError(
@@ -130,48 +123,29 @@ def cp_transform(
             f"scores are ordered {p.labels}"
         )
     centred, cov = moments(p.values, p.labels)
-    if score_variances is None:
-        sd = np.sqrt(np.diag(cov))
-    else:
-        score_variances = np.asarray(score_variances, dtype=float)
-        if score_variances.shape != (p.n_factors,) or np.any(score_variances <= 0):
-            raise StructuralError(
-                "score_variances must give one positive variance per factor"
-            )
-        sd = np.sqrt(score_variances)
-    if c_p is not None and c_p.labels != p.labels:
-        raise StructuralError(
-            f"score correlation is ordered {c_p.labels}, "
-            f"scores are ordered {p.labels}"
-        )
-    r = corr_from_cov(cov) if c_p is None else c_p.values
-    t = sym_sqrt(c_target.values) @ sym_inv_sqrt(r)
-    values = centred @ (t / sd).T
+    values = centred @ _cp_multiplier(c_target.values, cov).T
     values.setflags(write=False)
-    return ScoreMatrix(values, p.labels, p.blocks, PROV_CP)
+    return p.replace_values(values, PROV_CP)
 
-
-# ---------------------------------------------------------------------------
-# parameter route
 
 def cp_scores_from_params(model: SemModel, x_data: DataMatrix) -> ScoreMatrix:
     """Correlation-preserving exogenous scores directly from parameters.
 
-    Substitutes the population regression-score moments into the
+    Substitutes the population regression-score covariance ``a`` into the
     transformation: the weight matrix is
     ``phi^{1/2} r^{-1/2} diag(a)^{-1/2} phi lambda_x' sigma_x^{-1}`` with
-    ``a`` the regression-score covariance and ``r`` its correlation.  The
-    population covariance of the result is phi.
+    ``r`` the correlation of ``a``.  The population covariance of the
+    result is phi.
     """
-    x = _check_data(x_data, model.n_x, "cp_scores_from_params")
     block = model.exo
-    a = _score_cov(block)
-    d_inv = np.diag(1.0 / np.sqrt(np.diag(a)))
-    r = corr_from_cov(a)
-    w = sym_sqrt(block.corr) @ sym_inv_sqrt(r) @ d_inv @ block.weights()
-    return ScoreMatrix(
-        centred_product([x], w), block.factor_labels, block.factor_blocks, PROV_CP
-    )
+    w = _cp_multiplier(block.corr, _score_cov(block)) @ block.weights()
+    return _scores(block.factor_labels, [x_data], [model.n_x], w, PROV_CP)
+
+
+def _orthogonal_weights(block: Block) -> np.ndarray:
+    sigma_inv_l = block.sigma_inv_loadings()
+    m = block.loadings.T @ sigma_inv_l
+    return sym_inv_sqrt((m + m.T) / 2.0) @ sigma_inv_l.T
 
 
 def orthogonal_scores(model: SemModel, x_data: DataMatrix) -> ScoreMatrix:
@@ -180,21 +154,17 @@ def orthogonal_scores(model: SemModel, x_data: DataMatrix) -> ScoreMatrix:
     Weights ``(lambda_x' sigma_x^{-1} lambda_x)^{-1/2} lambda_x' sigma_x^{-1}``;
     the population covariance of the scores is the identity.
     """
-    x = _check_data(x_data, model.n_x, "orthogonal_scores")
     block = model.exo
-    sigma_inv_l = block.sigma_inv_loadings()
-    m = block.loadings.T @ sigma_inv_l
-    w = sym_inv_sqrt((m + m.T) / 2.0) @ sigma_inv_l.T
-    return ScoreMatrix(
-        centred_product([x], w), block.factor_labels, block.factor_blocks,
+    return _scores(
+        block.factor_labels, [x_data], [model.n_x], _orthogonal_weights(block),
         PROV_ORTHOGONAL,
     )
 
 
 def cp_scores_from_orthogonal(model: SemModel, x_data: DataMatrix) -> ScoreMatrix:
     """Correlation-preserving exogenous scores as ``phi^{1/2}`` times the
-    orthogonal score; population covariance phi."""
-    ortho = orthogonal_scores(model, x_data)
-    values = ortho.values @ sym_sqrt(model.phi.values).T
-    values.setflags(write=False)
-    return ortho.replace_values(values, PROV_CP)
+    orthogonal score, with weights ``phi^{1/2}`` times the orthogonal
+    weights; population covariance phi."""
+    block = model.exo
+    w = sym_sqrt(block.corr) @ _orthogonal_weights(block)
+    return _scores(block.factor_labels, [x_data], [model.n_x], w, PROV_CP)

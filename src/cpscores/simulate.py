@@ -76,9 +76,7 @@ def simulate_dataset(
     y_data = DataMatrix(y, model.y_labels)
     true_scores = None
     if spec.emit_true_factors:
-        true_scores = ScoreMatrix(
-            factors, model.factor_labels, model.factor_blocks, "simulated-true"
-        )
+        true_scores = ScoreMatrix(factors, model.factor_labels, "simulated-true")
     return x_data, y_data, true_scores
 
 

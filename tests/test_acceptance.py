@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from cpscores import (
-    EXOGENOUS,
     FactorCorr,
     ScoreMatrix,
     SimulationSpec,
@@ -25,7 +24,6 @@ from cpscores import (
     regression_scores,
     run_example,
     sample_corr,
-    score_corr,
     simulate_dataset,
     standardized_betas,
 )
@@ -48,9 +46,7 @@ def test_criterion_1_correlation_preservation():
         target = FactorCorr(
             tuple(f"f{i + 1}" for i in range(k)), random_correlation(rng, k)
         )
-        p = ScoreMatrix(
-            rng.standard_normal((50, k)), target.labels, (EXOGENOUS,) * k, "raw"
-        )
+        p = ScoreMatrix(rng.standard_normal((50, k)), target.labels, "raw")
         out = cp_transform(p, target)
         worst = max(worst, float(np.max(np.abs(
             sample_corr(out).values - target.values))))
@@ -135,9 +131,17 @@ def test_criterion_5_orthogonal_score_covariance():
            f"{samp_dev:.3f} (tol 0.03)")
 
 
+def eigh_power(s, power):
+    w, v = np.linalg.eigh(s)
+    return (v * w**power) @ v.T
+
+
 def test_criterion_6_substitution_identity():
     """Transforming exact regression scores with their model-implied moments
-    equals building the preserved scores directly from the parameters."""
+    equals building the preserved scores directly from the parameters.  The
+    multiplier phi^{1/2} R^{-1/2} diag(A)^{-1/2}, with A the model-implied
+    score covariance and R its correlation, is built here with
+    ``np.linalg.eigh`` alone."""
     rng = np.random.default_rng(1006)
     models = [example_model()] + [
         random_model(rng, n_xi=int(rng.integers(2, 5))) for _ in range(10)
@@ -148,14 +152,15 @@ def test_criterion_6_substitution_identity():
             SimulationSpec(model, 200, int(rng.integers(10_000)),
                            emit_true_factors=False))
         reg = regression_scores(model.exo, x_data)
-        via_transform = cp_transform(
-            reg, model.phi,
-            c_p=score_corr(model.exo),
-            score_variances=np.diag(model.exo.score_cov()),
-        )
+        a = model.exo.score_cov()
+        d = 1.0 / np.sqrt(np.diag(a))
+        multiplier = (eigh_power(model.phi.values, 0.5)
+                      @ eigh_power(a * np.outer(d, d), -0.5) @ np.diag(d))
+        centred = reg.values - reg.values.mean(axis=0)
+        via_transform = centred @ multiplier.T
         via_params = cp_scores_from_params(model, x_data)
         worst = max(worst, float(np.max(np.abs(
-            via_transform.values - via_params.values))))
+            via_transform - via_params.values))))
     report(6, "substitution identity", worst < 1e-9,
            f"max |transform - parameter route| = {worst:.2e} over "
            f"{len(models)} models (tol 1e-9)")
@@ -195,8 +200,7 @@ def test_criterion_8_scale_invariance_properties():
         - cp_transform(rescaled, model.phi).values)))
 
     reg_eta = ScoreMatrix(
-        rng.standard_normal((500, model.n_eta)), model.eta_labels,
-        model.factor_blocks[model.n_xi:], "raw",
+        rng.standard_normal((500, model.n_eta)), model.eta_labels, "raw"
     )
     beta_dev = float(np.max(np.abs(
         standardized_betas(scores, reg_eta)

@@ -130,6 +130,19 @@ class TestScores:
         r = sample_corr(scores).values
         assert r[0, 1] == pytest.approx(0.3, abs=0.1)
 
+    @pytest.mark.parametrize("method", ["takeuchi", "cp-params"])
+    def test_y_refused_outside_regression(
+        self, tmp_path, model_file, simulated, capsys, method
+    ):
+        out = tmp_path / "s.csv"
+        assert main([
+            "scores", model_file, "--x", simulated[0], "--y", simulated[1],
+            "--method", method, "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "--y" in err
+        assert not out.exists()
+
 
 class TestTransform:
     def test_joint_transform_restores_model_corr(
@@ -175,6 +188,25 @@ class TestDeterminacy:
         ]) == 0
         out = capsys.readouterr().out
         assert "exogenous" in out and "endogenous" in out
+
+    def test_endogenous_columns_alone_need_only_y(
+        self, tmp_path, model_file, simulated, capsys
+    ):
+        raw = str(tmp_path / "raw.csv")
+        main([
+            "scores", model_file, "--x", simulated[0], "--y", simulated[1],
+            "--method", "regression", "--out", raw,
+        ])
+        labels, values = read_labeled_csv(raw)
+        eta = str(tmp_path / "eta.csv")
+        write_matrix_csv(eta, labels[2:], values[:, 2:])
+        capsys.readouterr()
+        assert main([
+            "determinacy", model_file, "--scores", eta, "--y", simulated[1],
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "determinacy[endogenous; file]: eta1=" in out
+        assert "exogenous" not in out
 
     def test_missing_indicator_file_exits_two(
         self, tmp_path, model_file, simulated, capsys

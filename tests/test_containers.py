@@ -1,8 +1,8 @@
 """When a container adopts an array and when it copies one.
 
-Only a float64 array that owns its data and is already read-only is
-adopted; anything else is copied, and the container's values are read-only
-either way.
+Only a read-only float64 array whose memory is all of a read-only owner's
+buffer (the owner itself or its transpose) is adopted; anything else is
+copied, and the container's values are read-only either way.
 """
 
 import numpy as np
@@ -68,6 +68,24 @@ def test_read_only_view_of_writable_base_is_copied(wrap):
 
 
 @CONTAINERS
+def test_transpose_of_frozen_owner_is_adopted(wrap):
+    owner = frozen([[1.0, 3.0], [2.0, 4.0]])
+    m = wrap(owner.T)
+    assert m.values.base is owner
+    assert m.values.flags.f_contiguous
+    assert_read_only(m)
+
+
+@CONTAINERS
+def test_part_of_frozen_owner_is_copied(wrap):
+    owner = frozen([[1.0, 2.0, 5.0], [3.0, 4.0, 6.0]])
+    m = wrap(owner[:, :2])
+    assert not np.shares_memory(m.values, owner)
+    assert np.array_equal(m.values, [[1.0, 2.0], [3.0, 4.0]])
+    assert_read_only(m)
+
+
+@CONTAINERS
 @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.dtype(">f8")])
 def test_other_dtype_is_copied(wrap, dtype):
     src = frozen([[1, 2], [3, 4]], dtype=dtype)
@@ -92,3 +110,15 @@ def test_derived_score_matrices_share_values():
     m = scores(frozen([[1.0, 2.0], [3.0, 4.0]]))
     assert m.replace_values(m.values, "renamed").values is m.values
     assert ScoreMatrix(m.values, m.labels).values is m.values
+
+
+def test_select_gathers_once_and_stays_column_major():
+    m = ScoreMatrix(frozen([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), ("a", "b", "c"),
+                    "test")
+    s = m.select(("c", "a"))
+    assert s.labels == ("c", "a") and s.provenance == "test"
+    assert np.array_equal(s.values, [[3.0, 1.0], [6.0, 4.0]])
+    assert s.values.flags.f_contiguous
+    assert s.values.base.flags.owndata  # the gathered copy, adopted
+    assert not np.shares_memory(s.values, m.values)
+    assert_read_only(s)

@@ -55,8 +55,7 @@ class TestDeterminacyExo:
         reg = regression_scores(model.exo, x_data)
         base = determinacy_exo(reg, x_data, model).coefficients
         rescaled = ScoreMatrix(
-            reg.values * np.array([5.0, 0.02, 17.0]), reg.labels, reg.blocks,
-            reg.provenance,
+            reg.values * np.array([5.0, 0.02, 17.0]), reg.labels, reg.provenance,
         )
         assert determinacy_exo(rescaled, x_data, model).coefficients == pytest.approx(
             base, abs=1e-10
@@ -93,8 +92,7 @@ class TestDeterminacyEndo:
     def test_independent_scores_near_zero(self, model, rng):
         _, y_data, _ = simulate(model, seed=3)
         noise = ScoreMatrix(
-            rng.standard_normal((y_data.n_cases, 2)), model.eta_labels,
-            ("endogenous", "endogenous"),
+            rng.standard_normal((y_data.n_cases, 2)), model.eta_labels
         )
         assert np.max(np.abs(
             determinacy_endo(noise, y_data, model).coefficients)) < 0.03
@@ -178,7 +176,7 @@ def test_singular_implied_covariance_raises_package_error(rng):
     )
     data = DataMatrix(rng.standard_normal((20, 2)), ("v1", "v2"))
     xi = ScoreMatrix(rng.standard_normal((20, 1)), m.xi_labels)
-    eta = ScoreMatrix(rng.standard_normal((20, 1)), m.eta_labels, ("endogenous",))
+    eta = ScoreMatrix(rng.standard_normal((20, 1)), m.eta_labels)
     with pytest.raises(NearSingularError, match="exogenous"):
         determinacy_exo(xi, data, m)
     with pytest.raises(NearSingularError, match="endogenous"):

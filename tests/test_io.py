@@ -19,7 +19,6 @@ from cpscores import (
     model_hash,
 )
 from cpscores.io import (
-    format_corr,
     parse_model_file,
     read_data_csv,
     read_labeled_csv,
@@ -139,15 +138,15 @@ class TestCsvRoundTrip:
         assert np.array_equal(back, values)
 
     def test_scores_round_trip_with_blocks(self, tmp_path, model, rng):
+        # scores of both blocks' factors, read back against the model
         scores = ScoreMatrix(
-            rng.standard_normal((5, 5)), model.factor_labels,
-            model.factor_blocks, "test",
+            rng.standard_normal((5, 5)), model.factor_labels, "test"
         )
         path = tmp_path / "s.csv"
         write_scores_csv(path, scores)
         back = read_scores_csv(path, model, provenance="test")
         assert back.labels == scores.labels
-        assert back.blocks == scores.blocks
+        assert back.provenance == "test"
         assert np.array_equal(back.values, scores.values)
 
     def test_case_id_column_is_dropped(self, tmp_path):
@@ -320,13 +319,6 @@ def test_writer_bytes_and_round_trip(values, chunk_cells):
         back_labels, back = read_labeled_csv(path)
     assert back_labels == labels
     assert back.tobytes() == values.tobytes()
-
-
-class TestFormatCorr:
-    def test_contains_labels_and_values(self, model):
-        text = format_corr(model.phi)
-        assert model.xi_labels[0] in text
-        assert "0.275" in text
 
 
 def test_example_model_loads_via_package_data():

@@ -7,7 +7,8 @@ itself counts as 1).  Scores are computed a block of ``linalg.ROW_BLOCK``
 rows at a time; at n = 10 blocks + 17 rows, one block's centred, stacked
 indicators are about half the joint result, while a whole centred copy of
 x, or of the stacked (x, y), is five times the result and a container copy
-of the result adds one.
+of the result adds one.  ``ScoreMatrix.select`` gathers its columns in one
+copy, which its container adopts.
 """
 
 import tracemalloc
@@ -70,6 +71,14 @@ def test_score_peak_within_twice_the_result(model, example_data, family):
     scores, peak = traced_peak(*call)
     assert scores.n_cases == N_CASES
     assert peak / scores.values.nbytes <= 2.0
+
+
+def test_select_peak_within_bound(model, example_data):
+    x, y, _ = example_data
+    joint = joint_regression_scores(model, x, y)
+    xi, peak = traced_peak(joint.select, model.xi_labels)
+    assert xi.values.flags.f_contiguous
+    assert peak / xi.values.nbytes <= 1.2
 
 
 def test_cp_transform_peak_within_bound(model, example_data):

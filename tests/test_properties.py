@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpscores import EXOGENOUS, FactorCorr, ScoreMatrix, cp_transform, sample_corr
+from cpscores import FactorCorr, ScoreMatrix, cp_transform, sample_corr
 from cpscores.linalg import sym_inv_sqrt, sym_sqrt
 from cpscores.regression import betas_from_corr
 from cpscores.simulate import random_correlation, random_model
@@ -27,9 +27,7 @@ def _labels(k):
 def test_transform_hits_target_correlation(k, seed):
     rng = np.random.default_rng(seed)
     target = FactorCorr(_labels(k), random_correlation(rng, k))
-    p = ScoreMatrix(
-        rng.standard_normal((40, k)), target.labels, (EXOGENOUS,) * k, "raw"
-    )
+    p = ScoreMatrix(rng.standard_normal((40, k)), target.labels, "raw")
     out = cp_transform(p, target)
     assert np.max(np.abs(sample_corr(out).values - target.values)) < 1e-9
 
@@ -39,9 +37,7 @@ def test_transform_hits_target_correlation(k, seed):
 def test_transform_ignores_column_scale_and_shift(k, seed):
     rng = np.random.default_rng(seed)
     target = FactorCorr(_labels(k), random_correlation(rng, k))
-    p = ScoreMatrix(
-        rng.standard_normal((40, k)), target.labels, (EXOGENOUS,) * k, "raw"
-    )
+    p = ScoreMatrix(rng.standard_normal((40, k)), target.labels, "raw")
     scales = rng.uniform(0.1, 10.0, size=k)
     shifts = rng.uniform(-5.0, 5.0, size=k)
     q = p.replace_values(p.values * scales + shifts)

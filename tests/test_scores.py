@@ -20,9 +20,8 @@ from cpscores import (
     simulate_dataset,
     sym_sqrt,
 )
-from cpscores.linalg import corr_from_data
 from cpscores.scores import joint_regression_weights
-from cpscores.simulate import SimulationSpec
+from cpscores.simulate import SimulationSpec, random_model
 
 
 def one_factor_model(loadings=(0.8, 0.8, 0.8)):
@@ -44,6 +43,26 @@ def simulate(model, n=10_000, seed=7):
 
 def centred(a):
     return a - a.mean(axis=0)
+
+
+def eigh_multiplier(target, cov):
+    """``target^{1/2} R^{-1/2} diag(cov)^{-1/2}`` with R the correlation of
+    ``cov``, from ``np.linalg.eigh`` alone."""
+    def power(s, p):
+        w, v = np.linalg.eigh(s)
+        return (v * w**p) @ v.T
+
+    d = 1.0 / np.sqrt(np.diag(cov))
+    return power(target, 0.5) @ power(cov * np.outer(d, d), -0.5) @ np.diag(d)
+
+
+def applied_weights(family, model):
+    """The weight matrix a score family applies to the x indicators: the
+    rows ``e_j`` and ``-e_j`` have mean zero, so the scores of the first
+    n_x rows are the columns of the weights."""
+    eye = np.eye(model.n_x)
+    data = DataMatrix(np.vstack([eye, -eye]), model.x_labels)
+    return family(model, data).values[: model.n_x].T
 
 
 class TestRegressionScoresExo:
@@ -90,7 +109,6 @@ class TestRegressionScoresEndo:
         out = regression_scores(model.endo, y_data)
         w = model.endo.weights()
         assert out.values == pytest.approx(centred(y_data.values) @ w.T)
-        assert out.blocks == ("endogenous", "endogenous")
 
     def test_zero_row_maps_to_zero(self, model):
         y = DataMatrix(np.zeros((3, 10)), model.y_labels)
@@ -138,15 +156,6 @@ class TestCpTransform:
         std = centred(values)
         std = std / std.std(axis=0, ddof=1)
         assert out.values == pytest.approx(std, abs=1e-10)
-
-    def test_identity_cp_substitutes_sqrt_target(self, rng):
-        values = rng.standard_normal((50, 2))
-        std = centred(values)
-        std = std / std.std(axis=0, ddof=1)
-        p = ScoreMatrix(values, ("a", "b"))
-        target = FactorCorr(("a", "b"), np.array([[1.0, 0.6], [0.6, 1.0]]))
-        out = cp_transform(p, target, c_p=FactorCorr(("a", "b"), np.eye(2)))
-        assert out.values == pytest.approx(std @ sym_sqrt(target.values).T, abs=1e-10)
 
     def test_sample_corr_becomes_target(self, rng, model):
         x_data, y_data, _ = simulate(model, n=500, seed=3)
@@ -224,16 +233,12 @@ class TestParameterRoute:
     def test_matches_blockwise_transform_of_exact_regression_scores(self, model):
         x_data, _, _ = simulate(model, n=200, seed=2)
         from_params = cp_scores_from_params(model, x_data)
-        # the same substitution by hand: exact regression scores with the
-        # model-implied score correlation and variances
+        # the same substitution by hand: exact regression scores times the
+        # multiplier built from the model-implied score covariance
         p_xi = regression_scores(model.exo, x_data)
-        substituted = cp_transform(
-            p_xi,
-            model.phi,
-            score_corr(model.exo),
-            score_variances=np.diag(model.exo.score_cov()),
-        )
-        assert from_params.values == pytest.approx(substituted.values, abs=1e-9)
+        substituted = centred(p_xi.values) @ eigh_multiplier(
+            model.phi.values, model.exo.score_cov()).T
+        assert from_params.values == pytest.approx(substituted, abs=1e-9)
 
     def test_population_covariance_is_phi(self, model):
         sigma = model.exo.sigma()
@@ -271,7 +276,8 @@ class TestOrthogonalScores:
     def test_population_covariance_identity(self, model):
         x_data, _, _ = simulate(model)
         out = orthogonal_scores(model, x_data)
-        assert np.max(np.abs(corr_from_data(out.values) - np.eye(3))) < 0.03
+        assert np.max(np.abs(
+            np.corrcoef(out.values, rowvar=False) - np.eye(3))) < 0.03
 
     def test_single_factor_is_rescaled_regression_score(self):
         m = one_factor_model()
@@ -317,6 +323,31 @@ class TestCpFromOrthogonal:
         ).select(model.eta_labels)
         betas = standardized_betas(cp_xi, cp_eta)
         assert np.max(np.abs(betas - model.gamma.T)) < 0.02
+
+
+class TestParameterRouteWeights:
+    """Both parameter-route correlation-preserving weight matrices give
+    scores with population covariance phi, over random model shapes."""
+
+    @pytest.mark.parametrize("family", [cp_scores_from_params, cp_scores_from_orthogonal])
+    @pytest.mark.parametrize("n_xi, n_eta, per_factor", [
+        (1, 1, 2), (2, 1, 3), (3, 2, 3), (4, 3, 4), (6, 4, 6),
+    ])
+    def test_population_covariance_is_phi(self, family, n_xi, n_eta, per_factor):
+        rng = np.random.default_rng(100 * n_xi + 10 * n_eta + per_factor)
+        m = random_model(rng, n_xi=n_xi, n_eta=n_eta,
+                         indicators_per_factor=per_factor)
+        w = applied_weights(family, m)
+        assert w @ m.exo.sigma() @ w.T == pytest.approx(m.phi.values, abs=1e-10)
+
+    def test_orthogonal_route_is_sqrt_phi_times_orthogonal_scores(self, model):
+        x_data, _, _ = simulate(model, n=500, seed=4)
+        w, v = np.linalg.eigh(model.phi.values)
+        root = (v * np.sqrt(w)) @ v.T
+        expected = orthogonal_scores(model, x_data).values @ root.T
+        assert cp_scores_from_orthogonal(model, x_data).values == pytest.approx(
+            expected, abs=1e-12
+        )
 
 
 class TestJointRegressionScores:

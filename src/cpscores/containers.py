@@ -106,13 +106,16 @@ class FactorCorr:
 
 @dataclass(frozen=True)
 class DataMatrix:
-    """Cases-by-indicators numeric matrix with indicator labels."""
+    """Cases-by-indicators numeric matrix with indicator labels; at least
+    one case."""
 
     values: np.ndarray
     labels: tuple[str, ...]
 
     def __post_init__(self):
         values = _as_matrix(self.values, "data matrix")
+        if values.shape[0] == 0:
+            raise DataError("data matrix has no cases")
         object.__setattr__(self, "values", values)
         object.__setattr__(
             self, "labels", _check_labels(self.labels, values.shape[1], "DataMatrix")

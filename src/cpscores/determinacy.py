@@ -11,8 +11,9 @@ where ``C lambda' sigma^{-1}`` is the block's regression weight matrix
 (:meth:`cpscores.model.Block.weights`).  It applies to plain and
 correlation-preserving scores alike; the score moments come from
 :func:`cpscores.linalg.moments`, which refuses a constant score column,
-and the cross moment is summed a block of rows at a time
-(:func:`cpscores.linalg.centred_blocks`), with no centred copy of the data.
+and the cross moment is summed over the row blocks of
+``centred_blocks([scores, data])`` (:func:`cpscores.linalg.centred_blocks`),
+with no centred copy of the scores or the data.
 A closed-form population value for exact regression scores is provided as
 an oracle.
 """
@@ -72,9 +73,10 @@ def _determinacy(scores, data, block: Block, normalizer):
         raise StructuralError(
             f"scores are ordered {scores.labels}, expected {labels}"
         )
-    p, cov = moments(scores.values, labels)
-    var = np.diag(cov)
-    cross = sum(p[rows].T @ z for rows, z in centred_blocks([data.values]))
+    var = np.diag(moments([scores.values], labels)[1])
+    cross = np.zeros((len(labels), data.n_vars))
+    for _, (p, z) in centred_blocks([scores.values, data.values]):
+        cross += p.T @ z
     cross /= n - 1
     scale = var if normalizer == NORMALIZER_VARIANCE else np.sqrt(var)
     coeffs = np.einsum("ij,ij->i", cross / scale[:, None], block.weights())

@@ -208,7 +208,8 @@ def write_matrix_csv(path, labels, values) -> None:
     repeated row template. The bytes are those of ``csv.writer`` writing
     ``f"{v:.17g}"`` cells: CRLF line ends, and ``-0`` spelled as Python
     spells it.  A non-finite value, which the reader refuses, raises
-    DataError before the file is opened.
+    DataError before the file is opened, as does a matrix with no rows,
+    whose header-only file the reader would refuse.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
@@ -219,6 +220,8 @@ def write_matrix_csv(path, labels, values) -> None:
     k = values.shape[1]
     if len(labels) != k:
         raise StructuralError(f"{path}: {len(labels)} labels for {k} columns")
+    if values.shape[0] == 0:
+        raise DataError(f"{path}: no data rows to write")
     _require_finite(path, labels, values)
     row_template = ",".join(["%.17g"] * k) + "\r\n"
     chunk_rows = max(1, _WRITE_CHUNK_CELLS // max(k, 1))

@@ -34,6 +34,6 @@ def standardized_betas(predictors: ScoreMatrix, outcomes: ScoreMatrix) -> np.nda
         )
     k = predictors.n_factors
     labels = predictors.labels + outcomes.labels
-    _, cov = moments(np.hstack([predictors.values, outcomes.values]), labels)
+    cov = moments([predictors.values, outcomes.values], labels)[1]
     r = corr_from_cov(cov)
     return betas_from_corr(r[:k, :k], r[:k, k:])

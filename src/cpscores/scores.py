@@ -113,8 +113,9 @@ def cp_transform(p: ScoreMatrix, c_target: FactorCorr) -> ScoreMatrix:
     """Rotate scores so their sample correlation matrix equals ``c_target``
     up to floating point (the data route).
 
-    The input is centred and multiplied by the correlation-preserving
-    multiplier of its sample covariance.  A constant score column raises
+    Two passes over the scores: the first sums their sample covariance,
+    the second centres them and applies its correlation-preserving
+    multiplier, a row block at a time.  A constant score column raises
     DataError naming it.
     """
     if c_target.labels != p.labels:
@@ -122,9 +123,8 @@ def cp_transform(p: ScoreMatrix, c_target: FactorCorr) -> ScoreMatrix:
             f"target correlation is ordered {c_target.labels}, "
             f"scores are ordered {p.labels}"
         )
-    centred, cov = moments(p.values, p.labels)
-    values = centred @ _cp_multiplier(c_target.values, cov).T
-    values.setflags(write=False)
+    cov = moments([p.values], p.labels)[1]
+    values = centred_product([p.values], _cp_multiplier(c_target.values, cov))
     return p.replace_values(values, PROV_CP)
 
 

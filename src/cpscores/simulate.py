@@ -19,7 +19,7 @@ from .containers import DataMatrix, ScoreMatrix
 from .determinacy import determinacy_endo, determinacy_exo
 from .errors import DataError
 from .io import model_hash, parse_model_file
-from .linalg import sample_corr, sym_sqrt
+from .linalg import row_blocks, sample_corr, sym_sqrt
 from .model import SemModel, combined_factor_corr
 from .regression import standardized_betas
 from .scores import (
@@ -55,25 +55,26 @@ def simulate_dataset(
     """
     model = spec.model
     c = combined_factor_corr(model)
-    uniq_x = model.exo.uniqueness()
-    uniq_y = model.endo.uniqueness()
-
+    n = spec.n_cases
     rng = np.random.default_rng(spec.seed)
-    k = model.n_xi + model.n_eta
-    factors = rng.standard_normal((spec.n_cases, k)) @ sym_sqrt(c.values)
-    # built in place on the unique-variate draw; the draw order and every
-    # value are those of ``common + draw * sqrt(uniqueness)``
-    x = rng.standard_normal((spec.n_cases, model.n_x))
-    x *= np.sqrt(uniq_x)
-    x += factors[:, : model.n_xi] @ model.lambda_x.T
-    y = rng.standard_normal((spec.n_cases, model.n_y))
-    y *= np.sqrt(uniq_y)
-    y += factors[:, model.n_xi:] @ model.lambda_y.T
-    for a in (factors, x, y):
-        a.setflags(write=False)
-
-    x_data = DataMatrix(x, model.x_labels)
-    y_data = DataMatrix(y, model.y_labels)
+    factors = rng.standard_normal((n, model.n_xi + model.n_eta)) @ sym_sqrt(c.values)
+    # x, then y, built a row block at a time in place on the unique-variate
+    # draw; the draw order and every value are those of the whole-array
+    # ``factors @ loadings' + draw * sqrt(uniqueness)``
+    data = []
+    for common, block in ((factors[:, : model.n_xi], model.exo),
+                          (factors[:, model.n_xi:], model.endo)):
+        out = np.empty((n, len(block.indicator_labels)))
+        sd = np.sqrt(block.uniqueness())
+        for rows in row_blocks(n):
+            part = out[rows]
+            rng.standard_normal(out=part)
+            part *= sd
+            part += common[rows] @ block.loadings.T
+        out.setflags(write=False)
+        data.append(DataMatrix(out, block.indicator_labels))
+    factors.setflags(write=False)
+    x_data, y_data = data
     true_scores = None
     if spec.emit_true_factors:
         true_scores = ScoreMatrix(factors, model.factor_labels, "simulated-true")

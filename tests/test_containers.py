@@ -122,3 +122,12 @@ def test_select_gathers_once_and_stays_column_major():
     assert s.values.base.flags.owndata  # the gathered copy, adopted
     assert not np.shares_memory(s.values, m.values)
     assert_read_only(s)
+
+
+@pytest.mark.parametrize("values", [np.empty((0, 2)), frozen(np.empty((0, 2)))],
+                         ids=["copied", "adopted"])
+def test_data_matrix_refuses_zero_cases(values):
+    # scoring would otherwise take column means of no rows, which numpy
+    # warns about instead of refusing
+    with pytest.raises(DataError, match="no cases"):
+        data(values)

@@ -186,6 +186,13 @@ class TestCsvRoundTrip:
             write_matrix_csv(path, ("a", "b", "c"), np.zeros(3))
         assert not path.exists()
 
+    def test_writer_rejects_zero_rows(self, tmp_path):
+        # the header-only file it would write is refused by the reader
+        path = tmp_path / "m.csv"
+        with pytest.raises(DataError, match="no data rows"):
+            write_matrix_csv(path, ("a", "b"), np.empty((0, 2)))
+        assert not path.exists()
+
     def test_writer_rejects_label_count_mismatch(self, tmp_path):
         path = tmp_path / "m.csv"
         with pytest.raises(StructuralError, match="2 labels for 3 columns"):

@@ -14,7 +14,7 @@ from cpscores import (
     sym_inv_sqrt,
     sym_sqrt,
 )
-from cpscores.linalg import corr_from_cov, moments
+from cpscores.linalg import column_means, corr_from_cov, moments
 from cpscores.simulate import SimulationSpec, simulate_dataset
 from conftest import spd_matrix
 
@@ -89,30 +89,42 @@ class TestSymInvSqrt:
 
 class TestMoments:
     def test_simple_column(self):
-        centred, cov = moments([[1.0], [2.0], [3.0]])
-        assert centred[:, 0] == pytest.approx([-1.0, 0.0, 1.0])
+        values = np.array([[1.0], [2.0], [3.0]])
+        mean, cov = moments([values])
+        assert (values - mean)[:, 0] == pytest.approx([-1.0, 0.0, 1.0])
         assert cov == pytest.approx(np.ones((1, 1)))
 
     def test_already_centered_unchanged(self):
         values = np.array([[-1.0, 2.0], [1.0, -2.0]])
-        centred, _ = moments(values)
-        assert centred == pytest.approx(values)
+        mean, _ = moments([values])
+        assert values - mean == pytest.approx(values)
 
     def test_covariance_divides_by_n_minus_one(self, rng):
         values = rng.standard_normal((30, 4)) + np.array([5.0, -2.0, 0.0, 1e3])
-        centred, cov = moments(values)
-        assert centred.mean(axis=0) == pytest.approx(np.zeros(4), abs=1e-12)
+        mean, cov = moments([values])
+        assert (values - mean).mean(axis=0) == pytest.approx(np.zeros(4), abs=1e-12)
         assert cov == pytest.approx(np.cov(values, rowvar=False), abs=1e-12)
 
     def test_single_case_rejected(self):
         with pytest.raises(DataError, match="at least 2 cases"):
-            moments([[1.0]])
+            moments([[[1.0]]])
 
     def test_zero_variance_rejected(self):
         with pytest.raises(DataError, match="'f1'"):
-            moments([[1.0], [1.0]], ("f1",))
+            moments([[[1.0], [1.0]]], ("f1",))
         with pytest.raises(DataError, match="column 1"):
-            moments([[1.0, 2.0], [3.0, 2.0]])
+            moments([[[1.0, 2.0], [3.0, 2.0]]])
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_constant_column_means_at_a_million_rows(order):
+    # summed row by row, these means were off by 3.3e-12 to 1.7e-11
+    values = np.array([0.1, 1.0 / 3.0, 0.7, 1e6 + 0.1])
+    a = np.empty((10**6, 4), order=order)
+    a[:] = values
+    assert np.all(np.abs(column_means(a) - values) <= 1e-12 * values)
+    with pytest.raises(DataError, match="constant column 0"):
+        moments([a])
 
 
 def test_corr_from_cov_unit_diagonal_and_symmetric(rng):

@@ -3,12 +3,15 @@ copy fails.
 
 The peak is tracemalloc's highest traced allocation during the call, less
 what was allocated before it, over the bytes of the result (so the result
-itself counts as 1).  Scores are computed a block of ``linalg.ROW_BLOCK``
-rows at a time; at n = 10 blocks + 17 rows, one block's centred, stacked
-indicators are about half the joint result, while a whole centred copy of
-x, or of the stacked (x, y), is five times the result and a container copy
-of the result adds one.  ``ScoreMatrix.select`` gathers its columns in one
-copy, which its container adopts.
+itself counts as 1), or of the input scores for betas.  Scores, moments
+and simulated indicators are computed a block of ``linalg.ROW_BLOCK`` rows
+at a time; at n = 10 blocks + 17 rows, one block's centred indicators are
+about half the joint result, while a whole centred copy of x, or of the
+stacked (x, y), is five times the result and a container copy of the
+result adds one.  The simulator holds the factors (a fifth of x and y)
+besides x and y, and betas hold one centred block of their input.
+``ScoreMatrix.select`` gathers its columns in one copy, which its
+container adopts.
 """
 
 import tracemalloc
@@ -22,6 +25,7 @@ from cpscores import (
     joint_regression_scores,
     orthogonal_scores,
     regression_scores,
+    standardized_betas,
 )
 from cpscores import linalg
 from cpscores.simulate import SimulationSpec, simulate_dataset
@@ -56,7 +60,7 @@ def example_data(traced, model):
 
 def test_simulate_peak_within_bound(example_data):
     x, y, peak = example_data
-    assert peak / (x.values.nbytes + y.values.nbytes) <= 1.8
+    assert peak / (x.values.nbytes + y.values.nbytes) <= 1.4
 
 
 @pytest.mark.parametrize("family", ["joint", "exo", "orthogonal", "cp-params"])
@@ -85,4 +89,12 @@ def test_cp_transform_peak_within_bound(model, example_data):
     x, y, _ = example_data
     joint = joint_regression_scores(model, x, y)
     cp, peak = traced_peak(cp_transform, joint, combined_factor_corr(model))
-    assert peak / cp.values.nbytes <= 2.5
+    assert peak / cp.values.nbytes <= 1.5
+
+
+def test_betas_peak_within_bound(model, example_data):
+    x, y, _ = example_data
+    joint = joint_regression_scores(model, x, y)
+    xi, eta = joint.select(model.xi_labels), joint.select(model.eta_labels)
+    _, peak = traced_peak(standardized_betas, xi, eta)
+    assert peak / (xi.values.nbytes + eta.values.nbytes) <= 0.5

@@ -1,9 +1,14 @@
-"""Scores and determinacy computed a block of rows at a time.
+"""Scores, moments, determinacy and simulated data computed a block of
+rows at a time.
 
 ``linalg.ROW_BLOCK`` is shrunk to 7 rows so the block loop, its partial
 blocks and its block edges run on small arrays.  Every score family must
 equal the one-shot product of the centred, stacked indicators with weights
-built here with numpy alone.
+built here with numpy alone.  The kernels are also run at both block sizes
+on case counts around multiples of ``linalg.LANES`` (the accumulators per
+column of a row-major column sum), with row-major, column-major and
+strided inputs, against numpy; and the simulator must draw the values of
+its whole-array formula, bit for bit.
 """
 
 import numpy as np
@@ -12,23 +17,33 @@ import pytest
 from cpscores import (
     DataMatrix,
     ScoreMatrix,
+    combined_factor_corr,
     cp_scores_from_params,
     determinacy_endo,
     determinacy_exo,
     joint_regression_scores,
     orthogonal_scores,
     regression_scores,
+    sym_sqrt,
 )
 from cpscores import linalg
-from cpscores.simulate import random_model
+from cpscores.simulate import SimulationSpec, random_model, simulate_dataset
 
 SHAPES = [(3, 2, 3), (2, 1, 4), (4, 3, 3)]
 CASES = [2, 6, 7, 8, 15]
+LANES = linalg.LANES
+LANE_CASES = [2 * LANES - 1, 2 * LANES, 2 * LANES + 1, 10 * LANES + 3]
+LAYOUTS = ["C", "F", "strided"]
 
 
 @pytest.fixture(autouse=True)
 def seven_row_blocks(monkeypatch):
     monkeypatch.setattr(linalg, "ROW_BLOCK", 7)
+
+
+@pytest.fixture(params=[7, linalg.ROW_BLOCK], ids=["rows7", "default"])
+def row_block(request, monkeypatch):
+    monkeypatch.setattr(linalg, "ROW_BLOCK", request.param)
 
 
 def sym_power(s, power):
@@ -130,3 +145,83 @@ def test_large_column_offset_keeps_scores(seed, shape, n):
     near = families(model, x, y)
     for name, got in families(model, x_far, y_far).items():
         assert np.max(np.abs(got.values - near[name].values)) < 1e-9, name
+
+
+def laid_out(values, layout):
+    """``values`` frozen in a row-major or column-major array of their own,
+    or as a view of every other column of a wider row-major array."""
+    if layout == "strided":
+        wide = np.zeros((values.shape[0], 2 * values.shape[1] + 1))
+        wide[:, 1::2] = values
+        out = wide[:, 1::2]
+    else:
+        out = np.array(values, order=layout)
+    out.setflags(write=False)
+    return out
+
+
+def assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def offset_draws(seed, n, widths):
+    """Normal columns with means far from zero, so centring matters."""
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal((n, k)) * rng.uniform(0.5, 3.0, k)
+            + rng.uniform(-50.0, 50.0, k) for k in widths]
+
+
+@pytest.mark.usefixtures("row_block")
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("n", LANE_CASES)
+def test_moments_equal_numpy(layout, n):
+    a, b = offset_draws(n, n, (4, 1))
+    z = np.hstack([a, b])
+    mean, cov = linalg.moments([laid_out(a, layout), laid_out(b, layout)])
+    assert_close(mean, z.mean(axis=0))
+    assert_close(cov, np.cov(z, rowvar=False))
+
+
+@pytest.mark.usefixtures("row_block")
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("n", LANE_CASES)
+def test_centred_product_equals_numpy(layout, n):
+    a, b = offset_draws(n, n, (4, 1))
+    w = np.random.default_rng(n).standard_normal((5, 5))
+    got = linalg.centred_product([laid_out(a, layout), laid_out(b, layout)], w)
+    assert_close(got, centred(a, b) @ w.T)
+
+
+@pytest.mark.usefixtures("row_block")
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("n", LANE_CASES)
+def test_determinacy_equals_numpy(layout, n):
+    # a column-major array is adopted by its container as it is; a strided
+    # view is copied, row-major
+    model = random_model(np.random.default_rng(n), *SHAPES[0])
+    s, x = offset_draws(n, n, (model.n_xi, model.n_x))
+    scores = ScoreMatrix(laid_out(s, layout), model.exo.factor_labels)
+    data = DataMatrix(laid_out(x, layout), model.x_labels)
+    p = centred(s)
+    cross = p.T @ centred(x) / (n - 1)
+    sd = np.sqrt(np.sum(p * p, axis=0) / (n - 1))
+    want = np.sum(cross * oracle_weights(model)["exo"], axis=1) / sd
+    assert_close(determinacy_exo(scores, data, model).coefficients, want)
+
+
+@pytest.mark.parametrize("n", [2, 8, 15, 2 * LANES + 1])
+@pytest.mark.parametrize("seed, shape", enumerate(SHAPES))
+def test_simulator_keeps_whole_array_draw_order(seed, shape, n):
+    model = random_model(np.random.default_rng(seed), *shape)
+    x, y, factors = simulate_dataset(SimulationSpec(model, n, seed))
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((n, model.n_xi + model.n_eta)) @ sym_sqrt(
+        combined_factor_corr(model).values)
+    want_x = (f[:, : model.n_xi] @ model.lambda_x.T
+              + rng.standard_normal((n, model.n_x)) * np.sqrt(model.exo.uniqueness()))
+    want_y = (f[:, model.n_xi:] @ model.lambda_y.T
+              + rng.standard_normal((n, model.n_y)) * np.sqrt(model.endo.uniqueness()))
+    assert np.array_equal(factors.values, f)
+    assert np.array_equal(x.values, want_x)
+    assert np.array_equal(y.values, want_y)

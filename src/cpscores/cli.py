@@ -156,13 +156,8 @@ def _cmd_scores(args) -> int:
 
 def _cmd_transform(args) -> int:
     model = io.parse_model_file(args.model)
-    scores = io.read_scores_csv(args.scores, model, provenance="plausible-mean")
+    scores = io.read_scores_csv(args.scores, model)
     target = combined_factor_corr(model) if args.mode == "joint" else model.phi
-    if scores.labels != target.labels:
-        raise CpscoresError(
-            f"{args.mode} transform needs columns {list(target.labels)} in "
-            f"model order, got {list(scores.labels)}"
-        )
     result = cp_transform(scores, target)
     io.write_scores_csv(args.out, result)
     print(

@@ -6,9 +6,10 @@ float64 array whose memory is all of a read-only array owning its data
 (the array itself or, say, its transpose): the package's producers freeze
 each fresh result (``setflags(write=False)``) before wrapping it.  Every
 other input (a writable array, part of a buffer, another dtype, a list) is
-copied and the copy is write-protected.  Shape and finiteness are checked
-either way.  A :class:`ScoreMatrix` carries factor labels only; the
-model's blocks say which block each factor belongs to.
+copied and the copy is write-protected.  Either way ``_check_matrix``,
+which the CSV reader and writer call too, checks shape, labels and cells.
+A :class:`ScoreMatrix` carries factor labels only; the model's blocks say
+which block each factor belongs to.
 """
 
 from __future__ import annotations
@@ -35,17 +36,38 @@ def _adoptable(values) -> bool:
             and not owner.flags.writeable and owner.size == values.size)
 
 
-def _as_matrix(values, name: str) -> np.ndarray:
-    if _adoptable(values):
-        a = values
-    else:
-        a = np.array(values, dtype=float)
-    if a.ndim != 2:
-        raise StructuralError(f"{name} must be a 2-d matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DataError(f"{name} contains non-finite entries")
+def _as_matrix(values, name: str, labels=None):
+    """A checked read-only float64 matrix, adopted or copied; given
+    ``labels``, the pair of it and the labels as strings."""
+    a = values if _adoptable(values) else np.array(values, dtype=float)
+    checked = _check_matrix(a, name, labels)
     a.setflags(write=False)
-    return a
+    return a if labels is None else (a, checked)
+
+
+def _check_matrix(a: np.ndarray, prefix: str, labels=None):
+    """Refuse ``a`` unless it is a 2-d matrix of finite cells with, given
+    ``labels`` (returned as strings), one unique label per column; messages
+    start with ``prefix``.  A finite sum of the cells needs no n x k mask;
+    one that overflowed is told apart from a non-finite cell by the mask."""
+    if a.ndim != 2:
+        raise StructuralError(
+            f"{prefix}: values must be a 2-d matrix, got shape {a.shape}"
+        )
+    if labels is not None:
+        labels = _check_labels(labels, a.shape[1], prefix)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = a.sum()
+    if not np.isfinite(total):
+        finite = np.isfinite(a)
+        if not finite.all():
+            row, col = np.unravel_index(int(np.argmin(finite)), a.shape)
+            column = col + 1 if labels is None else labels[col]
+            raise DataError(
+                f"{prefix}: non-finite value {a[row, col]} in data row "
+                f"{row + 1}, column {column}"
+            )
+    return labels
 
 
 def pd_violation(eigenvalues: np.ndarray, what: str) -> str | None:
@@ -59,14 +81,15 @@ def pd_violation(eigenvalues: np.ndarray, what: str) -> str | None:
     return None
 
 
-def _check_labels(labels, count: int, name: str) -> tuple[str, ...]:
+def _check_labels(labels, count: int, prefix: str) -> tuple[str, ...]:
     labels = tuple(str(lb) for lb in labels)
     if len(labels) != count:
         raise StructuralError(
-            f"{name}: {len(labels)} labels for {count} columns"
+            f"{prefix}: {len(labels)} labels for {count} columns"
         )
     if len(set(labels)) != len(labels):
-        raise StructuralError(f"{name}: duplicate labels")
+        dup = next(lb for i, lb in enumerate(labels) if lb in labels[:i])
+        raise DataError(f"{prefix}: duplicate label {dup!r}")
     return labels
 
 
@@ -84,12 +107,10 @@ class FactorCorr:
     values: np.ndarray
 
     def __post_init__(self):
-        values = _as_matrix(self.values, "correlation matrix")
+        values, labels = _as_matrix(self.values, "correlation matrix", self.labels)
         object.__setattr__(self, "values", values)
-        object.__setattr__(
-            self, "labels", _check_labels(self.labels, values.shape[0], "FactorCorr")
-        )
-        n = values.shape[0]
+        object.__setattr__(self, "labels", labels)
+        n = values.shape[1]
         if values.shape != (n, n):
             raise StructuralError(
                 f"correlation matrix must be square, got {values.shape}"
@@ -113,13 +134,11 @@ class DataMatrix:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        values = _as_matrix(self.values, "data matrix")
+        values, labels = _as_matrix(self.values, "data matrix", self.labels)
         if values.shape[0] == 0:
             raise DataError("data matrix has no cases")
         object.__setattr__(self, "values", values)
-        object.__setattr__(
-            self, "labels", _check_labels(self.labels, values.shape[1], "DataMatrix")
-        )
+        object.__setattr__(self, "labels", labels)
 
     @property
     def n_cases(self) -> int:
@@ -140,11 +159,9 @@ class ScoreMatrix:
     provenance: str = "unspecified"
 
     def __post_init__(self):
-        values = _as_matrix(self.values, "score matrix")
+        values, labels = _as_matrix(self.values, "score matrix", self.labels)
         object.__setattr__(self, "values", values)
-        object.__setattr__(
-            self, "labels", _check_labels(self.labels, values.shape[1], "ScoreMatrix")
-        )
+        object.__setattr__(self, "labels", labels)
 
     @property
     def n_cases(self) -> int:

@@ -40,10 +40,12 @@ The reader accepts this dialect:
   and a line holding only a quoted blank cell (``""``) is not skipped.
 
 Errors name the file and the line, or the data row and the column for a
-non-finite value, which the writer refuses too.  The writer emits the
-header through ``csv.writer`` and each value with ``%.17g`` and CRLF line
-ends, so a write/read round trip is exact to double precision; the bytes
-are the same as the earlier cell-by-cell writer produced.
+non-finite value.  The writer refuses non-finite values and duplicate
+labels too: both sides call the containers' one rule for labelled
+matrices.  The writer emits the header through ``csv.writer`` and each
+value with ``%.17g`` and CRLF line ends, so a write/read round trip is
+exact to double precision; the bytes are the same as the earlier
+cell-by-cell writer produced.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .containers import DataMatrix, ScoreMatrix
+from .containers import DataMatrix, ScoreMatrix, _check_labels, _check_matrix
 from .errors import DataError, StructuralError
 from .model import SemModel, validate_model
 
@@ -190,39 +192,21 @@ def model_hash(model: SemModel) -> str:
 # ---------------------------------------------------------------------------
 # CSV matrices
 
-def _require_finite(path, labels, values) -> None:
-    """Raise DataError naming the first non-finite cell of ``values``."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise DataError(
-            f"{path}: non-finite value {values[row, col]} in data row "
-            f"{row + 1}, column {labels[col]}"
-        )
-
-
 def write_matrix_csv(path, labels, values) -> None:
     """Write a header row of labels and one row of 17-digit values per case.
 
     The body is formatted a chunk of rows at a time by one ``%`` call on a
     repeated row template. The bytes are those of ``csv.writer`` writing
     ``f"{v:.17g}"`` cells: CRLF line ends, and ``-0`` spelled as Python
-    spells it.  A non-finite value, which the reader refuses, raises
-    DataError before the file is opened, as does a matrix with no rows,
-    whose header-only file the reader would refuse.
+    spells it.  What the reader would refuse raises before the file is
+    opened: the containers' rule on shape, labels and finite cells, and a
+    matrix with no rows, whose header-only file has no data rows.
     """
     values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        raise StructuralError(
-            f"{path}: values must be a 2-d matrix, got shape {values.shape}"
-        )
-    labels = list(labels)
-    k = values.shape[1]
-    if len(labels) != k:
-        raise StructuralError(f"{path}: {len(labels)} labels for {k} columns")
+    labels = _check_matrix(values, path, labels)
     if values.shape[0] == 0:
         raise DataError(f"{path}: no data rows to write")
-    _require_finite(path, labels, values)
+    k = values.shape[1]
     row_template = ",".join(["%.17g"] * k) + "\r\n"
     chunk_rows = max(1, _WRITE_CHUNK_CELLS // max(k, 1))
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -232,7 +216,7 @@ def write_matrix_csv(path, labels, values) -> None:
             fh.write((row_template * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _read_header(path, fh) -> tuple[list[str], bool]:
+def _read_header(path, fh) -> tuple[tuple[str, ...], bool]:
     """Parse the header row; say whether a leading case-id column is dropped."""
     try:
         header = next(csv.reader(fh))
@@ -244,9 +228,7 @@ def _read_header(path, fh) -> tuple[list[str], bool]:
         header = header[1:]
     if not header:
         raise DataError(f"{path}: no data columns in header")
-    if len(set(header)) != len(header):
-        raise DataError(f"{path}: duplicate column labels")
-    return header, drop_first
+    return _check_labels(header, len(header), path), drop_first
 
 
 def _strict_float(cell: str) -> float:
@@ -326,8 +308,8 @@ def read_labeled_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
         _reject(path, ValueError(f"rows have {values.shape[1]} cells"))
     if drop_first:
         values = np.ascontiguousarray(values[:, 1:])
-    _require_finite(path, header, values)
-    return tuple(header), values
+    _check_matrix(values, path, header)
+    return header, values
 
 
 def read_data_csv(path) -> DataMatrix:
@@ -336,8 +318,7 @@ def read_data_csv(path) -> DataMatrix:
     return DataMatrix(values, labels)
 
 
-def read_scores_csv(path, model: SemModel | None = None,
-                    provenance: str = "file") -> ScoreMatrix:
+def read_scores_csv(path, model: SemModel | None = None) -> ScoreMatrix:
     """Read a score matrix; given a model, every column must name one of
     its factors."""
     labels, values = read_labeled_csv(path)
@@ -349,7 +330,7 @@ def read_scores_csv(path, model: SemModel | None = None,
                 f"factor (model factors: {list(model.factor_labels)})"
             )
     values.setflags(write=False)  # adopted by the container, not copied
-    return ScoreMatrix(values, labels, provenance)
+    return ScoreMatrix(values, labels, "file")
 
 
 def write_scores_csv(path, scores: ScoreMatrix) -> None:

@@ -268,34 +268,41 @@ def _pd_violation(values, what):
     return pd_violation(np.linalg.eigvalsh(values), what)
 
 
+def _combined_corr(model: SemModel) -> tuple[np.ndarray, str | None]:
+    """C = [[phi, phi gamma'], [gamma phi, implied eta covariance]] and why
+    it is unusable, or None.  C must have a unit diagonal and be positive
+    definite, which holds iff phi and psi (the Schur complement of phi in C)
+    are: this one rule covers phi, the implied eta covariance and psi."""
+    k = model.n_xi
+    c = np.empty((k + model.n_eta,) * 2)
+    c[:k, :k], c[k:, k:] = model.phi.values, model.eta_cov()
+    c[k:, :k] = model.gamma @ model.phi.values
+    c[:k, k:] = c[k:, :k].T
+    c = (c + c.T) / 2.0
+    d = np.abs(c.diagonal() - 1.0)
+    i = int(np.argmax(d))
+    if d[i] > UNIT_DIAGONAL_TOL:
+        return c, (
+            f"combined factor correlation has diagonal {c[i, i]:.10f} for "
+            f"{model.factor_labels[i]}, expected 1 (the model is not "
+            "completely standardized)"
+        )
+    np.fill_diagonal(c, 1.0)
+    return c, _pd_violation(c, "combined factor correlation")
+
+
 def validate_model(model: SemModel) -> ValidationReport:
     """Check the standardized-solution invariants; structural errors raise.
 
     Dimension mismatches raise StructuralError at SemModel construction, so
     a SemModel reaching this point is structurally consistent; this reports
-    numerical violations (positive definiteness, unit diagonals, loading and
-    uniqueness bounds) entry by entry.
+    numerical violations (the combined factor correlation, loading and
+    uniqueness bounds, indicator covariances) entry by entry.
     """
-    v: list[str] = []
+    msg = _combined_corr(model)[1]
+    v: list[str] = [msg] if msg else []
 
-    msg = _pd_violation(model.phi.values, "phi")
-    if msg:
-        v.append(msg)
-
-    endo = model.endo
-    eta_cov = endo.corr
-    dev = np.abs(np.diag(eta_cov) - 1.0)
-    if np.max(dev) > UNIT_DIAGONAL_TOL:
-        i = int(np.argmax(dev))
-        v.append(
-            f"diagonal of implied endogenous covariance is {eta_cov[i, i]:.10f} "
-            f"for {model.eta_labels[i]}, expected 1"
-        )
-    msg = _pd_violation(eta_cov, "implied endogenous covariance")
-    if msg:
-        v.append(msg)
-
-    for name, block in (("x", model.exo), ("y", endo)):
+    for name, block in (("x", model.exo), ("y", model.endo)):
         mags = np.abs(block.loadings)
         if np.max(mags) > 1.0 + LOADING_TOL:
             i, j = np.unravel_index(int(np.argmax(mags)), mags.shape)
@@ -316,22 +323,10 @@ def validate_model(model: SemModel) -> ValidationReport:
 
 
 def combined_factor_corr(model: SemModel) -> FactorCorr:
-    """Correlation matrix of all factors, exogenous block first.
-
-    Block layout: [[phi, phi gamma'], [gamma phi, implied endogenous cov]].
-    """
-    phi = model.phi.values
-    cross = model.gamma @ phi
-    c = np.block([[phi, cross.T], [cross, model.eta_cov()]])
-    c = (c + c.T) / 2.0
-    d = np.abs(np.diag(c) - 1.0)
-    if np.max(d) > UNIT_DIAGONAL_TOL:
-        raise ModelError(
-            "combined factor correlation has a non-unit diagonal; "
-            "the model is not completely standardized"
-        )
-    np.fill_diagonal(c, 1.0)
-    corr = FactorCorr(model.factor_labels, c)
-    if _pd_violation(corr.values, "combined factor correlation"):
-        raise ModelError("degenerate model-implied correlation")
-    return corr
+    """Correlation matrix of all factors, exogenous block first; raises
+    ModelError saying why when it is not a positive definite correlation
+    matrix."""
+    c, msg = _combined_corr(model)
+    if msg:
+        raise ModelError(msg)
+    return FactorCorr(model.factor_labels, c)

@@ -79,14 +79,15 @@ def joint_regression_scores(
 
 
 def _score_cov(block: Block) -> np.ndarray:
-    """:meth:`Block.score_cov`, refused if a score variance is not positive."""
+    """:meth:`Block.score_cov`, refused if a regression-score variance is
+    not positive (the factor's indicators carry none of it)."""
     a = block.score_cov()
     d = np.diag(a)
     if np.min(d) <= 0.0:
         i = int(np.argmin(d))
         raise StructuralError(
-            f"degenerate determinacy: score variance {d[i]:.3e} "
-            f"for factor {block.factor_labels[i]}"
+            f"regression-score variance {d[i]:.3e} for factor "
+            f"{block.factor_labels[i]} is not positive"
         )
     return a
 

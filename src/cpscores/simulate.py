@@ -216,7 +216,8 @@ class ExampleReport:
 
 
 def _fmt_row(values):
-    return "  ".join(f"{v:6.3f}" for v in values)
+    # unsigned 0.000, so the last bits of a zero path's estimate don't show
+    return "  ".join(f"{v:6.3f}".replace("-0.000", " 0.000") for v in values)
 
 
 def _fmt_matrix(m, indent):

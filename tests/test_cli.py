@@ -29,6 +29,31 @@ n_eta 1
 1.0
 """
 
+# one xi with paths 0.9 to two etas of implied correlation I: psi has the
+# eigenvalue -0.62
+PSI_INDEFINITE_TEXT = """
+[dimensions]
+n_x 2
+n_xi 1
+n_y 4
+n_eta 2
+[lambda_x]
+0.7
+0.6
+[phi]
+1.0
+[lambda_y]
+0.7 0.0
+0.6 0.0
+0.0 0.7
+0.0 0.6
+[gamma]
+0.9 0.9
+[eta_corr]
+1.0 0.0
+0.0 1.0
+"""
+
 
 @pytest.fixture()
 def model_file(tmp_path):
@@ -63,6 +88,16 @@ class TestValidate:
         bad = tmp_path / "bad.txt"
         bad.write_text(MODEL_TEXT.replace("0.8 0.0", "1.4 0.0"))
         assert main(["validate", str(bad)]) == 2
+
+    def test_indefinite_psi_exits_two(self, tmp_path, capsys):
+        # phi and the implied eta correlation (the identity) are positive
+        # definite; psi and so the combined correlation are not
+        bad = tmp_path / "psi.txt"
+        bad.write_text(PSI_INDEFINITE_TEXT)
+        assert main(["validate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "combined factor correlation not positive definite " \
+            "(smallest eigenvalue -2.728e-01)" in err
 
     def test_missing_subcommand_exits_two(self):
         assert main([]) == 2

@@ -106,6 +106,33 @@ def test_checks_fire_on_adopted_arrays(wrap):
         wrap(frozen([[1.0, 2.0, 3.0]]))
 
 
+@CONTAINERS
+@pytest.mark.parametrize("adopt", [True, False], ids=["adopted", "copied"])
+def test_non_finite_cell_named_by_row_and_label(wrap, adopt):
+    src = [[1.0, 2.0], [3.0, -np.inf], [np.nan, 5.0]]
+    with pytest.raises(DataError) as info:
+        wrap(frozen(src) if adopt else src)
+    name = "data" if wrap is data else "score"
+    assert str(info.value) == (
+        f"{name} matrix: non-finite value -inf in data row 2, column b"
+    )
+
+
+@CONTAINERS
+def test_finite_cells_whose_sum_overflows_are_accepted(wrap):
+    big = np.finfo(float).max
+    m = wrap(frozen([[big, 1.0], [big, -big]]))
+    assert m.values[1, 1] == -big
+    with pytest.raises(DataError, match=r"value inf in data row 1, column a"):
+        wrap(frozen([[np.inf, 1.0], [-np.inf, 1.0]]))
+
+
+@pytest.mark.parametrize("cls", [DataMatrix, ScoreMatrix])
+def test_duplicate_label_named(cls):
+    with pytest.raises(DataError, match="duplicate label 'a'"):
+        cls(frozen([[1.0, 2.0]]), ("a", "a"))
+
+
 def test_derived_score_matrices_share_values():
     m = scores(frozen([[1.0, 2.0], [3.0, 4.0]]))
     assert m.replace_values(m.values, "renamed").values is m.values

@@ -144,9 +144,9 @@ class TestCsvRoundTrip:
         )
         path = tmp_path / "s.csv"
         write_scores_csv(path, scores)
-        back = read_scores_csv(path, model, provenance="test")
+        back = read_scores_csv(path, model)
         assert back.labels == scores.labels
-        assert back.provenance == "test"
+        assert back.provenance == "file"
         assert np.array_equal(back.values, scores.values)
 
     def test_case_id_column_is_dropped(self, tmp_path):
@@ -193,10 +193,19 @@ class TestCsvRoundTrip:
             write_matrix_csv(path, ("a", "b"), np.empty((0, 2)))
         assert not path.exists()
 
+    def test_writer_rejects_duplicate_labels(self, tmp_path):
+        # the reader would refuse the header
+        path = tmp_path / "m.csv"
+        with pytest.raises(DataError) as info:
+            write_matrix_csv(path, ("a", "a"), np.ones((2, 2)))
+        assert str(info.value) == f"{path}: duplicate label 'a'"
+        assert not path.exists()
+
     def test_writer_rejects_label_count_mismatch(self, tmp_path):
         path = tmp_path / "m.csv"
-        with pytest.raises(StructuralError, match="2 labels for 3 columns"):
+        with pytest.raises(StructuralError) as info:
             write_matrix_csv(path, ("a", "b"), np.zeros((2, 3)))
+        assert str(info.value) == f"{path}: 2 labels for 3 columns"
         assert not path.exists()
 
     @pytest.mark.parametrize("token", ["nan", "-inf"])

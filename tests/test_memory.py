@@ -82,14 +82,18 @@ def test_select_peak_within_bound(model, example_data):
     joint = joint_regression_scores(model, x, y)
     xi, peak = traced_peak(joint.select, model.xi_labels)
     assert xi.values.flags.f_contiguous
-    assert peak / xi.values.nbytes <= 1.2
+    # the gathered copy only: the container's finiteness check allocates
+    # no n x k mask (1/8 of the float64 cells) for finite values
+    assert peak / xi.values.nbytes <= 1.05
 
 
 def test_cp_transform_peak_within_bound(model, example_data):
     x, y, _ = example_data
     joint = joint_regression_scores(model, x, y)
     cp, peak = traced_peak(cp_transform, joint, combined_factor_corr(model))
-    assert peak / cp.values.nbytes <= 1.5
+    # the result, one row block of centred scores (ROW_BLOCK / N_CASES of
+    # it) and the moments' accumulators; a finiteness mask adds 0.125
+    assert peak / cp.values.nbytes <= 1.0 + linalg.ROW_BLOCK / N_CASES + 0.02
 
 
 def test_betas_peak_within_bound(model, example_data):

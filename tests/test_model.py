@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -31,14 +33,44 @@ def test_validation_refuses_what_combined_corr_refuses(model):
         gamma=model.gamma, psi=psi, xi_labels=model.xi_labels,
         eta_labels=model.eta_labels,
     )
-    report = validate_model(m)
-    assert not report.ok
-    assert report.violations == (
-        "diagonal of implied endogenous covariance is 1.0000005000 for eta1, "
-        "expected 1",
+    expected = (
+        "combined factor correlation has diagonal 1.0000005000 for eta1, "
+        "expected 1 (the model is not completely standardized)"
     )
-    with pytest.raises(ModelError, match="non-unit diagonal"):
+    assert validate_model(m).violations == (expected,)
+    with pytest.raises(ModelError) as info:
         combined_factor_corr(m)
+    assert str(info.value) == expected
+
+
+# smallest eigenvalue in pd_violation's format
+NOT_PD = (r"combined factor correlation not positive definite "
+          r"\(smallest eigenvalue (-?\d\.\d{3}e[+-]\d{2})\)")
+
+
+def psi_indefinite_model():
+    """One xi with paths 0.9 to two uncorrelated etas: phi and the implied
+    eta correlation (the identity) are positive definite, but psi has the
+    eigenvalue 0.19 - 0.81 = -0.62 and C the eigenvalue 1 - 0.9 sqrt(2)."""
+    return SemModel(
+        lambda_x=np.array([[0.7], [0.6], [0.8]]),
+        phi=np.eye(1),
+        lambda_y=np.array([[0.7, 0.0], [0.6, 0.0], [0.0, 0.7], [0.0, 0.6]]),
+        gamma=np.array([[0.9], [0.9]]),
+        eta_corr=np.eye(2),
+    )
+
+
+def test_validation_refuses_indefinite_psi():
+    m = psi_indefinite_model()
+    assert np.linalg.eigvalsh(m.psi)[0] == pytest.approx(-0.62)
+    report = validate_model(m)
+    assert len(report.violations) == 1
+    smallest = re.fullmatch(NOT_PD, report.violations[0]).group(1)
+    assert float(smallest) == pytest.approx(1 - 0.9 * np.sqrt(2), abs=1e-3)
+    with pytest.raises(ModelError) as info:
+        combined_factor_corr(m)
+    assert str(info.value) == report.violations[0]
 
 
 def test_non_pd_phi_rejected():
@@ -235,8 +267,11 @@ class TestCombinedFactorCorr:
             gamma=np.eye(2),
             psi=np.zeros((2, 2)),
         )
-        with pytest.raises(ModelError, match="degenerate"):
+        with pytest.raises(ModelError) as info:
             combined_factor_corr(m)
+        smallest = re.fullmatch(NOT_PD, str(info.value)).group(1)
+        assert abs(float(smallest)) < 1e-12
+        assert validate_model(m).violations == (str(info.value),)
 
 
 def test_combined_corr_valid_for_random_models(rng):

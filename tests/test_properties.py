@@ -9,10 +9,24 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpscores import FactorCorr, ScoreMatrix, cp_transform, sample_corr
+from cpscores import (
+    CpscoresError,
+    FactorCorr,
+    ScoreMatrix,
+    SemModel,
+    cp_transform,
+    joint_regression_scores,
+    sample_corr,
+    validate_model,
+)
 from cpscores.linalg import sym_inv_sqrt, sym_sqrt
 from cpscores.regression import betas_from_corr
-from cpscores.simulate import random_correlation, random_model
+from cpscores.simulate import (
+    SimulationSpec,
+    random_correlation,
+    random_model,
+    simulate_dataset,
+)
 
 dims = st.integers(min_value=2, max_value=6)
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -77,3 +91,26 @@ def test_block_weights_and_joint_sigma(n_xi, n_eta, seed):
     joint = model.joint.sigma()
     assert np.max(np.abs(joint[: model.n_x, : model.n_x] - model.exo.sigma())) < 1e-10
     assert np.max(np.abs(joint[model.n_x:, model.n_x:] - model.endo.sigma())) < 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=seeds)
+def test_validation_accepts_exactly_the_usable_models(seed):
+    # off-diagonal psi perturbations keep every implied factor variance at
+    # 1 but can make psi, and so the combined correlation, indefinite
+    # (about a quarter of these draws) while phi and the implied eta
+    # covariance stay positive definite
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, 3, 3, 3)
+    noise = np.triu(rng.uniform(-0.5, 0.5, (3, 3)), 1)
+    m = SemModel(
+        lambda_x=m.lambda_x, phi=m.phi, lambda_y=m.lambda_y, gamma=m.gamma,
+        psi=m.psi + noise + noise.T,
+    )
+    try:
+        x, y, _ = simulate_dataset(SimulationSpec(m, 20, seed, False))
+        joint_regression_scores(m, x, y)
+        usable = True
+    except CpscoresError:
+        usable = False
+    assert validate_model(m).ok == usable

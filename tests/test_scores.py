@@ -271,6 +271,25 @@ class TestParameterRoute:
         out = cp_scores_from_params(model, x_data)
         assert np.max(np.abs(sample_corr(out).values - model.phi.values)) < 0.03
 
+    def test_factor_without_indicators_refused(self):
+        # xi2 loads on no indicator and is uncorrelated with xi1: its
+        # regression score is exactly 0, so its variance is too
+        m = SemModel(
+            lambda_x=np.array([[0.7, 0.0], [0.6, 0.0], [0.8, 0.0]]),
+            phi=np.eye(2),
+            lambda_y=np.array([[0.6]]),
+            gamma=np.array([[0.3, 0.0]]),
+            eta_corr=np.eye(1),
+        )
+        x = DataMatrix(np.eye(3), ("x1", "x2", "x3"))
+        expected = ("regression-score variance 0.000e+00 for factor xi2 "
+                    "is not positive")
+        for call in (lambda: cp_scores_from_params(m, x),
+                     lambda: score_corr(m.exo)):
+            with pytest.raises(StructuralError) as info:
+                call()
+            assert str(info.value) == expected
+
 
 class TestOrthogonalScores:
     def test_population_covariance_identity(self, model):

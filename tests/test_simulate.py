@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,19 @@ class TestRunExample:
         assert len(report.model_hash) == 12
         text = report.render()
         assert "model hash" in text and "seed" in text
+
+    def test_value_rounding_to_zero_prints_unsigned(self):
+        # the CP beta of a zero path lands on either side of 0 by rounding
+        report = run_example(n_cases=2_000)
+        betas = report.cp_betas.copy()
+        betas[0, 1], betas[1, 0] = -1e-16, -0.0004
+        text = dataclasses.replace(report, cp_betas=betas).render()
+        cp_panel = text.split("correlation-preserving scores:\n")[1]
+        assert cp_panel.splitlines()[:2] == [
+            f"     {betas[0, 0]:.3f}   0.000",
+            f"     0.000   {betas[1, 1]:.3f}",
+        ]
+        assert "-0.000" not in text
 
     def test_cp_betas_match_paths_exactly(self):
         report = run_example(n_cases=2_000, seed=17)

@@ -42,7 +42,9 @@ The reader accepts this dialect:
 Errors name the file and the line, or the data row and the column for a
 non-finite value.  The writer refuses non-finite values and duplicate
 labels too: both sides call the containers' one rule for labelled
-matrices.  The writer emits the header through ``csv.writer`` and each
+matrices.  It also refuses what the reader would read back under other
+labels: a label with surrounding whitespace, and a first label named like
+a case-id column.  The writer emits the header through ``csv.writer`` and each
 value with ``%.17g`` and CRLF line ends, so a write/read round trip is
 exact to double precision; the bytes are the same as the earlier
 cell-by-cell writer produced.
@@ -198,12 +200,25 @@ def write_matrix_csv(path, labels, values) -> None:
     The body is formatted a chunk of rows at a time by one ``%`` call on a
     repeated row template. The bytes are those of ``csv.writer`` writing
     ``f"{v:.17g}"`` cells: CRLF line ends, and ``-0`` spelled as Python
-    spells it.  What the reader would refuse raises before the file is
-    opened: the containers' rule on shape, labels and finite cells, and a
-    matrix with no rows, whose header-only file has no data rows.
+    spells it.  What the reader would refuse, or read back otherwise,
+    raises before the file is opened: the containers' rule on shape,
+    labels and finite cells; a label with surrounding whitespace, which the
+    reader strips; a first label the reader takes for a case-id column; and
+    a matrix with no rows, whose header-only file has no data rows.
     """
     values = np.asarray(values, dtype=float)
     labels = _check_matrix(values, path, labels)
+    for lb in labels:
+        if lb != lb.strip():
+            raise DataError(
+                f"{path}: label {lb!r} has surrounding whitespace, which the "
+                "reader strips"
+            )
+    if labels and labels[0].lower() in CASE_ID_LABELS:
+        raise DataError(
+            f"{path}: first label {labels[0]!r} would be read back as a "
+            "case-id column and dropped"
+        )
     if values.shape[0] == 0:
         raise DataError(f"{path}: no data rows to write")
     k = values.shape[1]

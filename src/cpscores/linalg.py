@@ -258,6 +258,15 @@ def corr_from_cov(cov: np.ndarray) -> np.ndarray:
     return (r + r.T) / 2.0
 
 
+def cp_multiplier(target: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """The correlation-preserving multiplier
+    ``target^{1/2} R^{-1/2} diag(cov)^{-1/2}``, R the correlation of
+    ``cov``: scores with covariance ``cov`` times its transpose have
+    covariance ``target``."""
+    t = sym_sqrt(target) @ sym_inv_sqrt(corr_from_cov(cov))
+    return t / np.sqrt(np.diag(cov))
+
+
 def sample_corr(scores: ScoreMatrix) -> FactorCorr:
     """Sample correlation of the score columns as a labeled FactorCorr."""
     n, k = scores.values.shape

@@ -8,10 +8,21 @@ indicators on the endogenous factors, and the stacked (x, y) indicators on
 all factors.  Unique variances are always derived from the standardized
 solution as ``diag(I - L C L')`` rather than read from input, so they cannot
 drift out of sync with the loadings.
+
+Models and blocks are immutable, so every matrix derived from them is
+computed once, on first use, and kept frozen (:func:`_kept`): a model keeps
+its blocks, the combined factor correlation and its square root, and a
+block keeps its uniqueness, the smallest and largest eigenvalue of its
+implied indicator covariance, its score covariance and its weight
+matrices.  The implied covariance itself, its
+solve against the loadings and the stacked loadings of the joint block are
+rebuilt when needed and not kept.  To change a parameter, build a new
+model; it starts with nothing kept.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +35,7 @@ from .containers import (
     pd_violation,
 )
 from .errors import ModelError, NearSingularError, StructuralError
+from .linalg import cp_multiplier, sym_inv_sqrt, sym_sqrt
 
 # Residual covariance supplied both ways must agree to this tolerance.
 PSI_CONSISTENCY_TOL = 1e-6
@@ -34,31 +46,75 @@ LOADING_TOL = 1e-6
 JOINT = "joint"
 
 
+def _kept(fn):
+    """``fn(obj)`` for an immutable ``obj``, computed on the first call and
+    kept in ``obj._derived``, frozen if it is an array; a call that raises
+    keeps nothing.  Threads that race on a cold ``obj`` may each compute
+    the value, which is the same, and all return the one kept first."""
+    key = fn.__name__
+
+    @functools.wraps(fn)
+    def kept(obj):
+        try:
+            return obj._derived[key]
+        except KeyError:
+            value = fn(obj)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        return obj._derived.setdefault(key, value)
+
+    return kept
+
+
+def _derived_field():
+    """The dict in which :func:`_kept` keeps an object's derived values."""
+    return field(default_factory=dict, init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class Block:
-    """A measurement model: indicators (rows of ``loadings``) on factors
-    with covariance ``corr``, the exogenous, endogenous or joint block of a
-    :class:`SemModel`.  The model builds a block on each access and keeps
-    none; a block keeps its one solve, shared by :meth:`weights` and
-    :meth:`score_cov`."""
+    """A measurement model: indicators on factors with covariance ``corr``,
+    the exogenous, endogenous or joint block of a :class:`SemModel`, which
+    builds each of its blocks once and keeps it.  The loadings are
+    block-diagonal in ``loading_blocks`` (one block, or the x and the y
+    loadings for the joint block)."""
 
     name: str
-    loadings: np.ndarray
+    loading_blocks: tuple[np.ndarray, ...]
     corr: np.ndarray
     factor_labels: tuple[str, ...]
     indicator_labels: tuple[str, ...]
-    _sigma_inv_loadings: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _derived: dict = _derived_field()
 
+    def __post_init__(self):
+        # read-only (the model's own arrays are adopted), so nothing a
+        # block keeps can go stale
+        object.__setattr__(self, "loading_blocks", tuple(
+            _as_matrix(b, "loadings") for b in self.loading_blocks))
+        object.__setattr__(self, "corr", _as_matrix(self.corr, "factor covariance"))
+
+    @property
+    def loadings(self) -> np.ndarray:
+        """Indicators-by-factors loadings; with more than one loading block
+        they are zero-padded on each access and not kept."""
+        if len(self.loading_blocks) == 1:
+            return self.loading_blocks[0]
+        shapes = [b.shape for b in self.loading_blocks]
+        out = np.zeros(tuple(map(sum, zip(*shapes))))
+        r = c = 0
+        for b, (rows, cols) in zip(self.loading_blocks, shapes):
+            out[r:r + rows, c:c + cols] = b
+            r, c = r + rows, c + cols
+        return out
+
+    @_kept
     def uniqueness(self) -> np.ndarray:
         """Indicator unique variances ``1 - diag(L C L')``, clipped at 0.
 
         Raises ModelError naming the indicator when one is negative.
         """
-        uniq = 1.0 - np.einsum(
-            "ij,jk,ik->i", self.loadings, self.corr, self.loadings
-        )
+        loadings = self.loadings
+        uniq = 1.0 - np.einsum("ij,jk,ik->i", loadings, self.corr, loadings)
         if np.min(uniq) < -1e-10:
             i = int(np.argmin(uniq))
             raise ModelError(
@@ -68,35 +124,87 @@ class Block:
         return np.clip(uniq, 0.0, None)
 
     def sigma(self) -> np.ndarray:
-        """Model-implied indicator covariance ``L C L' + diag(uniqueness)``."""
-        sigma = self.loadings @ self.corr @ self.loadings.T
+        """Model-implied indicator covariance ``L C L' + diag(uniqueness)``,
+        built on each call and not kept."""
+        loadings = self.loadings
+        sigma = loadings @ self.corr @ loadings.T
         sigma += np.diag(self.uniqueness())
         return (sigma + sigma.T) / 2.0
 
-    def sigma_inv_loadings(self) -> np.ndarray:
-        """``sigma^{-1} L``; raises NearSingularError for a singular sigma."""
-        if self._sigma_inv_loadings is None:
-            try:
-                sil = np.linalg.solve(self.sigma(), self.loadings)
-            except np.linalg.LinAlgError as exc:
-                raise NearSingularError(
-                    f"implied covariance of the {self.name} indicators "
-                    "is singular"
-                ) from exc
-            object.__setattr__(self, "_sigma_inv_loadings", sil)
-        return self._sigma_inv_loadings
+    @_kept
+    def sigma_eigenvalue_range(self) -> np.ndarray:
+        """The smallest and the largest eigenvalue of :meth:`sigma`."""
+        return np.linalg.eigvalsh(self.sigma())[[0, -1]]
 
+    def sigma_violation(self) -> str | None:
+        """Why :meth:`sigma` is not positive definite, by its smallest
+        eigenvalue against ``PD_RTOL`` times its largest, or None."""
+        return pd_violation(
+            self.sigma_eigenvalue_range(),
+            f"implied covariance of the {self.name} indicators",
+        )
+
+    def sigma_inv_loadings(self) -> np.ndarray:
+        """``sigma^{-1} L``, solved on each call and not kept; raises
+        NearSingularError naming the block and the smallest eigenvalue of
+        sigma when it is not positive definite."""
+        msg = self.sigma_violation()
+        if msg:
+            raise NearSingularError(msg)
+        return np.linalg.solve(self.sigma(), self.loadings)
+
+    @_kept
     def weights(self) -> np.ndarray:
         """Weights of the best linear predictor of the factors from the
         indicators, ``C L' sigma^{-1}`` (one row per factor)."""
         return self.corr @ self.sigma_inv_loadings().T
 
+    @_kept
     def score_cov(self) -> np.ndarray:
         """Population covariance of the regression scores,
         ``C L' sigma^{-1} L C``; it is also their covariance with the
         factors."""
         a = self.weights() @ self.loadings @ self.corr
         return (a + a.T) / 2.0
+
+    @_kept
+    def orthogonal_weights(self) -> np.ndarray:
+        """Weights of the orthogonal scores,
+        ``(L' sigma^{-1} L)^{-1/2} L' sigma^{-1}``: their population
+        covariance is the identity."""
+        sigma_inv_l = self.sigma_inv_loadings()
+        m = self.loadings.T @ sigma_inv_l
+        return sym_inv_sqrt((m + m.T) / 2.0) @ sigma_inv_l.T
+
+    @_kept
+    def cp_weights(self) -> np.ndarray:
+        """Weights of the correlation-preserving scores from parameters:
+        the regression weights premultiplied by
+        ``C^{1/2} R^{-1/2} diag(A)^{-1/2}`` (:func:`cpscores.linalg.cp_multiplier`)
+        with ``A`` the regression-score covariance and ``R`` its
+        correlation, so the population covariance of the scores is C."""
+        return cp_multiplier(self.corr, _score_cov(self)) @ self.weights()
+
+
+def _score_cov(block: Block) -> np.ndarray:
+    """:meth:`Block.score_cov`, refused if a regression-score variance is
+    not positive (the factor's indicators carry none of it)."""
+    a = block.score_cov()
+    d = np.diag(a)
+    if np.min(d) <= 0.0:
+        i = int(np.argmin(d))
+        raise StructuralError(
+            f"regression-score variance {d[i]:.3e} for factor "
+            f"{block.factor_labels[i]} is not positive"
+        )
+    return a
+
+
+@functools.cache
+def _default_labels(prefix: str, count: int) -> tuple[str, ...]:
+    """``prefix1 .. prefix<count>``: one tuple, shared by every model that
+    takes default labels of this kind and count."""
+    return tuple(f"{prefix}{i + 1}" for i in range(count))
 
 
 @dataclass(frozen=True)
@@ -130,6 +238,7 @@ class SemModel:
     eta_labels: tuple[str, ...] = field(default=())
     x_labels: tuple[str, ...] = field(default=())
     y_labels: tuple[str, ...] = field(default=())
+    _derived: dict = _derived_field()
 
     def __post_init__(self):
         lx = _as_matrix(self.lambda_x, "lambda_x")
@@ -141,10 +250,10 @@ class SemModel:
 
         n_xi = lx.shape[1]
         n_eta = ly.shape[1]
-        xi_labels = self.xi_labels or tuple(f"xi{i + 1}" for i in range(n_xi))
-        eta_labels = self.eta_labels or tuple(f"eta{i + 1}" for i in range(n_eta))
-        x_labels = self.x_labels or tuple(f"x{i + 1}" for i in range(lx.shape[0]))
-        y_labels = self.y_labels or tuple(f"y{i + 1}" for i in range(ly.shape[0]))
+        xi_labels = self.xi_labels or _default_labels("xi", n_xi)
+        eta_labels = self.eta_labels or _default_labels("eta", n_eta)
+        x_labels = self.x_labels or _default_labels("x", lx.shape[0])
+        y_labels = self.y_labels or _default_labels("y", ly.shape[0])
 
         phi = self.phi
         if not isinstance(phi, FactorCorr):
@@ -215,38 +324,40 @@ class SemModel:
     def factor_labels(self) -> tuple[str, ...]:
         return self.xi_labels + self.eta_labels
 
+    @_kept
     def eta_cov(self) -> np.ndarray:
         """Model-implied covariance of the endogenous factors."""
         return self.gamma @ self.phi.values @ self.gamma.T + self.psi
 
-    # -- measurement blocks (built on each access, never kept) -------------
+    # -- measurement blocks, each built once and kept ----------------------
     @property
+    @_kept
     def exo(self) -> Block:
         """The x indicators on the exogenous factors, C = phi."""
         return Block(
-            EXOGENOUS, self.lambda_x, self.phi.values, self.xi_labels,
+            EXOGENOUS, (self.lambda_x,), self.phi.values, self.xi_labels,
             self.x_labels,
         )
 
     @property
+    @_kept
     def endo(self) -> Block:
         """The y indicators on the endogenous factors, C = implied eta
         covariance."""
         return Block(
-            ENDOGENOUS, self.lambda_y, self.eta_cov(), self.eta_labels,
+            ENDOGENOUS, (self.lambda_y,), self.eta_cov(), self.eta_labels,
             self.y_labels,
         )
 
     @property
+    @_kept
     def joint(self) -> Block:
         """The stacked (x, y) indicators on all factors: block-diagonal
         loadings and the combined factor correlation."""
-        loadings = np.zeros((self.n_x + self.n_y, self.n_xi + self.n_eta))
-        loadings[: self.n_x, : self.n_xi] = self.lambda_x
-        loadings[self.n_x:, self.n_xi:] = self.lambda_y
+        c = combined_factor_corr(self)
         return Block(
-            JOINT, loadings, combined_factor_corr(self).values,
-            self.factor_labels, self.x_labels + self.y_labels,
+            JOINT, (self.lambda_x, self.lambda_y), c.values, c.labels,
+            self.x_labels + self.y_labels,
         )
 
 
@@ -264,15 +375,13 @@ class ValidationReport:
         return "model rejected:\n" + "\n".join(f"  - {v}" for v in self.violations)
 
 
-def _pd_violation(values, what):
-    return pd_violation(np.linalg.eigvalsh(values), what)
-
-
+@_kept
 def _combined_corr(model: SemModel) -> tuple[np.ndarray, str | None]:
-    """C = [[phi, phi gamma'], [gamma phi, implied eta covariance]] and why
-    it is unusable, or None.  C must have a unit diagonal and be positive
-    definite, which holds iff phi and psi (the Schur complement of phi in C)
-    are: this one rule covers phi, the implied eta covariance and psi."""
+    """C = [[phi, phi gamma'], [gamma phi, implied eta covariance]], frozen,
+    and why it is unusable, or None.  C must have a unit diagonal and be
+    positive definite, which holds iff phi and psi (the Schur complement of
+    phi in C) are: this one rule covers phi, the implied eta covariance and
+    psi."""
     k = model.n_xi
     c = np.empty((k + model.n_eta,) * 2)
     c[:k, :k], c[k:, k:] = model.phi.values, model.eta_cov()
@@ -282,13 +391,16 @@ def _combined_corr(model: SemModel) -> tuple[np.ndarray, str | None]:
     d = np.abs(c.diagonal() - 1.0)
     i = int(np.argmax(d))
     if d[i] > UNIT_DIAGONAL_TOL:
-        return c, (
+        msg = (
             f"combined factor correlation has diagonal {c[i, i]:.10f} for "
             f"{model.factor_labels[i]}, expected 1 (the model is not "
             "completely standardized)"
         )
-    np.fill_diagonal(c, 1.0)
-    return c, _pd_violation(c, "combined factor correlation")
+    else:
+        np.fill_diagonal(c, 1.0)
+        msg = pd_violation(np.linalg.eigvalsh(c), "combined factor correlation")
+    c.setflags(write=False)  # adopted by combined_factor_corr's FactorCorr
+    return c, msg
 
 
 def validate_model(model: SemModel) -> ValidationReport:
@@ -297,7 +409,11 @@ def validate_model(model: SemModel) -> ValidationReport:
     Dimension mismatches raise StructuralError at SemModel construction, so
     a SemModel reaching this point is structurally consistent; this reports
     numerical violations (the combined factor correlation, loading and
-    uniqueness bounds, indicator covariances) entry by entry.
+    uniqueness bounds, indicator covariances) entry by entry.  An implied
+    indicator covariance is judged by the kept eigenvalues the block's
+    solve checks (:meth:`Block.sigma_violation`), with the same text; the
+    joint block's, when nothing else is wrong, since it cannot be built
+    without a usable C and repeats the x and y uniqueness errors.
     """
     msg = _combined_corr(model)[1]
     v: list[str] = [msg] if msg else []
@@ -311,17 +427,20 @@ def validate_model(model: SemModel) -> ValidationReport:
                 f"{block.indicator_labels[i]} exceeds 1"
             )
         try:
-            sigma = block.sigma()
+            msg = block.sigma_violation()
         except ModelError as exc:
-            v.append(str(exc))
-        else:
-            msg = _pd_violation(sigma, f"implied covariance of the {name} indicators")
-            if msg:
-                v.append(msg)
+            msg = str(exc)
+        if msg:
+            v.append(msg)
+    if not v:
+        msg = model.joint.sigma_violation()
+        if msg:
+            v.append(msg)
 
     return ValidationReport(tuple(v))
 
 
+@_kept
 def combined_factor_corr(model: SemModel) -> FactorCorr:
     """Correlation matrix of all factors, exogenous block first; raises
     ModelError saying why when it is not a positive definite correlation
@@ -330,3 +449,9 @@ def combined_factor_corr(model: SemModel) -> FactorCorr:
     if msg:
         raise ModelError(msg)
     return FactorCorr(model.factor_labels, c)
+
+
+@_kept
+def combined_factor_corr_sqrt(model: SemModel) -> np.ndarray:
+    """Symmetric square root of :func:`combined_factor_corr`."""
+    return sym_sqrt(combined_factor_corr(model).values)

@@ -5,14 +5,18 @@ to the centred indicators: regression scores ``C L' sigma^{-1}`` of one
 block or of the stacked (x, y) block, orthogonal scores
 ``(L' sigma^{-1} L)^{-1/2} L' sigma^{-1}``, and correlation-preserving
 scores from parameters, which premultiply the regression weights by the
-multiplier below, or the orthogonal weights by ``phi^{1/2}``.
+multiplier below, or the orthogonal weights by ``phi^{1/2}``.  A block
+builds each of its weight matrices once and keeps it
+(:class:`cpscores.model.Block`), so repeated scoring under one model
+repeats only the product with the data.
 
 The correlation-preserving multiplier ``C^{1/2} R^{-1/2} diag(cov)^{-1/2}``
-standardizes scores of covariance ``cov`` (correlation R) and rotates them
-to correlation C.  The data route (:func:`cp_transform`) takes ``cov`` from
-the sample, so the sample correlation of its result is C up to floating
-point; the parameter route (:func:`cp_scores_from_params`) takes the
-population covariance of the regression scores.
+(:func:`cpscores.linalg.cp_multiplier`) standardizes scores of covariance
+``cov`` (correlation R) and rotates them to correlation C.  The data route
+(:func:`cp_transform`) takes ``cov`` from the sample, so the sample
+correlation of its result is C up to floating point; the parameter route
+(:func:`cp_scores_from_params`) takes the population covariance of the
+regression scores.
 
 All functions are pure.  Indicator data are centred a block of rows at a
 time inside the weight product (:func:`cpscores.linalg.centred_product`),
@@ -25,8 +29,8 @@ import numpy as np
 
 from .containers import FactorCorr, ScoreMatrix, DataMatrix
 from .errors import StructuralError
-from .linalg import centred_product, corr_from_cov, moments, sym_inv_sqrt, sym_sqrt
-from .model import Block, SemModel
+from .linalg import centred_product, corr_from_cov, cp_multiplier, moments, sym_sqrt
+from .model import Block, SemModel, _score_cov
 
 PROV_REGRESSION = "regression"
 PROV_ORTHOGONAL = "orthogonal"
@@ -78,20 +82,6 @@ def joint_regression_scores(
     )
 
 
-def _score_cov(block: Block) -> np.ndarray:
-    """:meth:`Block.score_cov`, refused if a regression-score variance is
-    not positive (the factor's indicators carry none of it)."""
-    a = block.score_cov()
-    d = np.diag(a)
-    if np.min(d) <= 0.0:
-        i = int(np.argmin(d))
-        raise StructuralError(
-            f"regression-score variance {d[i]:.3e} for factor "
-            f"{block.factor_labels[i]} is not positive"
-        )
-    return a
-
-
 def score_corr(block: Block) -> FactorCorr:
     """Population correlation of the block's regression scores.
 
@@ -100,14 +90,6 @@ def score_corr(block: Block) -> FactorCorr:
     returns diag(A)^{-1/2} A diag(A)^{-1/2}.
     """
     return FactorCorr(block.factor_labels, corr_from_cov(_score_cov(block)))
-
-
-def _cp_multiplier(target: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """``target^{1/2} R^{-1/2} diag(cov)^{-1/2}``, R the correlation of
-    ``cov``: scores with covariance ``cov`` times its transpose have
-    covariance ``target``."""
-    t = sym_sqrt(target) @ sym_inv_sqrt(corr_from_cov(cov))
-    return t / np.sqrt(np.diag(cov))
 
 
 def cp_transform(p: ScoreMatrix, c_target: FactorCorr) -> ScoreMatrix:
@@ -125,7 +107,7 @@ def cp_transform(p: ScoreMatrix, c_target: FactorCorr) -> ScoreMatrix:
             f"scores are ordered {p.labels}"
         )
     cov = moments([p.values], p.labels)[1]
-    values = centred_product([p.values], _cp_multiplier(c_target.values, cov))
+    values = centred_product([p.values], cp_multiplier(c_target.values, cov))
     return p.replace_values(values, PROV_CP)
 
 
@@ -135,29 +117,25 @@ def cp_scores_from_params(model: SemModel, x_data: DataMatrix) -> ScoreMatrix:
     Substitutes the population regression-score covariance ``a`` into the
     transformation: the weight matrix is
     ``phi^{1/2} r^{-1/2} diag(a)^{-1/2} phi lambda_x' sigma_x^{-1}`` with
-    ``r`` the correlation of ``a``.  The population covariance of the
-    result is phi.
+    ``r`` the correlation of ``a`` (:meth:`Block.cp_weights`).  The
+    population covariance of the result is phi.
     """
     block = model.exo
-    w = _cp_multiplier(block.corr, _score_cov(block)) @ block.weights()
-    return _scores(block.factor_labels, [x_data], [model.n_x], w, PROV_CP)
-
-
-def _orthogonal_weights(block: Block) -> np.ndarray:
-    sigma_inv_l = block.sigma_inv_loadings()
-    m = block.loadings.T @ sigma_inv_l
-    return sym_inv_sqrt((m + m.T) / 2.0) @ sigma_inv_l.T
+    return _scores(
+        block.factor_labels, [x_data], [model.n_x], block.cp_weights(), PROV_CP
+    )
 
 
 def orthogonal_scores(model: SemModel, x_data: DataMatrix) -> ScoreMatrix:
     """Orthogonal factor scores (Takeuchi/Anderson-Rubin construction).
 
-    Weights ``(lambda_x' sigma_x^{-1} lambda_x)^{-1/2} lambda_x' sigma_x^{-1}``;
-    the population covariance of the scores is the identity.
+    Weights ``(lambda_x' sigma_x^{-1} lambda_x)^{-1/2} lambda_x' sigma_x^{-1}``
+    (:meth:`Block.orthogonal_weights`); the population covariance of the
+    scores is the identity.
     """
     block = model.exo
     return _scores(
-        block.factor_labels, [x_data], [model.n_x], _orthogonal_weights(block),
+        block.factor_labels, [x_data], [model.n_x], block.orthogonal_weights(),
         PROV_ORTHOGONAL,
     )
 
@@ -167,5 +145,5 @@ def cp_scores_from_orthogonal(model: SemModel, x_data: DataMatrix) -> ScoreMatri
     orthogonal score, with weights ``phi^{1/2}`` times the orthogonal
     weights; population covariance phi."""
     block = model.exo
-    w = sym_sqrt(block.corr) @ _orthogonal_weights(block)
+    w = sym_sqrt(block.corr) @ block.orthogonal_weights()
     return _scores(block.factor_labels, [x_data], [model.n_x], w, PROV_CP)

@@ -2,10 +2,10 @@
 example verification run.
 
 Factor draws mix i.i.d. standard normals with the symmetric square root of
-the combined factor correlation matrix (the choice between a symmetric and
-a triangular factor only affects which rotation of the latent space is
-drawn, not its correlation structure; the symmetric root is fixed here for
-reproducibility).  The generator is numpy's default PCG64, seeded.
+the combined factor correlation matrix, which the model keeps (the choice
+between a symmetric and a triangular factor only affects which rotation of
+the latent space is drawn, not its correlation structure; the symmetric
+root is fixed here for reproducibility).  The generator is numpy's default PCG64, seeded.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from .containers import DataMatrix, ScoreMatrix
 from .determinacy import determinacy_endo, determinacy_exo
 from .errors import DataError
 from .io import model_hash, parse_model_file
-from .linalg import row_blocks, sample_corr, sym_sqrt
-from .model import SemModel, combined_factor_corr
+from .linalg import row_blocks, sample_corr
+from .model import SemModel, combined_factor_corr, combined_factor_corr_sqrt
 from .regression import standardized_betas
 from .scores import (
     cp_scores_from_orthogonal,
@@ -54,10 +54,10 @@ def simulate_dataset(
     marginal variance is 1 in expectation.
     """
     model = spec.model
-    c = combined_factor_corr(model)
+    c_sqrt = combined_factor_corr_sqrt(model)
     n = spec.n_cases
     rng = np.random.default_rng(spec.seed)
-    factors = rng.standard_normal((n, model.n_xi + model.n_eta)) @ sym_sqrt(c.values)
+    factors = rng.standard_normal((n, model.n_xi + model.n_eta)) @ c_sqrt
     # x, then y, built a row block at a time in place on the unique-variate
     # draw; the draw order and every value are those of the whole-array
     # ``factors @ loadings' + draw * sqrt(uniqueness)``

@@ -201,6 +201,41 @@ class TestCsvRoundTrip:
         assert str(info.value) == f"{path}: duplicate label 'a'"
         assert not path.exists()
 
+    @pytest.mark.parametrize("first", ["case", "ID", "Case_Id"])
+    def test_writer_rejects_case_id_first_label(self, tmp_path, first):
+        # the reader would drop that column as case ids and lose its data
+        path = tmp_path / "m.csv"
+        with pytest.raises(DataError) as info:
+            write_matrix_csv(path, (first, "b"), [[1.0, 2.0]])
+        assert str(info.value) == (
+            f"{path}: first label {first!r} would be read back as a case-id "
+            "column and dropped"
+        )
+        assert not path.exists()
+
+    @pytest.mark.parametrize("labels, bad", [
+        (("a", " a"), " a"),  # the reader would refuse 'a' as a duplicate
+        (("a ", "b"), "a "),  # the reader would read back 'a'
+        (("a", "b\t"), "b\t"),
+    ])
+    def test_writer_rejects_label_with_surrounding_whitespace(
+            self, tmp_path, labels, bad):
+        path = tmp_path / "m.csv"
+        with pytest.raises(DataError) as info:
+            write_matrix_csv(path, labels, [[1.0, 2.0]])
+        assert str(info.value) == (
+            f"{path}: label {bad!r} has surrounding whitespace, which the "
+            "reader strips"
+        )
+        assert not path.exists()
+
+    def test_case_id_label_after_the_first_round_trips(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, ("a", "case"), [[1.0, 2.0]])
+        labels, values = read_labeled_csv(path)
+        assert labels == ("a", "case")
+        assert values.tolist() == [[1.0, 2.0]]
+
     def test_writer_rejects_label_count_mismatch(self, tmp_path):
         path = tmp_path / "m.csv"
         with pytest.raises(StructuralError) as info:

@@ -11,24 +11,34 @@ stacked (x, y), is five times the result and a container copy of the
 result adds one.  The simulator holds the factors (a fifth of x and y)
 besides x and y, and betas hold one centred block of their input.
 ``ScoreMatrix.select`` gathers its columns in one copy, which its
-container adopts.
+container adopts.  A warm model keeps its weight matrices and short
+vectors, and none of the p x p implied covariances or the stacked joint
+loadings, which are rebuilt when needed.
 """
 
+import gc
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from cpscores import (
+    ENDOGENOUS,
+    EXOGENOUS,
+    closed_form_regression_determinacy,
     combined_factor_corr,
     cp_scores_from_params,
     cp_transform,
+    determinacy_endo,
+    determinacy_exo,
     joint_regression_scores,
     orthogonal_scores,
     regression_scores,
     standardized_betas,
+    validate_model,
 )
 from cpscores import linalg
-from cpscores.simulate import SimulationSpec, simulate_dataset
+from cpscores.simulate import SimulationSpec, random_model, simulate_dataset
 
 N_CASES = 10 * linalg.ROW_BLOCK + 17
 
@@ -102,3 +112,53 @@ def test_betas_peak_within_bound(model, example_data):
     xi, eta = joint.select(model.xi_labels), joint.select(model.eta_labels)
     _, peak = traced_peak(standardized_betas, xi, eta)
     assert peak / (xi.values.nbytes + eta.values.nbytes) <= 0.5
+
+
+def _fit(model, n_cases=200):
+    """Validation, simulation, every score family, the transform,
+    determinacy, betas and the closed form under one model."""
+    validate_model(model)
+    x, y, _ = simulate_dataset(SimulationSpec(model, n_cases, 1, False))
+    joint = joint_regression_scores(model, x, y)
+    cp = cp_transform(joint, combined_factor_corr(model))
+    cp_scores_from_params(model, x)
+    orthogonal_scores(model, x)
+    xi, eta = cp.select(model.xi_labels), cp.select(model.eta_labels)
+    determinacy_exo(xi, x, model)
+    determinacy_endo(eta, y, model)
+    standardized_betas(xi, eta)
+    for block in (EXOGENOUS, ENDOGENOUS):
+        closed_form_regression_determinacy(model, block)
+
+
+def _kept_float_count(model):
+    """Floats a warm model must keep: the regression weights of its three
+    blocks, the orthogonal and parameter-route weights of the x block, the
+    x and y score covariances, each block's uniqueness and the smallest and
+    largest eigenvalue of its implied covariance, C, C^{1/2} and the
+    implied eta covariance."""
+    k, h, p, q = model.n_xi, model.n_eta, model.n_x, model.n_y
+    return (3 * k * p + h * q + (k + h) * (p + q)
+            + k * k + h * h
+            + 2 * (p + q) + 3 * 2
+            + 2 * (k + h) ** 2 + h * h)
+
+
+# Bytes a warm model may retain beyond its kept floats: each kept array's
+# object, the dicts that hold them and the blocks.  Measured at about
+# 4.7 KB for the model below (numpy 2.4, CPython 3.11); keeping the stacked
+# joint loadings adds 4.8 KB and the joint implied covariance 28.8 KB.
+KEPT_OVERHEAD_BYTES = 7_500
+
+
+def test_warm_model_keeps_weights_and_short_vectors_only(traced):
+    rng = np.random.default_rng(11)
+    _fit(random_model(rng, 6, 4, 6))  # numpy's own small caches warm up
+    model = random_model(rng, 6, 4, 6)
+    gc.collect()
+    base = tracemalloc.get_traced_memory()[0]
+    _fit(model)
+    gc.collect()
+    retained = tracemalloc.get_traced_memory()[0] - base
+    kept = 8 * _kept_float_count(model)
+    assert kept <= retained <= kept + KEPT_OVERHEAD_BYTES

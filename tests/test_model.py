@@ -6,6 +6,7 @@ import pytest
 from cpscores import (
     FactorCorr,
     ModelError,
+    NearSingularError,
     SemModel,
     StructuralError,
     combined_factor_corr,
@@ -285,3 +286,64 @@ def test_combined_corr_valid_for_random_models(rng):
 def test_factor_corr_rejects_asymmetry():
     with pytest.raises(StructuralError):
         FactorCorr(("a", "b"), np.array([[1.0, 0.2], [0.3, 1.0]]))
+
+
+class TestConditioning:
+    """The block solve refuses a near-singular implied covariance from the
+    eigenvalues the block keeps, and validation reports the same text."""
+
+    @staticmethod
+    def heywood_model(uniqueness, n_y=2, loading_y=0.7):
+        # two x indicators that are the factor but for a uniqueness near
+        # 0: sigma_x is near-singular along their difference
+        h = np.sqrt(1.0 - uniqueness)
+        return SemModel(
+            lambda_x=np.array([[h], [h], [0.7]]),
+            phi=np.eye(1),
+            lambda_y=np.full((n_y, 1), loading_y),
+            gamma=np.array([[0.8]]),
+            psi=np.array([[0.36]]),
+        )
+
+    def test_heywood_edge_refused_naming_block_and_eigenvalue(self):
+        m = self.heywood_model(1e-12)
+        assert m.exo.uniqueness()[:2] == pytest.approx([1e-12] * 2, rel=1e-3)
+        smallest = m.exo.sigma_eigenvalue_range()[0]
+        assert 0.0 < smallest < 2e-12
+        expected = (
+            "implied covariance of the exogenous indicators not positive "
+            f"definite (smallest eigenvalue {smallest:.3e})"
+        )
+        for call in (m.exo.sigma_inv_loadings, m.exo.weights,
+                     m.exo.orthogonal_weights, m.exo.cp_weights):
+            with pytest.raises(NearSingularError) as info:
+                call()
+            assert str(info.value) == expected
+        assert validate_model(m).violations == (expected,)
+        with pytest.raises(NearSingularError, match="joint indicators"):
+            m.joint.weights()
+        # the y block is untouched
+        assert np.all(np.isfinite(m.endo.weights()))
+
+    def test_joint_block_checked_on_its_own(self):
+        # sigma_x's smallest eigenvalue is 1.5e-10 of its largest, which
+        # passes; twenty strong y indicators make sigma_z's largest about
+        # 18, and about the same smallest eigenvalue is then 2.2e-11 of
+        # it, below PD_RTOL (1e-10)
+        m = self.heywood_model(4e-10, n_y=20, loading_y=0.9)
+        assert m.exo.sigma_violation() is None
+        assert m.endo.sigma_violation() is None
+        msg = m.joint.sigma_violation()
+        assert msg.startswith(
+            "implied covariance of the joint indicators not positive definite")
+        assert validate_model(m).violations == (msg,)
+        with pytest.raises(NearSingularError) as info:
+            m.joint.weights()
+        assert str(info.value) == msg
+
+    def test_well_conditioned_ranges(self, model):
+        for block in (model.exo, model.endo, model.joint):
+            low, high = block.sigma_eigenvalue_range()
+            w = np.linalg.eigvalsh(block.sigma())
+            assert (low, high) == (w[0], w[-1])
+            assert block.sigma_violation() is None

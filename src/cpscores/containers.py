@@ -10,11 +10,18 @@ copied and the copy is write-protected.  Either way ``_check_matrix``,
 which the CSV reader and writer call too, checks shape, labels and cells.
 A :class:`ScoreMatrix` carries factor labels only; the model's blocks say
 which block each factor belongs to.
+
+An immutable object that holds arrays compares and hashes by identity
+(``eq=False``): ``==`` between arrays has no single truth value.  Such an
+object keeps what is derived from it, computed on first use
+(:func:`_kept`); a :class:`FactorCorr` keeps its square root
+(:func:`cpscores.linalg.corr_sqrt`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,6 +88,31 @@ def pd_violation(eigenvalues: np.ndarray, what: str) -> str | None:
     return None
 
 
+def _kept(fn):
+    """``fn(obj)`` for an immutable ``obj``, computed on the first call and
+    kept in ``obj._derived``, frozen if it is an array; a call that raises
+    keeps nothing.  Threads that race on a cold ``obj`` may each compute
+    the value, which is the same, and all return the one kept first."""
+    key = fn.__name__
+
+    @functools.wraps(fn)
+    def kept(obj):
+        try:
+            return obj._derived[key]
+        except KeyError:
+            value = fn(obj)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        return obj._derived.setdefault(key, value)
+
+    return kept
+
+
+def _derived_field():
+    """The dict in which :func:`_kept` keeps an object's derived values."""
+    return field(default_factory=dict, init=False, repr=False)
+
+
 def _check_labels(labels, count: int, prefix: str) -> tuple[str, ...]:
     labels = tuple(str(lb) for lb in labels)
     if len(labels) != count:
@@ -93,7 +125,7 @@ def _check_labels(labels, count: int, prefix: str) -> tuple[str, ...]:
     return labels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorCorr:
     """Correlation matrix over an ordered list of factors.
 
@@ -105,6 +137,7 @@ class FactorCorr:
 
     labels: tuple[str, ...]
     values: np.ndarray
+    _derived: dict = _derived_field()
 
     def __post_init__(self):
         values, labels = _as_matrix(self.values, "correlation matrix", self.labels)
@@ -125,7 +158,7 @@ class FactorCorr:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DataMatrix:
     """Cases-by-indicators numeric matrix with indicator labels; at least
     one case."""
@@ -149,7 +182,7 @@ class DataMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreMatrix:
     """Cases-by-factors score matrix, one column per factor label; the
     whole matrix records how the scores were produced (``provenance``)."""

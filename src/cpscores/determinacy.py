@@ -8,12 +8,13 @@ and the model-implied indicator covariance:
     diag( diag(P'P/(n-1))^{-1/2} . P'X/(n-1) . sigma^{-1} lambda C )
 
 where ``C lambda' sigma^{-1}`` is the block's regression weight matrix
-(:meth:`cpscores.model.Block.weights`).  It applies to plain and
-correlation-preserving scores alike; the score moments come from
-:func:`cpscores.linalg.moments`, which refuses a constant score column,
-and the cross moment is summed over the row blocks of
-``centred_blocks([scores, data])`` (:func:`cpscores.linalg.centred_blocks`),
-with no centred copy of the scores or the data.
+(:meth:`cpscores.model.Block.weights`).  It is exact for scores linear in
+that block's indicators alone, plain or correlation-preserving; scores
+that also use the other block's indicators can give a coefficient above
+1.  The score moments come from :func:`cpscores.linalg.moments`, which
+refuses a constant score column, and the cross moment is summed over the
+row blocks of the scores and the data side by side
+(:func:`cpscores.linalg.centred_blocks`), with no centred copy of either.
 A closed-form population value for exact regression scores is provided as
 an oracle.
 """
@@ -36,7 +37,7 @@ NORMALIZER_SD = "sd"
 NORMALIZER_VARIANCE = "variance"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeterminacyReport:
     labels: tuple[str, ...]
     coefficients: np.ndarray
@@ -74,9 +75,10 @@ def _determinacy(scores, data, block: Block, normalizer):
             f"scores are ordered {scores.labels}, expected {labels}"
         )
     var = np.diag(moments([scores.values], labels)[1])
-    cross = np.zeros((len(labels), data.n_vars))
-    for _, (p, z) in centred_blocks([scores.values, data.values]):
-        cross += p.T @ z
+    k = len(labels)
+    cross = np.zeros((k, data.n_vars))
+    for _, z in centred_blocks([scores.values, data.values]):
+        cross += z[:, :k].T @ z[:, k:]
     cross /= n - 1
     scale = var if normalizer == NORMALIZER_VARIANCE else np.sqrt(var)
     coeffs = np.einsum("ij,ij->i", cross / scale[:, None], block.weights())

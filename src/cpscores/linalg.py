@@ -16,14 +16,13 @@ Conventions used throughout the package:
   sum goes through BLAS, so none depends on the BLAS thread count;
 * everything that touches all n rows of centred data goes a block of
   ``ROW_BLOCK`` rows at a time through :func:`centred_blocks`, which
-  centres each array into a reused buffer of its own, laid out like its
-  source (row- or column-major), a row-major one ``LANES`` rows at a
-  time.  :func:`centred_product` sums each array's block times its slice
-  of the weights, and the determinacy cross moment is summed over
-  ``centred_blocks([scores, data])``.  :func:`moments` centres its arrays
-  side by side into one block buffer, column-major when they all are, and
-  sums the covariance block by block.  No whole centred or stacked copy
-  of the data is made;
+  copies the block of each array, whatever its layout, into that array's
+  columns of one reused row-major buffer and subtracts the joined column
+  means in place, ``LANES`` rows at a time.  :func:`centred_product`
+  writes each block times the weights into its rows of the result,
+  :func:`moments` sums ``z' z`` and the determinacy cross moment sums the
+  scores' columns of ``z`` against the data's.  No whole centred or
+  stacked copy of the data is made;
 * symmetric matrix functions go through a full eigendecomposition, so only
   spectral functions of the input are ever exposed, and refuse an input
   asymmetric beyond ``SYMMETRY_RTOL``;
@@ -39,7 +38,7 @@ import warnings
 
 import numpy as np
 
-from .containers import FactorCorr, ScoreMatrix, pd_violation
+from .containers import FactorCorr, ScoreMatrix, _kept, pd_violation
 from .errors import DataError, NearSingularError, StructuralError
 
 
@@ -69,6 +68,12 @@ def sym_sqrt(s: np.ndarray) -> np.ndarray:
 def sym_inv_sqrt(s: np.ndarray) -> np.ndarray:
     """Symmetric inverse square root: V diag(w)^{-1/2} V'."""
     return _sym_power(s, -0.5)
+
+
+@_kept
+def corr_sqrt(c: FactorCorr) -> np.ndarray:
+    """:func:`sym_sqrt` of a correlation matrix, kept by the FactorCorr."""
+    return sym_sqrt(c.values)
 
 
 # ---------------------------------------------------------------------------
@@ -121,83 +126,45 @@ def _floats(arrays) -> list[np.ndarray]:
     return [np.asarray(a, dtype=float) for a in arrays]
 
 
-def _spans(arrays) -> list[slice]:
-    """The column slice of each array within the arrays side by side."""
-    cols = list(itertools.accumulate((a.shape[1] for a in arrays), initial=0))
-    return [slice(lo, hi) for lo, hi in zip(cols, cols[1:])]
-
-
-def _subtract_rows(a, mean, tiled, out):
-    """``out[:] = a - mean`` for same-shape 2-d arrays.  Given ``tiled``
-    (``mean`` repeated ``LANES`` times) and a row-major ``out``, ``a`` is
-    row-major and all but the last ``len(a) % LANES`` rows are centred
-    ``LANES`` rows at a time, so numpy's inner loop runs over ``LANES * k``
-    values."""
-    m = 0 if tiled is None or not out.flags.c_contiguous else len(a) - len(a) % LANES
-    if m:
-        np.subtract(a[:m].reshape(-1, tiled.size), tiled,
-                    out=out[:m].reshape(-1, tiled.size))
-    if m < len(a):
-        np.subtract(a[m:], mean, out=out[m:])
-
-
-def _centred(arrays, means, stacked=False):
-    """:func:`centred_blocks` of float arrays with their column means; or,
-    ``stacked``, yield ``(rows, z)`` with the centred blocks side by side
-    in one buffer, column-major if every array is."""
+def _centred(arrays, mean):
+    """:func:`centred_blocks` of float arrays with their joined column
+    ``mean``."""
     n = arrays[0].shape[0]
     blocks = row_blocks(n)
-    size = -(-n // len(blocks))
-    column_major = [a.strides[0] == a.itemsize for a in arrays]
-    spans = _spans(arrays)
-    if stacked:
-        whole = np.empty((size, spans[-1].stop), order="F" if all(column_major) else "C")
-        bufs = [whole[:, span] for span in spans]
-    else:
-        # one allocation cut into a buffer per array: with an allocation
-        # each, repeated small fits took about four times the page faults
-        flat = np.empty(size * spans[-1].stop)
-        bufs = [flat[size * span.start: size * span.stop].reshape(
-                    size, span.stop - span.start, order="F" if f else "C")
-                for span, f in zip(spans, column_major)]
-    tiled = [np.repeat(m[None], LANES, axis=0).ravel() if a.flags.c_contiguous else None
-             for a, m in zip(arrays, means)]
+    cols = list(itertools.accumulate((a.shape[1] for a in arrays), initial=0))
+    buf = np.empty((-(-n // len(blocks)), cols[-1]))
+    tiled = np.tile(mean, LANES)
     for rows in blocks:
-        zs = [buf[: rows.stop - rows.start] for buf in bufs]
-        for a, m, t, z in zip(arrays, means, tiled, zs):
-            _subtract_rows(a[rows], m, t, z)
-        yield rows, whole[: rows.stop - rows.start] if stacked else zs
+        z = buf[: rows.stop - rows.start]
+        for a, lo, hi in zip(arrays, cols, cols[1:]):
+            z[:, lo:hi] = a[rows]
+        m = len(z) - len(z) % LANES
+        lanes = z[:m].reshape(-1, tiled.size)
+        lanes -= tiled
+        z[m:] -= mean
+        yield rows, z
 
 
 def centred_blocks(arrays):
-    """Yield ``(rows, zs)`` for the consecutive :func:`row_blocks` of the
-    same-length 2-d ``arrays``: ``zs[i]`` is ``arrays[i][rows]`` less the
-    column means of all of ``arrays[i]``.
+    """Yield ``(rows, z)`` for the consecutive :func:`row_blocks` of the
+    same-length 2-d ``arrays``: ``z`` is their ``rows`` side by side, each
+    column less its mean over all n rows.
 
-    Each ``zs[i]`` is a reused buffer laid out like ``arrays[i]`` (column-
-    or row-major), overwritten by the next block; use it before advancing
-    the iterator.
+    ``z`` is one reused row-major buffer, overwritten by the next block;
+    use it before advancing the iterator.  It is centred ``LANES`` rows at
+    a time, so numpy's inner loop runs over ``LANES`` times its width.
     """
     arrays = _floats(arrays)
-    return _centred(arrays, [column_means(a) for a in arrays])
+    return _centred(arrays, np.concatenate([column_means(a) for a in arrays]))
 
 
 def centred_product(arrays, w: np.ndarray) -> np.ndarray:
     """``hstack([a - a.mean(axis=0) for a in arrays]) @ w.T``, written into
-    a preallocated result a row block at a time as the sum over the arrays
-    of each centred block times the array's slice of the columns of ``w``;
-    the result is frozen."""
-    arrays = _floats(arrays)
+    a preallocated result a row block at a time; the result is frozen."""
     w = np.asarray(w, dtype=float)
-    w_ts = [w[:, span].T for span in _spans(arrays)]
-    n = arrays[0].shape[0]
-    out = np.empty((n, w.shape[0]))
-    part = np.empty((min(n, ROW_BLOCK) if len(arrays) > 1 else 0, w.shape[0]))
-    for rows, zs in centred_blocks(arrays):
-        dest = out[rows]
-        np.matmul(zs[0], w_ts[0], out=dest)
-        for z, w_t in zip(zs[1:], w_ts[1:]):
-            dest += np.matmul(z, w_t, out=part[: len(z)])
+    out = np.empty((len(arrays[0]), w.shape[0]))
+    for rows, z in centred_blocks(arrays):
+        np.matmul(z, w.T, out=out[rows])
     out.setflags(write=False)
     return out
 
@@ -228,10 +195,9 @@ def moments(arrays, labels=None) -> tuple[np.ndarray, np.ndarray]:
     n = arrays[0].shape[0]
     if n < 2:
         raise DataError(f"at least 2 cases required for sample moments, got {n}")
-    means = [column_means(a) for a in arrays]
-    mean = np.concatenate(means)
+    mean = np.concatenate([column_means(a) for a in arrays])
     cov = np.zeros((len(mean), len(mean)))
-    for _, z in _centred(arrays, means, stacked=True):
+    for _, z in _centred(arrays, mean):
         cov += z.T @ z
     cov /= n - 1
     sd = np.sqrt(np.diag(cov))
@@ -258,12 +224,12 @@ def corr_from_cov(cov: np.ndarray) -> np.ndarray:
     return (r + r.T) / 2.0
 
 
-def cp_multiplier(target: np.ndarray, cov: np.ndarray) -> np.ndarray:
+def cp_multiplier(target_sqrt: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """The correlation-preserving multiplier
-    ``target^{1/2} R^{-1/2} diag(cov)^{-1/2}``, R the correlation of
-    ``cov``: scores with covariance ``cov`` times its transpose have
-    covariance ``target``."""
-    t = sym_sqrt(target) @ sym_inv_sqrt(corr_from_cov(cov))
+    ``target^{1/2} R^{-1/2} diag(cov)^{-1/2}`` from the symmetric root
+    ``target_sqrt``, R the correlation of ``cov``: scores with covariance
+    ``cov`` times its transpose have covariance ``target``."""
+    t = target_sqrt @ sym_inv_sqrt(corr_from_cov(cov))
     return t / np.sqrt(np.diag(cov))
 
 

@@ -10,14 +10,15 @@ solution as ``diag(I - L C L')`` rather than read from input, so they cannot
 drift out of sync with the loadings.
 
 Models and blocks are immutable, so every matrix derived from them is
-computed once, on first use, and kept frozen (:func:`_kept`): a model keeps
-its blocks, the combined factor correlation and its square root, and a
-block keeps its uniqueness, the smallest and largest eigenvalue of its
-implied indicator covariance, its score covariance and its weight
-matrices.  The implied covariance itself, its
-solve against the loadings and the stacked loadings of the joint block are
-rebuilt when needed and not kept.  To change a parameter, build a new
-model; it starts with nothing kept.
+computed once, on first use, and kept frozen
+(:func:`cpscores.containers._kept`): a model keeps its blocks and the
+combined factor correlation, which keeps its square root, and a block
+keeps its uniqueness, the smallest and largest eigenvalue of its implied
+indicator covariance, its score covariance and its weight matrices.  The
+implied covariance itself, its solve against the loadings and the
+stacked loadings of the joint block are rebuilt when needed and not
+kept.  To change a parameter, build a new model; it starts with nothing
+kept.  Models and blocks compare and hash by identity.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ from .containers import (
     EXOGENOUS,
     FactorCorr,
     _as_matrix,
+    _check_labels,
+    _derived_field,
+    _kept,
     pd_violation,
 )
 from .errors import ModelError, NearSingularError, StructuralError
@@ -46,32 +50,7 @@ LOADING_TOL = 1e-6
 JOINT = "joint"
 
 
-def _kept(fn):
-    """``fn(obj)`` for an immutable ``obj``, computed on the first call and
-    kept in ``obj._derived``, frozen if it is an array; a call that raises
-    keeps nothing.  Threads that race on a cold ``obj`` may each compute
-    the value, which is the same, and all return the one kept first."""
-    key = fn.__name__
-
-    @functools.wraps(fn)
-    def kept(obj):
-        try:
-            return obj._derived[key]
-        except KeyError:
-            value = fn(obj)
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-        return obj._derived.setdefault(key, value)
-
-    return kept
-
-
-def _derived_field():
-    """The dict in which :func:`_kept` keeps an object's derived values."""
-    return field(default_factory=dict, init=False, repr=False, compare=False)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Block:
     """A measurement model: indicators on factors with covariance ``corr``,
     the exogenous, endogenous or joint block of a :class:`SemModel`, which
@@ -183,7 +162,7 @@ class Block:
         ``C^{1/2} R^{-1/2} diag(A)^{-1/2}`` (:func:`cpscores.linalg.cp_multiplier`)
         with ``A`` the regression-score covariance and ``R`` its
         correlation, so the population covariance of the scores is C."""
-        return cp_multiplier(self.corr, _score_cov(self)) @ self.weights()
+        return cp_multiplier(sym_sqrt(self.corr), _score_cov(self)) @ self.weights()
 
 
 def _score_cov(block: Block) -> np.ndarray:
@@ -207,7 +186,30 @@ def _default_labels(prefix: str, count: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i + 1}" for i in range(count))
 
 
-@dataclass(frozen=True)
+def _labels(given, name: str, prefix: str, count: int) -> tuple[str, ...]:
+    """The labels ``given`` for a model field ``name``, checked against
+    ``count``, or the default ones when none are given."""
+    return _check_labels(given, count, name) if given else _default_labels(prefix, count)
+
+
+def _corr(c, name: str, labels, loadings: str) -> FactorCorr:
+    """``c`` as a FactorCorr over ``labels``, refused unless its order is
+    the number of columns of ``loadings`` and, given as a FactorCorr, it
+    carries those labels."""
+    if not isinstance(c, FactorCorr):
+        c = FactorCorr(labels, c)
+    if c.order != len(labels):
+        raise StructuralError(
+            f"{name} order {c.order} does not match {loadings} columns {len(labels)}"
+        )
+    if c.labels != labels:
+        raise StructuralError(
+            f"{name} is labelled {c.labels}, the model's factors are {labels}"
+        )
+    return c
+
+
+@dataclass(frozen=True, eq=False)
 class SemModel:
     """Completely standardized model parameters.
 
@@ -250,18 +252,14 @@ class SemModel:
 
         n_xi = lx.shape[1]
         n_eta = ly.shape[1]
-        xi_labels = self.xi_labels or _default_labels("xi", n_xi)
-        eta_labels = self.eta_labels or _default_labels("eta", n_eta)
-        x_labels = self.x_labels or _default_labels("x", lx.shape[0])
-        y_labels = self.y_labels or _default_labels("y", ly.shape[0])
+        xi_labels = _labels(self.xi_labels, "xi_labels", "xi", n_xi)
+        eta_labels = _labels(self.eta_labels, "eta_labels", "eta", n_eta)
+        x_labels = _labels(self.x_labels, "x_labels", "x", lx.shape[0])
+        y_labels = _labels(self.y_labels, "y_labels", "y", ly.shape[0])
+        _check_labels(xi_labels + eta_labels, n_xi + n_eta,
+                      "xi_labels and eta_labels")
 
-        phi = self.phi
-        if not isinstance(phi, FactorCorr):
-            phi = FactorCorr(xi_labels, phi)
-        if phi.order != n_xi:
-            raise StructuralError(
-                f"phi order {phi.order} does not match lambda_x columns {n_xi}"
-            )
+        phi = _corr(self.phi, "phi", xi_labels, "lambda_x")
         if gamma.shape != (n_eta, n_xi):
             raise StructuralError(
                 f"gamma shape {gamma.shape} does not match "
@@ -269,13 +267,8 @@ class SemModel:
             )
 
         eta_corr = self.eta_corr
-        if eta_corr is not None and not isinstance(eta_corr, FactorCorr):
-            eta_corr = FactorCorr(eta_labels, eta_corr)
-        if eta_corr is not None and eta_corr.order != n_eta:
-            raise StructuralError(
-                f"eta_corr order {eta_corr.order} does not match "
-                f"lambda_y columns {n_eta}"
-            )
+        if eta_corr is not None:
+            eta_corr = _corr(eta_corr, "eta_corr", eta_labels, "lambda_y")
 
         implied = gamma @ phi.values @ gamma.T
         psi = self.psi
@@ -449,9 +442,3 @@ def combined_factor_corr(model: SemModel) -> FactorCorr:
     if msg:
         raise ModelError(msg)
     return FactorCorr(model.factor_labels, c)
-
-
-@_kept
-def combined_factor_corr_sqrt(model: SemModel) -> np.ndarray:
-    """Symmetric square root of :func:`combined_factor_corr`."""
-    return sym_sqrt(combined_factor_corr(model).values)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .containers import FactorCorr, ScoreMatrix, DataMatrix
 from .errors import StructuralError
-from .linalg import centred_product, corr_from_cov, cp_multiplier, moments, sym_sqrt
+from .linalg import centred_product, corr_from_cov, corr_sqrt, cp_multiplier, moments
 from .model import Block, SemModel, _score_cov
 
 PROV_REGRESSION = "regression"
@@ -107,7 +107,7 @@ def cp_transform(p: ScoreMatrix, c_target: FactorCorr) -> ScoreMatrix:
             f"scores are ordered {p.labels}"
         )
     cov = moments([p.values], p.labels)[1]
-    values = centred_product([p.values], cp_multiplier(c_target.values, cov))
+    values = centred_product([p.values], cp_multiplier(corr_sqrt(c_target), cov))
     return p.replace_values(values, PROV_CP)
 
 
@@ -145,5 +145,5 @@ def cp_scores_from_orthogonal(model: SemModel, x_data: DataMatrix) -> ScoreMatri
     orthogonal score, with weights ``phi^{1/2}`` times the orthogonal
     weights; population covariance phi."""
     block = model.exo
-    w = sym_sqrt(block.corr) @ block.orthogonal_weights()
+    w = corr_sqrt(model.phi) @ block.orthogonal_weights()
     return _scores(block.factor_labels, [x_data], [model.n_x], w, PROV_CP)

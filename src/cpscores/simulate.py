@@ -19,8 +19,8 @@ from .containers import DataMatrix, ScoreMatrix
 from .determinacy import determinacy_endo, determinacy_exo
 from .errors import DataError
 from .io import model_hash, parse_model_file
-from .linalg import row_blocks, sample_corr
-from .model import SemModel, combined_factor_corr, combined_factor_corr_sqrt
+from .linalg import corr_sqrt, row_blocks, sample_corr
+from .model import SemModel, combined_factor_corr
 from .regression import standardized_betas
 from .scores import (
     cp_scores_from_orthogonal,
@@ -32,7 +32,7 @@ from .scores import (
 RNG_NAME = "numpy default_rng (PCG64)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationSpec:
     model: SemModel
     n_cases: int
@@ -54,7 +54,7 @@ def simulate_dataset(
     marginal variance is 1 in expectation.
     """
     model = spec.model
-    c_sqrt = combined_factor_corr_sqrt(model)
+    c_sqrt = corr_sqrt(combined_factor_corr(model))
     n = spec.n_cases
     rng = np.random.default_rng(spec.seed)
     factors = rng.standard_normal((n, model.n_xi + model.n_eta)) @ c_sqrt
@@ -170,7 +170,7 @@ class ExampleCheck:
     detail: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExampleReport:
     seed: int
     n_cases: int

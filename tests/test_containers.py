@@ -8,6 +8,7 @@ copied, and the container's values are read-only either way.
 import numpy as np
 import pytest
 
+import cpscores
 from cpscores import DataError, DataMatrix, ScoreMatrix, StructuralError
 
 LABELS = ("a", "b")
@@ -158,3 +159,15 @@ def test_data_matrix_refuses_zero_cases(values):
     # warns about instead of refusing
     with pytest.raises(DataError, match="no cases"):
         data(values)
+
+
+@pytest.mark.parametrize("cls", [
+    cpscores.SemModel, cpscores.Block, cpscores.FactorCorr, DataMatrix,
+    ScoreMatrix, cpscores.DeterminacyReport, cpscores.ExampleReport,
+    cpscores.SimulationSpec,
+], ids=lambda cls: cls.__name__)
+def test_array_holders_compare_and_hash_by_identity(cls):
+    # a generated __eq__ would compare the arrays, which have no single
+    # truth value, and a generated __hash__ would hash them
+    assert cls.__eq__ is object.__eq__
+    assert cls.__hash__ is object.__hash__

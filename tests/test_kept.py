@@ -22,6 +22,7 @@ from cpscores import (
     orthogonal_scores,
     regression_scores,
     score_corr,
+    standardized_betas,
     validate_model,
 )
 from cpscores.simulate import SimulationSpec, random_model, simulate_dataset
@@ -167,3 +168,53 @@ def test_threads_on_a_cold_model_see_one_kept_value():
     assert len({id(w) for w in weights}) == 1
     for result in results:
         assert_same(result, expected)
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The shapes of the matrices passed to ``np.linalg.eigh``."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def replication(model, seed):
+    """One fit of a replication study: validation, a fresh draw and the
+    whole score chain on it."""
+    validate_model(model)
+    x, y, _ = simulate_dataset(SimulationSpec(model, 100, seed, False))
+    cp = cp_transform(joint_regression_scores(model, x, y),
+                      combined_factor_corr(model))
+    cp_scores_from_params(model, x)
+    orthogonal_scores(model, x)
+    xi, eta = cp.select(model.xi_labels), cp.select(model.eta_labels)
+    determinacy_exo(xi, x, model)
+    determinacy_endo(eta, y, model)
+    standardized_betas(xi, eta)
+    for block in ("exogenous", "endogenous"):
+        closed_form_regression_determinacy(model, block)
+
+
+def test_warm_replication_takes_one_eigendecomposition(eigh_calls):
+    (model, _), _, _ = draw(5)
+    replication(model, 1)
+    eigh_calls.clear()
+    replication(model, 2)
+    # the inverse root of the sample score correlation; the root of C is
+    # kept by the model's FactorCorr
+    assert eigh_calls == [(5, 5)]
+
+
+def test_warm_cp_scores_from_orthogonal_takes_no_eigendecomposition(eigh_calls):
+    (model, _), x, _ = draw(6)
+    first = cp_scores_from_orthogonal(model, x)
+    eigh_calls.clear()
+    again = cp_scores_from_orthogonal(model, x)
+    assert eigh_calls == []
+    assert np.array_equal(first.values, again.values)

@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from cpscores import (
+    DataError,
     FactorCorr,
     ModelError,
     NearSingularError,
     SemModel,
+    SimulationSpec,
     StructuralError,
     combined_factor_corr,
+    cp_transform,
+    random_model,
+    regression_scores,
+    simulate_dataset,
     validate_model,
 )
 
@@ -347,3 +353,76 @@ class TestConditioning:
             w = np.linalg.eigvalsh(block.sigma())
             assert (low, high) == (w[0], w[-1])
             assert block.sigma_violation() is None
+
+
+class TestIdentity:
+    """Models, blocks and correlations hold arrays, so they compare and
+    hash by identity."""
+
+    def test_equal_draws_compare_unequal_without_raising(self):
+        a, b = (random_model(np.random.default_rng(1)) for _ in "ab")
+        assert a != b
+        assert a == a
+        assert a.exo != b.exo
+        assert a.phi != b.phi
+        assert combined_factor_corr(a) != combined_factor_corr(b)
+
+    def test_model_is_a_dict_key(self):
+        a, b = (random_model(np.random.default_rng(1)) for _ in "ab")
+        fits = {a: "a", b: "b", a.exo: "a.exo", a.phi: "a.phi"}
+        assert [fits[a], fits[b], fits[a.exo], fits[a.phi]] == [
+            "a", "b", "a.exo", "a.phi"]
+
+
+class TestLabels:
+    """Every label tuple of a model is checked against its matrix, and a
+    FactorCorr must carry the labels of its block."""
+
+    @staticmethod
+    def build(model, **changes):
+        fields = dict(lambda_x=model.lambda_x, phi=model.phi.values,
+                      lambda_y=model.lambda_y, gamma=model.gamma,
+                      psi=model.psi)
+        fields.update(changes)
+        return SemModel(**fields)
+
+    @pytest.mark.parametrize("name, labels, count", [
+        ("x_labels", ("a",), 15), ("y_labels", ("a", "b"), 10),
+        ("xi_labels", ("a", "b"), 3), ("eta_labels", ("e",), 2),
+    ])
+    def test_label_count_names_the_field(self, model, name, labels, count):
+        with pytest.raises(StructuralError,
+                           match=f"^{name}: {len(labels)} labels for {count} "):
+            self.build(model, **{name: labels})
+
+    def test_duplicate_indicator_label_refused(self, model):
+        labels = ("x1",) * 2 + model.x_labels[2:]
+        with pytest.raises(DataError, match="x_labels: duplicate label 'x1'"):
+            self.build(model, x_labels=labels)
+
+    def test_factor_labels_unique_across_blocks(self, model):
+        with pytest.raises(DataError, match="duplicate label 'f'"):
+            self.build(model, xi_labels=("f", "g", "h"), eta_labels=("e", "f"))
+        with pytest.raises(DataError, match="duplicate label 'xi1'"):
+            self.build(model, eta_labels=("xi1", "e"))
+
+    def test_factor_corr_must_carry_the_block_labels(self, model):
+        phi = FactorCorr(("a", "b", "c"), model.phi.values)
+        with pytest.raises(StructuralError, match=r"phi is labelled \('a', 'b', 'c'\)"):
+            self.build(model, phi=phi)
+        eta_corr = FactorCorr(("b", "a"), model.endo.corr)
+        with pytest.raises(StructuralError, match="eta_corr is labelled"):
+            self.build(model, psi=None, eta_corr=eta_corr)
+
+    def test_labelled_factor_corr_with_matching_labels_scores(self, model):
+        labels = ("a", "b", "c")
+        m = self.build(model, phi=FactorCorr(labels, model.phi.values),
+                       xi_labels=labels)
+        assert m.phi.labels == m.xi_labels == labels
+        x, _, _ = simulate_dataset(SimulationSpec(m, 50, 0, False))
+        cp = cp_transform(regression_scores(m.exo, x), m.phi)
+        assert cp.labels == labels
+
+    def test_given_labels_are_kept(self, model):
+        m = self.build(model, x_labels=[f"item{i}" for i in range(15)])
+        assert m.x_labels == tuple(f"item{i}" for i in range(15))

@@ -7,8 +7,8 @@ equal the one-shot product of the centred, stacked indicators with weights
 built here with numpy alone.  The kernels are also run at both block sizes
 on case counts around multiples of ``linalg.LANES`` (the accumulators per
 column of a row-major column sum), with row-major, column-major and
-strided inputs, against numpy; and the simulator must draw the values of
-its whole-array formula, bit for bit.
+strided inputs, alone and beside one another, against numpy; and the
+simulator must draw the values of its whole-array formula, bit for bit.
 """
 
 import numpy as np
@@ -172,42 +172,85 @@ def offset_draws(seed, n, widths):
             + rng.uniform(-50.0, 50.0, k) for k in widths]
 
 
+def check_moments(layouts, n):
+    a, b = offset_draws(n, n, (4, 1))
+    z = np.hstack([a, b])
+    mean, cov = linalg.moments([laid_out(d, lay) for d, lay in zip((a, b), layouts)])
+    assert_close(mean, z.mean(axis=0))
+    assert_close(cov, np.cov(z, rowvar=False))
+
+
+def check_centred_product(layouts, n):
+    a, b = offset_draws(n, n, (4, 1))
+    w = np.random.default_rng(n).standard_normal((5, 5))
+    got = linalg.centred_product(
+        [laid_out(d, lay) for d, lay in zip((a, b), layouts)], w)
+    assert_close(got, centred(a, b) @ w.T)
+
+
+def check_determinacy(layouts, n):
+    # a column-major array is adopted by its container as it is; a strided
+    # view is copied, row-major
+    model = random_model(np.random.default_rng(n), *SHAPES[0])
+    s, x = offset_draws(n, n, (model.n_xi, model.n_x))
+    scores = ScoreMatrix(laid_out(s, layouts[0]), model.exo.factor_labels)
+    data = DataMatrix(laid_out(x, layouts[1]), model.x_labels)
+    p = centred(s)
+    cross = p.T @ centred(x) / (n - 1)
+    sd = np.sqrt(np.sum(p * p, axis=0) / (n - 1))
+    want = np.sum(cross * oracle_weights(model)["exo"], axis=1) / sd
+    assert_close(determinacy_exo(scores, data, model).coefficients, want)
+
+
 @pytest.mark.usefixtures("row_block")
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("n", LANE_CASES)
 def test_moments_equal_numpy(layout, n):
-    a, b = offset_draws(n, n, (4, 1))
-    z = np.hstack([a, b])
-    mean, cov = linalg.moments([laid_out(a, layout), laid_out(b, layout)])
-    assert_close(mean, z.mean(axis=0))
-    assert_close(cov, np.cov(z, rowvar=False))
+    check_moments((layout, layout), n)
 
 
 @pytest.mark.usefixtures("row_block")
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("n", LANE_CASES)
 def test_centred_product_equals_numpy(layout, n):
-    a, b = offset_draws(n, n, (4, 1))
-    w = np.random.default_rng(n).standard_normal((5, 5))
-    got = linalg.centred_product([laid_out(a, layout), laid_out(b, layout)], w)
-    assert_close(got, centred(a, b) @ w.T)
+    check_centred_product((layout, layout), n)
 
 
 @pytest.mark.usefixtures("row_block")
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("n", LANE_CASES)
 def test_determinacy_equals_numpy(layout, n):
-    # a column-major array is adopted by its container as it is; a strided
-    # view is copied, row-major
-    model = random_model(np.random.default_rng(n), *SHAPES[0])
-    s, x = offset_draws(n, n, (model.n_xi, model.n_x))
-    scores = ScoreMatrix(laid_out(s, layout), model.exo.factor_labels)
-    data = DataMatrix(laid_out(x, layout), model.x_labels)
-    p = centred(s)
-    cross = p.T @ centred(x) / (n - 1)
-    sd = np.sqrt(np.sum(p * p, axis=0) / (n - 1))
-    want = np.sum(cross * oracle_weights(model)["exo"], axis=1) / sd
-    assert_close(determinacy_exo(scores, data, model).coefficients, want)
+    check_determinacy((layout, layout), n)
+
+
+# Arrays of two layouts in one call, as determinacy and betas see them:
+# column-major scores from ``ScoreMatrix.select`` beside row-major data.
+MIXED = [("C", "F"), ("F", "strided"), ("C", "strided")]
+MIXED_IDS = ["-".join(pair) for pair in MIXED]
+
+
+@pytest.mark.usefixtures("row_block")
+@pytest.mark.parametrize("layouts", MIXED, ids=MIXED_IDS)
+@pytest.mark.parametrize("n", LANE_CASES)
+def test_moments_of_mixed_layouts_equal_numpy(layouts, n):
+    check_moments(layouts, n)
+    check_moments(layouts[::-1], n)
+
+
+@pytest.mark.usefixtures("row_block")
+@pytest.mark.parametrize("layouts", MIXED, ids=MIXED_IDS)
+@pytest.mark.parametrize("n", LANE_CASES)
+def test_centred_product_of_mixed_layouts_equals_numpy(layouts, n):
+    check_centred_product(layouts, n)
+    check_centred_product(layouts[::-1], n)
+
+
+@pytest.mark.usefixtures("row_block")
+@pytest.mark.parametrize("layouts", MIXED, ids=MIXED_IDS)
+@pytest.mark.parametrize("n", LANE_CASES)
+def test_determinacy_of_mixed_layouts_equals_numpy(layouts, n):
+    check_determinacy(layouts, n)
+    check_determinacy(layouts[::-1], n)
 
 
 @pytest.mark.parametrize("n", [2, 8, 15, 2 * LANES + 1])

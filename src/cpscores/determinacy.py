@@ -1,22 +1,25 @@
 """Determinacy coefficients: correlation between a factor score column and
 the factor it estimates.
 
-The estimator correlates each centered score column with the best linear
-predictor of its factor, using sample cross-moments with divisor (n - 1)
-and the model-implied indicator covariance:
+The estimator correlates each score column with the best linear predictor
+of its factor from one block's indicators z:
 
-    diag( diag(P'P/(n-1))^{-1/2} . P'X/(n-1) . sigma^{-1} lambda C )
+    diag( diag(S_pp)^{-1/2} . S_pz . sigma^{-1} lambda C )
 
-where ``C lambda' sigma^{-1}`` is the block's regression weight matrix
-(:meth:`cpscores.model.Block.weights`).  It is exact for scores linear in
-that block's indicators alone, plain or correlation-preserving; scores
-that also use the other block's indicators can give a coefficient above
-1.  The score moments come from :func:`cpscores.linalg.moments`, which
-refuses a constant score column, and the cross moment is summed over the
-row blocks of the scores and the data side by side
-(:func:`cpscores.linalg.centred_blocks`), with no centred copy of either.
-A closed-form population value for exact regression scores is provided as
-an oracle.
+with S the sample covariance (divisor n - 1) of the scores p and z side
+by side, from one :func:`cpscores.linalg.moments` pass, and
+``C lambda' sigma^{-1}`` the block's regression weights
+(:meth:`cpscores.model.Block.weights`).  The block is the exogenous (x),
+endogenous (y) or joint (x, y) block, with one data matrix per loading
+block, checked by the score families' rule
+(:func:`cpscores.model._indicator_values`).  The estimate is exact for
+scores linear in the block's indicators alone, plain or
+correlation-preserving; scores that also use indicators outside the block
+can give a coefficient above 1.  ``moments`` refuses a constant column of
+the scores or the indicators by label: a constant indicator would drop
+out of S while the model still weights it, a wrong coefficient with no
+error.  A closed-form population value for exact regression scores is
+provided as an oracle.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ import numpy as np
 
 from .containers import ENDOGENOUS, EXOGENOUS, DataMatrix, ScoreMatrix
 from .errors import DataError, StructuralError
-from .linalg import centred_blocks, moments
-from .model import Block, SemModel
+from .linalg import moments
+from .model import Block, SemModel, _indicator_values
 
 NORMALIZER_SD = "sd"
 # Divides by score variances instead of standard deviations.  Only useful to
@@ -58,28 +61,22 @@ class DeterminacyReport:
         return f"determinacy[{self.variant}; {self.score_provenance}]: {pairs}"
 
 
-def _determinacy(scores, data, block: Block, normalizer):
+def _determinacy(block: Block, scores, data, normalizer):
     if normalizer not in (NORMALIZER_SD, NORMALIZER_VARIANCE):
         raise StructuralError(
             f"unknown determinacy normalizer {normalizer!r}: expected "
             f"{NORMALIZER_SD!r} or {NORMALIZER_VARIANCE!r}"
         )
-    if scores.n_cases != data.n_cases:
-        raise StructuralError(
-            f"scores have {scores.n_cases} rows, data has {data.n_cases}"
-        )
     n = scores.n_cases
+    values = _indicator_values(block, data, n, f"{block.name} determinacy")
     labels = block.factor_labels
     if scores.labels != labels:
         raise StructuralError(
             f"scores are ordered {scores.labels}, expected {labels}"
         )
-    var = np.diag(moments([scores.values], labels)[1])
     k = len(labels)
-    cross = np.zeros((k, data.n_vars))
-    for _, z in centred_blocks([scores.values, data.values]):
-        cross += z[:, :k].T @ z[:, k:]
-    cross /= n - 1
+    cov = moments([scores.values, *values], labels + block.indicator_labels)[1]
+    var, cross = np.diag(cov)[:k], cov[:k, k:]
     scale = var if normalizer == NORMALIZER_VARIANCE else np.sqrt(var)
     coeffs = np.einsum("ij,ij->i", cross / scale[:, None], block.weights())
     tag = (block.name if normalizer == NORMALIZER_SD
@@ -94,7 +91,7 @@ def determinacy_exo(
     normalizer: str = NORMALIZER_SD,
 ) -> DeterminacyReport:
     """Determinacy of exogenous-factor scores against the x indicators."""
-    return _determinacy(scores, x_data, model.exo, normalizer)
+    return _determinacy(model.exo, scores, [x_data], normalizer)
 
 
 def determinacy_endo(
@@ -104,7 +101,7 @@ def determinacy_endo(
     normalizer: str = NORMALIZER_SD,
 ) -> DeterminacyReport:
     """Determinacy of endogenous-factor scores against the y indicators."""
-    return _determinacy(scores, y_data, model.endo, normalizer)
+    return _determinacy(model.endo, scores, [y_data], normalizer)
 
 
 def closed_form_regression_determinacy(model: SemModel, block: str) -> DeterminacyReport:

@@ -14,15 +14,16 @@ Conventions used throughout the package:
   values instead of k and each accumulator adds only one row in
   ``LANES``; an array with contiguous columns is reduced along them.  No
   sum goes through BLAS, so none depends on the BLAS thread count;
-* everything that touches all n rows of centred data goes a block of
-  ``ROW_BLOCK`` rows at a time through :func:`centred_blocks`, which
-  copies the block of each array, whatever its layout, into that array's
-  columns of one reused row-major buffer and subtracts the joined column
-  means in place, ``LANES`` rows at a time.  :func:`centred_product`
-  writes each block times the weights into its rows of the result,
-  :func:`moments` sums ``z' z`` and the determinacy cross moment sums the
-  scores' columns of ``z`` against the data's.  No whole centred or
-  stacked copy of the data is made;
+* the two kernels that touch all n rows of centred data,
+  :func:`centred_product` and :func:`moments`, go a block of
+  ``ROW_BLOCK`` rows at a time: the block of each array, whatever its
+  layout, is copied into that array's columns of one reused row-major
+  buffer, and the joined column means are subtracted in place, ``LANES``
+  rows at a time.  :func:`centred_product` writes each block times the
+  weights into its rows of the result, and :func:`moments` sums ``z' z``,
+  which gives every covariance the package estimates, the determinacy
+  cross moment between scores and indicators included.  No whole centred
+  or stacked copy of the data is made;
 * symmetric matrix functions go through a full eigendecomposition, so only
   spectral functions of the input are ever exposed, and refuse an input
   asymmetric beyond ``SYMMETRY_RTOL``;
@@ -127,8 +128,14 @@ def _floats(arrays) -> list[np.ndarray]:
 
 
 def _centred(arrays, mean):
-    """:func:`centred_blocks` of float arrays with their joined column
-    ``mean``."""
+    """Yield ``(rows, z)`` for the consecutive :func:`row_blocks` of the
+    same-length 2-d float ``arrays``: ``z`` is their ``rows`` side by side,
+    less their joined column ``mean`` over all n rows.
+
+    ``z`` is one reused row-major buffer, overwritten by the next block;
+    use it before advancing the iterator.  It is centred ``LANES`` rows at
+    a time, so numpy's inner loop runs over ``LANES`` times its width.
+    """
     n = arrays[0].shape[0]
     blocks = row_blocks(n)
     cols = list(itertools.accumulate((a.shape[1] for a in arrays), initial=0))
@@ -145,25 +152,14 @@ def _centred(arrays, mean):
         yield rows, z
 
 
-def centred_blocks(arrays):
-    """Yield ``(rows, z)`` for the consecutive :func:`row_blocks` of the
-    same-length 2-d ``arrays``: ``z`` is their ``rows`` side by side, each
-    column less its mean over all n rows.
-
-    ``z`` is one reused row-major buffer, overwritten by the next block;
-    use it before advancing the iterator.  It is centred ``LANES`` rows at
-    a time, so numpy's inner loop runs over ``LANES`` times its width.
-    """
-    arrays = _floats(arrays)
-    return _centred(arrays, np.concatenate([column_means(a) for a in arrays]))
-
-
 def centred_product(arrays, w: np.ndarray) -> np.ndarray:
     """``hstack([a - a.mean(axis=0) for a in arrays]) @ w.T``, written into
     a preallocated result a row block at a time; the result is frozen."""
+    arrays = _floats(arrays)
     w = np.asarray(w, dtype=float)
     out = np.empty((len(arrays[0]), w.shape[0]))
-    for rows, z in centred_blocks(arrays):
+    mean = np.concatenate([column_means(a) for a in arrays])
+    for rows, z in _centred(arrays, mean):
         np.matmul(z, w.T, out=out[rows])
     out.setflags(write=False)
     return out

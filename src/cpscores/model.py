@@ -179,6 +179,19 @@ def _score_cov(block: Block) -> np.ndarray:
     return a
 
 
+def _indicator_values(block: Block, data, n: int, what: str) -> list[np.ndarray]:
+    """The values of ``data``, one DataMatrix per entry of
+    ``block.loading_blocks``, refused unless each has ``n`` rows and that
+    entry's indicators as columns; ``what`` opens the message."""
+    for d, loadings in zip(data, block.loading_blocks):
+        if d.values.shape != (n, len(loadings)):
+            raise StructuralError(
+                f"{what}: indicator data has {d.n_cases} rows (cases) x "
+                f"{d.n_vars} columns, expected {n} x {len(loadings)}"
+            )
+    return [d.values for d in data]
+
+
 @functools.cache
 def _default_labels(prefix: str, count: int) -> tuple[str, ...]:
     """``prefix1 .. prefix<count>``: one tuple, shared by every model that

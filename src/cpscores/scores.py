@@ -30,34 +30,25 @@ import numpy as np
 from .containers import FactorCorr, ScoreMatrix, DataMatrix
 from .errors import StructuralError
 from .linalg import centred_product, corr_from_cov, corr_sqrt, cp_multiplier, moments
-from .model import Block, SemModel, _score_cov
+from .model import Block, SemModel, _indicator_values, _score_cov
 
 PROV_REGRESSION = "regression"
 PROV_ORTHOGONAL = "orthogonal"
 PROV_CP = "correlation-preserving"
 
 
-def _scores(labels, data, widths, w, provenance) -> ScoreMatrix:
-    """``hstack([d - mean(d) for d in data]) @ w.T``, one column per label,
-    once each DataMatrix has its width of columns and the first's cases."""
-    for d, width in zip(data, widths):
-        if d.n_vars != width or d.n_cases != data[0].n_cases:
-            raise StructuralError(
-                f"{provenance} scores: indicator data has {d.n_cases} cases x "
-                f"{d.n_vars} columns, expected {data[0].n_cases} x {width}"
-            )
-    return ScoreMatrix(
-        centred_product([d.values for d in data], w), labels, provenance
-    )
+def _scores(block: Block, data, w, provenance) -> ScoreMatrix:
+    """``hstack([d - mean(d) for d in data]) @ w.T``, one column per factor
+    of ``block``, with one DataMatrix per entry of its loading blocks
+    (:func:`cpscores.model._indicator_values`)."""
+    values = _indicator_values(block, data, data[0].n_cases, f"{provenance} scores")
+    return ScoreMatrix(centred_product(values, w), block.factor_labels, provenance)
 
 
 def regression_scores(block: Block, data: DataMatrix) -> ScoreMatrix:
     """Regression factor scores for the factors of one block, e.g.
     ``model.exo`` with the x data or ``model.endo`` with the y data."""
-    return _scores(
-        block.factor_labels, [data], [len(block.indicator_labels)],
-        block.weights(), PROV_REGRESSION,
-    )
+    return _scores(block, [data], block.weights(), PROV_REGRESSION)
 
 
 def joint_regression_weights(model: SemModel) -> np.ndarray:
@@ -77,8 +68,8 @@ def joint_regression_scores(
 ) -> ScoreMatrix:
     """Regression scores for all factors conditioning on x and y jointly."""
     return _scores(
-        model.factor_labels, [x_data, y_data], [model.n_x, model.n_y],
-        joint_regression_weights(model), PROV_REGRESSION,
+        model.joint, [x_data, y_data], joint_regression_weights(model),
+        PROV_REGRESSION,
     )
 
 
@@ -120,10 +111,7 @@ def cp_scores_from_params(model: SemModel, x_data: DataMatrix) -> ScoreMatrix:
     ``r`` the correlation of ``a`` (:meth:`Block.cp_weights`).  The
     population covariance of the result is phi.
     """
-    block = model.exo
-    return _scores(
-        block.factor_labels, [x_data], [model.n_x], block.cp_weights(), PROV_CP
-    )
+    return _scores(model.exo, [x_data], model.exo.cp_weights(), PROV_CP)
 
 
 def orthogonal_scores(model: SemModel, x_data: DataMatrix) -> ScoreMatrix:
@@ -133,10 +121,8 @@ def orthogonal_scores(model: SemModel, x_data: DataMatrix) -> ScoreMatrix:
     (:meth:`Block.orthogonal_weights`); the population covariance of the
     scores is the identity.
     """
-    block = model.exo
     return _scores(
-        block.factor_labels, [x_data], [model.n_x], block.orthogonal_weights(),
-        PROV_ORTHOGONAL,
+        model.exo, [x_data], model.exo.orthogonal_weights(), PROV_ORTHOGONAL
     )
 
 
@@ -144,6 +130,5 @@ def cp_scores_from_orthogonal(model: SemModel, x_data: DataMatrix) -> ScoreMatri
     """Correlation-preserving exogenous scores as ``phi^{1/2}`` times the
     orthogonal score, with weights ``phi^{1/2}`` times the orthogonal
     weights; population covariance phi."""
-    block = model.exo
-    w = corr_sqrt(model.phi) @ block.orthogonal_weights()
-    return _scores(block.factor_labels, [x_data], [model.n_x], w, PROV_CP)
+    w = corr_sqrt(model.phi) @ model.exo.orthogonal_weights()
+    return _scores(model.exo, [x_data], w, PROV_CP)

@@ -283,6 +283,42 @@ class TestDeterminacy:
         err = capsys.readouterr().err
         assert "error: constant column 'xi2'" in err
 
+    def test_swapped_indicator_files_exit_two(
+        self, tmp_path, model_file, simulated, capsys
+    ):
+        raw = str(tmp_path / "raw.csv")
+        main([
+            "scores", model_file, "--x", simulated[0], "--y", simulated[1],
+            "--method", "regression", "--out", raw,
+        ])
+        capsys.readouterr()
+        assert main([
+            "determinacy", model_file, "--scores", raw,
+            "--x", simulated[1], "--y", simulated[0],
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "error: exogenous determinacy" in err
+        assert "2 columns, expected 400 x 4" in err
+
+    def test_constant_indicator_column_exits_two(
+        self, tmp_path, model_file, simulated, capsys
+    ):
+        raw = str(tmp_path / "raw.csv")
+        main([
+            "scores", model_file, "--x", simulated[0], "--method",
+            "regression", "--out", raw,
+        ])
+        labels, values = read_labeled_csv(simulated[0])
+        values[:, 2] = 0.5
+        const = str(tmp_path / "const.csv")
+        write_matrix_csv(const, labels, values)
+        capsys.readouterr()
+        assert main([
+            "determinacy", model_file, "--scores", raw, "--x", const,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "error: constant column 'x3'" in err
+
     def test_appendix_compat_is_flagged(
         self, tmp_path, model_file, simulated, capsys
     ):

@@ -16,7 +16,7 @@ from cpscores import (
     joint_regression_scores,
     regression_scores,
 )
-from cpscores.determinacy import NORMALIZER_VARIANCE
+from cpscores.determinacy import NORMALIZER_SD, NORMALIZER_VARIANCE, _determinacy
 from cpscores.simulate import SimulationSpec, random_model, simulate_dataset
 
 
@@ -66,6 +66,22 @@ class TestDeterminacyExo:
         scores = ScoreMatrix(np.zeros((49, 3)) + np.eye(49, 3), model.xi_labels)
         with pytest.raises(StructuralError, match="rows"):
             determinacy_exo(scores, x_data, model)
+
+    def test_wrong_width_refused(self, model):
+        x_data, y_data, _ = simulate(model, n=50, seed=1)
+        reg = regression_scores(model.exo, x_data)
+        with pytest.raises(StructuralError, match="10 columns, expected 50 x 15"):
+            determinacy_exo(reg, y_data, model)
+
+    def test_constant_indicator_refused(self, model):
+        # a constant indicator drops out of the cross moment: refused by
+        # label instead of giving a wrong coefficient
+        x_data, _, _ = simulate(model, n=2_000, seed=1)
+        reg = regression_scores(model.exo, x_data)
+        values = x_data.values.copy()
+        values[:, 2] = 0.5
+        with pytest.raises(DataError, match="constant column 'x3'"):
+            determinacy_exo(reg, DataMatrix(values, x_data.labels), model)
 
     def test_zero_variance_rejected(self, model):
         x_data, _, _ = simulate(model, n=50, seed=1)
@@ -194,6 +210,28 @@ def test_regression_determinacy_converges_across_random_models(rng):
         observed = determinacy_exo(reg, x_data, m).coefficients
         oracle = closed_form_regression_determinacy(m, "exogenous").coefficients
         assert observed == pytest.approx(oracle, abs=0.02)
+
+
+def test_joint_block_matches_closed_form_and_true_factors(rng):
+    # the estimator on two data matrices: joint regression scores and
+    # their correlation-preserving transform against the (x, y) block
+    for seed in range(3):
+        m = random_model(rng)
+        x_data, y_data, factors = simulate_dataset(
+            SimulationSpec(m, 200_000, seed, emit_true_factors=True)
+        )
+        reg = joint_regression_scores(m, x_data, y_data)
+        cp = cp_transform(reg, combined_factor_corr(m))
+        k = len(m.factor_labels)
+        for scores in (reg, cp):
+            observed = _determinacy(
+                m.joint, scores, [x_data, y_data], NORMALIZER_SD
+            ).coefficients
+            r = np.corrcoef(scores.values, factors.values, rowvar=False)
+            assert observed == pytest.approx(np.diag(r[:k, k:]), abs=0.01)
+            if scores is reg:
+                oracle = np.sqrt(np.diag(m.joint.score_cov()))
+                assert observed == pytest.approx(oracle, abs=0.01)
 
 
 def test_cp_determinacy_not_above_regression_at_population(rng):

@@ -1,13 +1,18 @@
 """Labeled matrix containers passed between the numerical modules.
 
 All containers are immutable after construction, so results can safely be
-shared across threads.  A container adopts, without a copy, a read-only
-float64 array whose memory is all of a read-only array owning its data
-(the array itself or, say, its transpose): the package's producers freeze
-each fresh result (``setflags(write=False)``) before wrapping it.  Every
-other input (a writable array, part of a buffer, another dtype, a list) is
-copied and the copy is write-protected.  Either way ``_check_matrix``,
-which the CSV reader and writer call too, checks shape, labels and cells.
+shared across threads.  A container adopts, without a copy, a float64
+array whose memory nothing can write: every array down its ``.base`` chain
+is read-only, and a buffer at the bottom of the chain (the ``mmap`` under
+``np.load(path, mmap_mode="r")``, or ``bytes``) is read-only too.  The
+package's producers freeze each fresh result (``setflags(write=False)``)
+before wrapping it, so a result, its transpose, a slice of it or a view of
+a read-only mapped file is held as it is.  Every other input (a read-only
+view of a writable array, a writable map, another dtype, a list) is copied
+and the copy is write-protected.  Either way ``_check_matrix``, which the
+CSV reader and writer call too, checks shape, labels and cells.  An
+adopted view, like a :meth:`ScoreMatrix.select` of consecutive columns,
+keeps its parent's whole buffer alive for as long as the container lives.
 A :class:`ScoreMatrix` carries factor labels only; the model's blocks say
 which block each factor belongs to.
 
@@ -35,12 +40,23 @@ PD_RTOL = 1e-10
 
 
 def _adoptable(values) -> bool:
-    if not (isinstance(values, np.ndarray) and values.dtype == np.float64
-            and not values.flags.writeable):
+    """Whether ``values`` is float64 and nothing can write its memory: each
+    array down its ``.base`` chain is read-only, and so is the buffer, if
+    any, at the bottom."""
+    if not (isinstance(values, np.ndarray) and values.dtype == np.float64):
         return False
-    owner = values if values.flags.owndata else values.base
-    return (isinstance(owner, np.ndarray) and owner.flags.owndata
-            and not owner.flags.writeable and owner.size == values.size)
+    base = values
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            return False
+        base = base.base
+    if base is None:
+        return True
+    try:
+        with memoryview(base) as view:
+            return view.readonly
+    except TypeError:  # no buffer protocol (an __array_interface__ holder)
+        return False
 
 
 def _as_matrix(values, name: str, labels=None):
@@ -56,7 +72,9 @@ def _check_matrix(a: np.ndarray, prefix: str, labels=None):
     """Refuse ``a`` unless it is a 2-d matrix of finite cells with, given
     ``labels`` (returned as strings), one unique label per column; messages
     start with ``prefix``.  A finite sum of the cells needs no n x k mask;
-    one that overflowed is told apart from a non-finite cell by the mask."""
+    one that overflowed is told apart from a non-finite cell by the mask.
+    ``einsum`` sums a strided view, such as a selection of columns, with no
+    iterator buffer, where ``a.sum()`` would allocate 64 KiB."""
     if a.ndim != 2:
         raise StructuralError(
             f"{prefix}: values must be a 2-d matrix, got shape {a.shape}"
@@ -64,7 +82,7 @@ def _check_matrix(a: np.ndarray, prefix: str, labels=None):
     if labels is not None:
         labels = _check_labels(labels, a.shape[1], prefix)
     with np.errstate(over="ignore", invalid="ignore"):
-        total = a.sum()
+        total = np.einsum("ij->", a)
     if not np.isfinite(total):
         finite = np.isfinite(a)
         if not finite.all():
@@ -211,8 +229,11 @@ class ScoreMatrix:
         )
 
     def select(self, labels) -> "ScoreMatrix":
-        """The named columns, gathered in one copy and kept column-major
-        (the adopted transpose of a fresh factors-by-cases array)."""
+        """The named columns: a view (``values[:, lo:hi]``) when they are
+        consecutive and in order, as the ξ and the η block of every score
+        matrix the package makes are, which keeps this matrix's buffer
+        alive; otherwise gathered in one copy and kept column-major (the
+        adopted transpose of a fresh factors-by-cases array)."""
         try:
             idx = [self.labels.index(lb) for lb in labels]
         except ValueError:
@@ -221,8 +242,13 @@ class ScoreMatrix:
                 f"score columns {missing} not found "
                 f"(scores have {list(self.labels)})"
             ) from None
-        columns = self.values.T[idx]
-        columns.setflags(write=False)
+        lo = idx[0] if idx else 0
+        if idx == list(range(lo, lo + len(idx))):
+            columns = self.values[:, lo:lo + len(idx)]
+        else:
+            gathered = self.values.T[idx]
+            gathered.setflags(write=False)
+            columns = gathered.T
         return ScoreMatrix(
-            columns.T, tuple(self.labels[i] for i in idx), self.provenance
+            columns, tuple(self.labels[i] for i in idx), self.provenance
         )

@@ -182,12 +182,24 @@ def _score_cov(block: Block) -> np.ndarray:
 def _indicator_values(block: Block, data, n: int, what: str) -> list[np.ndarray]:
     """The values of ``data``, one DataMatrix per entry of
     ``block.loading_blocks``, refused unless each has ``n`` rows and that
-    entry's indicators as columns; ``what`` opens the message."""
+    entry's indicators as columns; ``what`` opens the message.  Columns
+    match indicators by position, since a model file names no indicators,
+    but data labelled with that entry's indicator labels in another order
+    are refused at the first misplaced column."""
+    start = 0
     for d, loadings in zip(data, block.loading_blocks):
         if d.values.shape != (n, len(loadings)):
             raise StructuralError(
                 f"{what}: indicator data has {d.n_cases} rows (cases) x "
                 f"{d.n_vars} columns, expected {n} x {len(loadings)}"
+            )
+        labels = block.indicator_labels[start:start + len(loadings)]
+        start += len(loadings)
+        if d.labels != labels and set(d.labels) == set(labels):
+            i = next(i for i, (a, b) in enumerate(zip(d.labels, labels)) if a != b)
+            raise StructuralError(
+                f"{what}: indicator data column {i + 1} is {d.labels[i]!r}, "
+                f"the model's indicator {i + 1} is {labels[i]!r}"
             )
     return [d.values for d in data]
 

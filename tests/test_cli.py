@@ -74,6 +74,14 @@ def simulated(tmp_path, model_file):
     return x_path, y_path
 
 
+def reversed_columns(tmp_path, path):
+    """A copy of the CSV at ``path`` with its columns and header reversed."""
+    labels, values = read_labeled_csv(path)
+    out = str(tmp_path / "reversed.csv")
+    write_matrix_csv(out, labels[::-1], values[:, ::-1])
+    return out
+
+
 class TestValidate:
     def test_good_model_exits_zero(self, model_file, capsys):
         assert main(["validate", model_file]) == 0
@@ -177,6 +185,32 @@ class TestScores:
         err = capsys.readouterr().err
         assert "error:" in err and "--y" in err
         assert not out.exists()
+
+    def test_reversed_indicator_file_exits_two(
+        self, tmp_path, model_file, simulated, capsys
+    ):
+        out = tmp_path / "s.csv"
+        assert main([
+            "scores", model_file, "--x", reversed_columns(tmp_path, simulated[0]),
+            "--method", "regression", "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "indicator data column 1 is 'x4', the model's indicator 1 is 'x1'" in err
+        assert not out.exists()
+
+    def test_other_indicator_labels_match_by_position(
+        self, tmp_path, model_file, simulated
+    ):
+        labels, values = read_labeled_csv(simulated[0])
+        items = str(tmp_path / "items.csv")
+        write_matrix_csv(items, [f"item{i + 1}" for i in range(len(labels))], values)
+        out, want = str(tmp_path / "s.csv"), str(tmp_path / "want.csv")
+        for path, dest in ((items, out), (simulated[0], want)):
+            assert main([
+                "scores", model_file, "--x", path, "--method", "regression",
+                "--out", dest,
+            ]) == 0
+        assert np.array_equal(read_scores_csv(out).values, read_scores_csv(want).values)
 
 
 class TestTransform:
@@ -299,6 +333,25 @@ class TestDeterminacy:
         err = capsys.readouterr().err
         assert "error: exogenous determinacy" in err
         assert "2 columns, expected 400 x 4" in err
+
+    def test_reversed_indicator_file_exits_two(
+        self, tmp_path, model_file, simulated, capsys
+    ):
+        raw = str(tmp_path / "raw.csv")
+        main([
+            "scores", model_file, "--x", simulated[0], "--y", simulated[1],
+            "--method", "regression", "--out", raw,
+        ])
+        capsys.readouterr()
+        assert main([
+            "determinacy", model_file, "--scores", raw,
+            "--x", reversed_columns(tmp_path, simulated[0]), "--y", simulated[1],
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: exogenous determinacy: indicator data column 1 is 'x4', "
+            "the model's indicator 1 is 'x1'\n"
+        )
 
     def test_constant_indicator_column_exits_two(
         self, tmp_path, model_file, simulated, capsys

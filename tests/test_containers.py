@@ -1,8 +1,9 @@
 """When a container adopts an array and when it copies one.
 
-Only a read-only float64 array whose memory is all of a read-only owner's
-buffer (the owner itself or its transpose) is adopted; anything else is
-copied, and the container's values are read-only either way.
+Only a float64 array whose memory nothing can write is adopted: every
+array down its ``.base`` chain is read-only, and so is a buffer at the
+bottom (the mmap of a read-only ``np.load`` map, or ``bytes``).  Anything
+else is copied, and the container's values are read-only either way.
 """
 
 import numpy as np
@@ -78,11 +79,60 @@ def test_transpose_of_frozen_owner_is_adopted(wrap):
 
 
 @CONTAINERS
-def test_part_of_frozen_owner_is_copied(wrap):
-    owner = frozen([[1.0, 2.0, 5.0], [3.0, 4.0, 6.0]])
-    m = wrap(owner[:, :2])
-    assert not np.shares_memory(m.values, owner)
+@pytest.mark.parametrize("part", [np.s_[:, :2], np.s_[10:, 1:]],
+                         ids=["columns", "rows"])
+def test_part_of_frozen_owner_is_adopted(wrap, part):
+    owner = frozen(np.arange(36.0).reshape(12, 3))
+    m = wrap(owner[part])
+    assert m.values.base is owner
+    assert np.array_equal(m.values, owner[part])
+    assert_read_only(m)
+    assert not owner.flags.writeable
+
+
+def mapped(tmp_path, values, mode):
+    path = tmp_path / "m.npy"
+    np.save(path, np.array(values, dtype=float))
+    return np.load(path, mmap_mode=mode)
+
+
+@CONTAINERS
+def test_read_only_map_is_adopted(wrap, tmp_path):
+    src = mapped(tmp_path, [[1.0, 2.0], [3.0, 4.0]], "r")
+    m = wrap(src)
+    assert np.shares_memory(m.values, src)
     assert np.array_equal(m.values, [[1.0, 2.0], [3.0, 4.0]])
+    assert_read_only(m)
+
+
+@CONTAINERS
+def test_non_finite_cell_of_a_map_named_by_row_and_label(wrap, tmp_path):
+    src = mapped(tmp_path, [[1.0, 2.0], [3.0, np.nan]], "r")
+    with pytest.raises(DataError, match="non-finite value nan in data row 2, column b"):
+        wrap(src)
+
+
+@CONTAINERS
+@pytest.mark.parametrize("mode", ["r+", "c"])
+def test_frozen_writable_map_is_copied(wrap, tmp_path, mode):
+    src = mapped(tmp_path, [[1.0, 2.0], [3.0, 4.0]], mode)
+    src.setflags(write=False)
+    m = wrap(src)
+    assert not np.shares_memory(m.values, src)
+    assert_read_only(m)
+
+
+@CONTAINERS
+@pytest.mark.parametrize("buffer, adopted", [(bytes, True), (bytearray, False)],
+                         ids=["bytes", "bytearray"])
+def test_array_over_a_buffer_adopted_only_if_the_buffer_is_read_only(
+    wrap, buffer, adopted
+):
+    src = np.frombuffer(buffer(np.arange(4.0).tobytes())).reshape(2, 2)
+    src.setflags(write=False)
+    m = wrap(src)
+    assert np.shares_memory(m.values, src) == adopted
+    assert np.array_equal(m.values, [[0.0, 1.0], [2.0, 3.0]])
     assert_read_only(m)
 
 
@@ -150,6 +200,20 @@ def test_select_gathers_once_and_stays_column_major():
     assert s.values.base.flags.owndata  # the gathered copy, adopted
     assert not np.shares_memory(s.values, m.values)
     assert_read_only(s)
+
+
+def test_select_of_consecutive_columns_is_a_view():
+    m = ScoreMatrix(frozen(np.arange(20.0).reshape(4, 5)),
+                    ("a", "b", "c", "d", "e"), "test")
+    s = m.select(("b", "c", "d"))
+    assert s.labels == ("b", "c", "d") and s.provenance == "test"
+    assert np.array_equal(s.values, m.values[:, 1:4])
+    assert np.shares_memory(s.values, m.values)
+    assert_read_only(s)
+    t = s.select(("c", "d"))
+    assert np.array_equal(t.values, m.values[:, 2:4])
+    assert np.shares_memory(t.values, m.values)
+    assert_read_only(t)
 
 
 @pytest.mark.parametrize("values", [np.empty((0, 2)), frozen(np.empty((0, 2)))],

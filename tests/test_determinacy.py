@@ -73,6 +73,17 @@ class TestDeterminacyExo:
         with pytest.raises(StructuralError, match="10 columns, expected 50 x 15"):
             determinacy_exo(reg, y_data, model)
 
+    def test_reversed_columns_refused(self, model):
+        x_data, _, _ = simulate(model, n=50, seed=1)
+        reg = regression_scores(model.exo, x_data)
+        reversed_x = DataMatrix(x_data.values[:, ::-1], x_data.labels[::-1])
+        with pytest.raises(StructuralError) as info:
+            determinacy_exo(reg, reversed_x, model)
+        assert str(info.value) == (
+            "exogenous determinacy: indicator data column 1 is 'x15', "
+            "the model's indicator 1 is 'x1'"
+        )
+
     def test_constant_indicator_refused(self, model):
         # a constant indicator drops out of the cross moment: refused by
         # label instead of giving a wrong coefficient

@@ -10,8 +10,8 @@ about half the joint result, while a whole centred copy of x, or of the
 stacked (x, y), is five times the result and a container copy of the
 result adds one.  The simulator holds the factors (a fifth of x and y)
 besides x and y, and betas hold one centred block of their input.
-``ScoreMatrix.select`` gathers its columns in one copy, which its
-container adopts.  A warm model keeps its weight matrices and short
+``ScoreMatrix.select`` of consecutive columns, such as the ξ block, is a
+view that its container adopts.  A warm model keeps its weight matrices and short
 vectors, and none of the p x p implied covariances or the stacked joint
 loadings, which are rebuilt when needed.
 """
@@ -91,10 +91,10 @@ def test_select_peak_within_bound(model, example_data):
     x, y, _ = example_data
     joint = joint_regression_scores(model, x, y)
     xi, peak = traced_peak(joint.select, model.xi_labels)
-    assert xi.values.flags.f_contiguous
-    # the gathered copy only: the container's finiteness check allocates
-    # no n x k mask (1/8 of the float64 cells) for finite values
-    assert peak / xi.values.nbytes <= 1.05
+    assert np.shares_memory(xi.values, joint.values)
+    # the view and the container only: consecutive columns are not copied,
+    # and the finiteness check allocates no n x k mask for finite values
+    assert peak / xi.values.nbytes <= 0.01
 
 
 def test_cp_transform_peak_within_bound(model, example_data):

@@ -102,6 +102,18 @@ class TestRegressionScoresExo:
             regression_scores(model.exo, DataMatrix(np.zeros((2, 14)),
                                                    [f"x{i}" for i in range(14)]))
 
+    def test_reversed_columns_refused(self, model):
+        # the same indicator labels in another order: matching by position
+        # would score x15 as x1
+        x_data, _, _ = simulate(model, n=50, seed=1)
+        reversed_x = DataMatrix(x_data.values[:, ::-1], x_data.labels[::-1])
+        with pytest.raises(StructuralError) as info:
+            regression_scores(model.exo, reversed_x)
+        assert str(info.value) == (
+            "regression scores: indicator data column 1 is 'x15', "
+            "the model's indicator 1 is 'x1'"
+        )
+
 
 class TestRegressionScoresEndo:
     def test_one_factor_closed_form(self, model):
@@ -387,3 +399,11 @@ class TestJointRegressionScores:
         y = DataMatrix(np.zeros((4, 10)), model.y_labels)
         with pytest.raises(StructuralError, match="cases"):
             joint_regression_scores(model, x, y)
+
+    def test_reversed_y_refused(self, model):
+        x_data, y_data, _ = simulate(model, n=50, seed=1)
+        reversed_y = DataMatrix(y_data.values[:, ::-1], y_data.labels[::-1])
+        with pytest.raises(StructuralError, match=(
+            "indicator data column 1 is 'y10', the model's indicator 1 is 'y1'"
+        )):
+            joint_regression_scores(model, x_data, reversed_y)

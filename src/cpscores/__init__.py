@@ -6,13 +6,7 @@ match the estimated model exactly, and computes determinacy coefficients
 for both score families.
 """
 
-from .containers import (
-    ENDOGENOUS,
-    EXOGENOUS,
-    DataMatrix,
-    FactorCorr,
-    ScoreMatrix,
-)
+from .containers import DataMatrix, FactorCorr, ScoreMatrix
 from .determinacy import (
     DeterminacyReport,
     closed_form_regression_determinacy,
@@ -64,9 +58,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Block", "CpscoresError", "DataError", "DataMatrix", "DeterminacyReport",
-    "ENDOGENOUS", "EXOGENOUS", "ExampleReport", "FactorCorr", "ModelError",
-    "NearSingularError", "ScoreMatrix", "SemModel", "SimulationSpec",
-    "StructuralError", "ValidationReport",
+    "ExampleReport", "FactorCorr", "ModelError", "NearSingularError",
+    "ScoreMatrix", "SemModel", "SimulationSpec", "StructuralError",
+    "ValidationReport",
     "betas_from_corr", "closed_form_regression_determinacy",
     "combined_factor_corr", "cp_scores_from_orthogonal",
     "cp_scores_from_params", "cp_transform",

@@ -1,20 +1,23 @@
 """Labeled matrix containers passed between the numerical modules.
 
 All containers are immutable after construction, so results can safely be
-shared across threads.  A container adopts, without a copy, a float64
-array whose memory nothing can write: every array down its ``.base`` chain
-is read-only, and a buffer at the bottom of the chain (the ``mmap`` under
-``np.load(path, mmap_mode="r")``, or ``bytes``) is read-only too.  The
-package's producers freeze each fresh result (``setflags(write=False)``)
-before wrapping it, so a result, its transpose, a slice of it or a view of
-a read-only mapped file is held as it is.  Every other input (a read-only
-view of a writable array, a writable map, another dtype, a list) is copied
-and the copy is write-protected.  Either way ``_check_matrix``, which the
-CSV reader and writer call too, checks shape, labels and cells.  An
-adopted view, like a :meth:`ScoreMatrix.select` of consecutive columns,
-keeps its parent's whole buffer alive for as long as the container lives.
-A :class:`ScoreMatrix` carries factor labels only; the model's blocks say
-which block each factor belongs to.
+shared across threads, with one gap: numpy records no writable views of an
+array, so an owner frozen after a writable view of it was taken is adopted,
+and that view can still write the container's values.  Freeze an array
+before taking views of it, or pass a copy.  A container adopts, without a
+copy, a float64 array whose memory nothing can write: every array down its
+``.base`` chain is read-only, and a buffer at the bottom of the chain (the
+``mmap`` under ``np.load(path, mmap_mode="r")``, or ``bytes``) is read-only
+too.  The package's producers freeze each fresh result
+(``setflags(write=False)``) before wrapping it, so a result, its transpose,
+a slice of it or a view of a read-only mapped file is held as it is.  Every
+other input (a read-only view of a writable array, a writable map, another
+dtype, a list) is copied and the copy is write-protected.  Either way
+``_check_matrix``, which the CSV reader and writer call too, checks shape,
+labels and cells.  An adopted view, like a :meth:`ScoreMatrix.select` of
+consecutive columns, keeps its parent's whole buffer alive for as long as
+the container lives.  A :class:`ScoreMatrix` carries factor labels only;
+the model's blocks say which block each factor belongs to.
 
 An immutable object that holds arrays compares and hashes by identity
 (``eq=False``): ``==`` between arrays has no single truth value.  Such an
@@ -31,9 +34,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, StructuralError
-
-EXOGENOUS = "exogenous"
-ENDOGENOUS = "endogenous"
 
 # Relative eigenvalue threshold below which a matrix counts as singular.
 PD_RTOL = 1e-10

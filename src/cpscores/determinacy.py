@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .containers import ENDOGENOUS, EXOGENOUS, DataMatrix, ScoreMatrix
+from .containers import DataMatrix, ScoreMatrix
 from .errors import DataError, StructuralError
 from .linalg import moments
-from .model import Block, SemModel, _indicator_values
+from .model import ENDOGENOUS, EXOGENOUS, Block, SemModel, _indicator_values
 
 NORMALIZER_SD = "sd"
 # Divides by score variances instead of standard deviations.  Only useful to

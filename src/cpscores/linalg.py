@@ -47,7 +47,8 @@ from .errors import DataError, NearSingularError, StructuralError
 SYMMETRY_RTOL = 1e-10
 
 
-def _sym_power(s, power):
+def _sym_power(s, power, what="matrix"):
+    # a NearSingularError names the matrix as ``what``
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise StructuralError(f"expected a square matrix, got shape {s.shape}")
@@ -55,7 +56,7 @@ def _sym_power(s, power):
     if np.max(np.abs(s - s.T)) > SYMMETRY_RTOL * scale:
         raise StructuralError("matrix is not symmetric within tolerance")
     w, v = np.linalg.eigh(s)
-    msg = pd_violation(w, "matrix")
+    msg = pd_violation(w, what)
     if msg:
         raise NearSingularError(msg)
     return (v * w**power) @ v.T
@@ -73,8 +74,9 @@ def sym_inv_sqrt(s: np.ndarray) -> np.ndarray:
 
 @_kept
 def corr_sqrt(c: FactorCorr) -> np.ndarray:
-    """:func:`sym_sqrt` of a correlation matrix, kept by the FactorCorr."""
-    return sym_sqrt(c.values)
+    """:func:`sym_sqrt` of a correlation matrix, kept by the FactorCorr:
+    the one root of each factor correlation (phi, C and C's eta block)."""
+    return _sym_power(c.values, 0.5, f"factor correlation ({', '.join(c.labels)})")
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +222,12 @@ def corr_from_cov(cov: np.ndarray) -> np.ndarray:
     return (r + r.T) / 2.0
 
 
-def cp_multiplier(target_sqrt: np.ndarray, cov: np.ndarray) -> np.ndarray:
+def cp_multiplier(target_sqrt: np.ndarray, cov: np.ndarray, what: str) -> np.ndarray:
     """The correlation-preserving multiplier
     ``target^{1/2} R^{-1/2} diag(cov)^{-1/2}`` from the symmetric root
-    ``target_sqrt``, R the correlation of ``cov``: scores with covariance
-    ``cov`` times its transpose have covariance ``target``."""
-    t = target_sqrt @ sym_inv_sqrt(corr_from_cov(cov))
+    ``target_sqrt``, R the correlation of ``cov`` (named ``what``): scores
+    with covariance ``cov`` times its transpose have covariance ``target``."""
+    t = target_sqrt @ _sym_power(corr_from_cov(cov), -0.5, what)
     return t / np.sqrt(np.diag(cov))
 
 

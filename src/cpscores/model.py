@@ -9,16 +9,18 @@ all factors.  Unique variances are always derived from the standardized
 solution as ``diag(I - L C L')`` rather than read from input, so they cannot
 drift out of sync with the loadings.
 
-Models and blocks are immutable, so every matrix derived from them is
-computed once, on first use, and kept frozen
-(:func:`cpscores.containers._kept`): a model keeps its blocks and the
-combined factor correlation, which keeps its square root, and a block
-keeps its uniqueness, the smallest and largest eigenvalue of its implied
-indicator covariance, its score covariance and its weight matrices.  The
-implied covariance itself, its solve against the loadings and the
-stacked loadings of the joint block are rebuilt when needed and not
-kept.  To change a parameter, build a new model; it starts with nothing
-kept.  Models and blocks compare and hash by identity.
+Each block's factor correlation is a :class:`FactorCorr`: phi, the
+combined factor correlation C, or C's eta block (a view).  Models and
+blocks are immutable, so every matrix derived from them is computed once,
+on first use, and kept frozen (:func:`cpscores.containers._kept`): a
+model keeps its blocks and C, each FactorCorr keeps its one square root
+(:func:`cpscores.linalg.corr_sqrt`), and a block keeps its uniqueness,
+the smallest and largest eigenvalue of its implied indicator covariance,
+its score covariance and its weight matrices.  The implied covariance
+itself, its solve against the loadings and the stacked loadings of the
+joint block are rebuilt when needed and not kept.  To change a
+parameter, build a new model; it starts with nothing kept.  Models and
+blocks compare and hash by identity.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .containers import (
-    ENDOGENOUS,
-    EXOGENOUS,
     FactorCorr,
     _as_matrix,
     _check_labels,
@@ -39,7 +39,7 @@ from .containers import (
     pd_violation,
 )
 from .errors import ModelError, NearSingularError, StructuralError
-from .linalg import cp_multiplier, sym_inv_sqrt, sym_sqrt
+from .linalg import _sym_power, corr_sqrt, cp_multiplier
 
 # Residual covariance supplied both ways must agree to this tolerance.
 PSI_CONSISTENCY_TOL = 1e-6
@@ -47,30 +47,40 @@ PSI_CONSISTENCY_TOL = 1e-6
 # combined_factor_corr alike; |loadings| exceed 1 by at most LOADING_TOL.
 UNIT_DIAGONAL_TOL = 1e-8
 LOADING_TOL = 1e-6
-JOINT = "joint"
+EXOGENOUS, ENDOGENOUS, JOINT = "exogenous", "endogenous", "joint"
+# The indicator data each block takes, one matrix per loading block.
+_DATA_NAMES = {EXOGENOUS: "(x)", ENDOGENOUS: "(y)", JOINT: "(x, y)"}
 
 
 @dataclass(frozen=True, eq=False)
 class Block:
-    """A measurement model: indicators on factors with covariance ``corr``,
-    the exogenous, endogenous or joint block of a :class:`SemModel`, which
+    """A measurement model: indicators on factors with correlation
+    ``corr``, a FactorCorr whose labels are the block's factor labels; the
+    exogenous, endogenous or joint block of a :class:`SemModel`, which
     builds each of its blocks once and keeps it.  The loadings are
     block-diagonal in ``loading_blocks`` (one block, or the x and the y
     loadings for the joint block)."""
 
     name: str
     loading_blocks: tuple[np.ndarray, ...]
-    corr: np.ndarray
-    factor_labels: tuple[str, ...]
+    corr: FactorCorr
     indicator_labels: tuple[str, ...]
     _derived: dict = _derived_field()
 
     def __post_init__(self):
+        if not isinstance(self.corr, FactorCorr):
+            raise StructuralError(
+                f"{self.name} block: corr must be a FactorCorr, "
+                f"got {type(self.corr).__name__}"
+            )
         # read-only (the model's own arrays are adopted), so nothing a
         # block keeps can go stale
         object.__setattr__(self, "loading_blocks", tuple(
             _as_matrix(b, "loadings") for b in self.loading_blocks))
-        object.__setattr__(self, "corr", _as_matrix(self.corr, "factor covariance"))
+
+    @property
+    def factor_labels(self) -> tuple[str, ...]:
+        return self.corr.labels
 
     @property
     def loadings(self) -> np.ndarray:
@@ -93,7 +103,7 @@ class Block:
         Raises ModelError naming the indicator when one is negative.
         """
         loadings = self.loadings
-        uniq = 1.0 - np.einsum("ij,jk,ik->i", loadings, self.corr, loadings)
+        uniq = 1.0 - np.einsum("ij,jk,ik->i", loadings, self.corr.values, loadings)
         if np.min(uniq) < -1e-10:
             i = int(np.argmin(uniq))
             raise ModelError(
@@ -106,7 +116,7 @@ class Block:
         """Model-implied indicator covariance ``L C L' + diag(uniqueness)``,
         built on each call and not kept."""
         loadings = self.loadings
-        sigma = loadings @ self.corr @ loadings.T
+        sigma = loadings @ self.corr.values @ loadings.T
         sigma += np.diag(self.uniqueness())
         return (sigma + sigma.T) / 2.0
 
@@ -136,14 +146,14 @@ class Block:
     def weights(self) -> np.ndarray:
         """Weights of the best linear predictor of the factors from the
         indicators, ``C L' sigma^{-1}`` (one row per factor)."""
-        return self.corr @ self.sigma_inv_loadings().T
+        return self.corr.values @ self.sigma_inv_loadings().T
 
     @_kept
     def score_cov(self) -> np.ndarray:
         """Population covariance of the regression scores,
         ``C L' sigma^{-1} L C``; it is also their covariance with the
         factors."""
-        a = self.weights() @ self.loadings @ self.corr
+        a = self.weights() @ self.loadings @ self.corr.values
         return (a + a.T) / 2.0
 
     @_kept
@@ -153,7 +163,8 @@ class Block:
         covariance is the identity."""
         sigma_inv_l = self.sigma_inv_loadings()
         m = self.loadings.T @ sigma_inv_l
-        return sym_inv_sqrt((m + m.T) / 2.0) @ sigma_inv_l.T
+        what = f"L\u2032\u03a3\u207b\u00b9L of the {self.name} block"
+        return _sym_power((m + m.T) / 2.0, -0.5, what) @ sigma_inv_l.T
 
     @_kept
     def cp_weights(self) -> np.ndarray:
@@ -162,7 +173,9 @@ class Block:
         ``C^{1/2} R^{-1/2} diag(A)^{-1/2}`` (:func:`cpscores.linalg.cp_multiplier`)
         with ``A`` the regression-score covariance and ``R`` its
         correlation, so the population covariance of the scores is C."""
-        return cp_multiplier(sym_sqrt(self.corr), _score_cov(self)) @ self.weights()
+        what = f"regression-score correlation of the {self.name} block"
+        m = cp_multiplier(corr_sqrt(self.corr), _score_cov(self), what)
+        return m @ self.weights()
 
 
 def _score_cov(block: Block) -> np.ndarray:
@@ -179,13 +192,21 @@ def _score_cov(block: Block) -> np.ndarray:
     return a
 
 
-def _indicator_values(block: Block, data, n: int, what: str) -> list[np.ndarray]:
+def _indicator_values(block: Block, data, n: int | None, what: str) -> list[np.ndarray]:
     """The values of ``data``, one DataMatrix per entry of
-    ``block.loading_blocks``, refused unless each has ``n`` rows and that
-    entry's indicators as columns; ``what`` opens the message.  Columns
+    ``block.loading_blocks``, refused unless there is one per entry, and
+    each has ``n`` rows (those of the first, if None) and that entry's
+    indicators as columns; ``what`` opens the message.  Columns
     match indicators by position, since a model file names no indicators,
     but data labelled with that entry's indicator labels in another order
     are refused at the first misplaced column."""
+    if len(data) != len(block.loading_blocks):
+        matrices = "matrix" if len(data) == 1 else "matrices"
+        raise StructuralError(
+            f"{what}: {len(data)} indicator data {matrices}, the {block.name} "
+            f"block takes {len(block.loading_blocks)} "
+            f"{_DATA_NAMES.get(block.name, '')}".rstrip())
+    n = data[0].n_cases if n is None else n
     start = 0
     for d, loadings in zip(data, block.loading_blocks):
         if d.values.shape != (n, len(loadings)):
@@ -342,39 +363,30 @@ class SemModel:
     def factor_labels(self) -> tuple[str, ...]:
         return self.xi_labels + self.eta_labels
 
-    @_kept
-    def eta_cov(self) -> np.ndarray:
-        """Model-implied covariance of the endogenous factors."""
-        return self.gamma @ self.phi.values @ self.gamma.T + self.psi
-
     # -- measurement blocks, each built once and kept ----------------------
     @property
     @_kept
     def exo(self) -> Block:
         """The x indicators on the exogenous factors, C = phi."""
-        return Block(
-            EXOGENOUS, (self.lambda_x,), self.phi.values, self.xi_labels,
-            self.x_labels,
-        )
+        return Block(EXOGENOUS, (self.lambda_x,), self.phi, self.x_labels)
 
     @property
     @_kept
     def endo(self) -> Block:
-        """The y indicators on the endogenous factors, C = implied eta
-        covariance."""
-        return Block(
-            ENDOGENOUS, (self.lambda_y,), self.eta_cov(), self.eta_labels,
-            self.y_labels,
-        )
+        """The y indicators on the endogenous factors, C = the eta block of
+        :func:`combined_factor_corr` (a view), which raises ModelError
+        when C is unusable."""
+        k = self.n_xi
+        eta = FactorCorr(self.eta_labels, combined_factor_corr(self).values[k:, k:])
+        return Block(ENDOGENOUS, (self.lambda_y,), eta, self.y_labels)
 
     @property
     @_kept
     def joint(self) -> Block:
         """The stacked (x, y) indicators on all factors: block-diagonal
-        loadings and the combined factor correlation."""
-        c = combined_factor_corr(self)
+        loadings and C = :func:`combined_factor_corr`."""
         return Block(
-            JOINT, (self.lambda_x, self.lambda_y), c.values, c.labels,
+            JOINT, (self.lambda_x, self.lambda_y), combined_factor_corr(self),
             self.x_labels + self.y_labels,
         )
 
@@ -393,34 +405,6 @@ class ValidationReport:
         return "model rejected:\n" + "\n".join(f"  - {v}" for v in self.violations)
 
 
-@_kept
-def _combined_corr(model: SemModel) -> tuple[np.ndarray, str | None]:
-    """C = [[phi, phi gamma'], [gamma phi, implied eta covariance]], frozen,
-    and why it is unusable, or None.  C must have a unit diagonal and be
-    positive definite, which holds iff phi and psi (the Schur complement of
-    phi in C) are: this one rule covers phi, the implied eta covariance and
-    psi."""
-    k = model.n_xi
-    c = np.empty((k + model.n_eta,) * 2)
-    c[:k, :k], c[k:, k:] = model.phi.values, model.eta_cov()
-    c[k:, :k] = model.gamma @ model.phi.values
-    c[:k, k:] = c[k:, :k].T
-    c = (c + c.T) / 2.0
-    d = np.abs(c.diagonal() - 1.0)
-    i = int(np.argmax(d))
-    if d[i] > UNIT_DIAGONAL_TOL:
-        msg = (
-            f"combined factor correlation has diagonal {c[i, i]:.10f} for "
-            f"{model.factor_labels[i]}, expected 1 (the model is not "
-            "completely standardized)"
-        )
-    else:
-        np.fill_diagonal(c, 1.0)
-        msg = pd_violation(np.linalg.eigvalsh(c), "combined factor correlation")
-    c.setflags(write=False)  # adopted by combined_factor_corr's FactorCorr
-    return c, msg
-
-
 def validate_model(model: SemModel) -> ValidationReport:
     """Check the standardized-solution invariants; structural errors raise.
 
@@ -429,23 +413,29 @@ def validate_model(model: SemModel) -> ValidationReport:
     numerical violations (the combined factor correlation, loading and
     uniqueness bounds, indicator covariances) entry by entry.  An implied
     indicator covariance is judged by the kept eigenvalues the block's
-    solve checks (:meth:`Block.sigma_violation`), with the same text; the
-    joint block's, when nothing else is wrong, since it cannot be built
-    without a usable C and repeats the x and y uniqueness errors.
+    solve checks (:meth:`Block.sigma_violation`), with the same text: the
+    y block's only when C is usable, since the block is built from C, and
+    the joint block's when nothing else is wrong, since it repeats the x
+    and y uniqueness errors.
     """
-    msg = _combined_corr(model)[1]
-    v: list[str] = [msg] if msg else []
+    v: list[str] = []
+    try:
+        combined_factor_corr(model)
+    except ModelError as exc:
+        v.append(str(exc))
 
-    for name, block in (("x", model.exo), ("y", model.endo)):
-        mags = np.abs(block.loadings)
+    checks = (("x", model.lambda_x, model.x_labels, model.exo),
+              ("y", model.lambda_y, model.y_labels, None if v else model.endo))
+    for name, loadings, labels, block in checks:
+        mags = np.abs(loadings)
         if np.max(mags) > 1.0 + LOADING_TOL:
             i, j = np.unravel_index(int(np.argmax(mags)), mags.shape)
             v.append(
-                f"lambda_{name} loading {block.loadings[i, j]:.4f} for "
-                f"{block.indicator_labels[i]} exceeds 1"
+                f"lambda_{name} loading {loadings[i, j]:.4f} for "
+                f"{labels[i]} exceeds 1"
             )
         try:
-            msg = block.sigma_violation()
+            msg = block.sigma_violation() if block else None
         except ModelError as exc:
             msg = str(exc)
         if msg:
@@ -460,10 +450,28 @@ def validate_model(model: SemModel) -> ValidationReport:
 
 @_kept
 def combined_factor_corr(model: SemModel) -> FactorCorr:
-    """Correlation matrix of all factors, exogenous block first; raises
-    ModelError saying why when it is not a positive definite correlation
-    matrix."""
-    c, msg = _combined_corr(model)
+    """C = [[phi, phi gamma'], [gamma phi, gamma phi gamma' + psi]], the
+    correlation of all factors, kept by the model; raises ModelError saying
+    why unless it has a unit diagonal and is positive definite, which holds
+    iff phi and psi (the Schur complement of phi in C) are."""
+    k = model.n_xi
+    c = np.empty((k + model.n_eta,) * 2)
+    c[:k, :k] = model.phi.values
+    c[k:, k:] = model.gamma @ model.phi.values @ model.gamma.T + model.psi
+    c[k:, :k] = model.gamma @ model.phi.values
+    c[:k, k:] = c[k:, :k].T
+    c = (c + c.T) / 2.0
+    d = np.abs(c.diagonal() - 1.0)
+    i = int(np.argmax(d))
+    if d[i] > UNIT_DIAGONAL_TOL:
+        raise ModelError(
+            f"combined factor correlation has diagonal {c[i, i]:.10f} for "
+            f"{model.factor_labels[i]}, expected 1 (the model is not "
+            "completely standardized)"
+        )
+    np.fill_diagonal(c, 1.0)
+    msg = pd_violation(np.linalg.eigvalsh(c), "combined factor correlation")
     if msg:
         raise ModelError(msg)
+    c.setflags(write=False)  # adopted by the FactorCorr, and its eta block by endo's
     return FactorCorr(model.factor_labels, c)

@@ -1,14 +1,14 @@
 """Factor score families and the correlation-preserving transformation.
 
-Every family built from indicator data is one weight matrix ``w`` applied
-to the centred indicators: regression scores ``C L' sigma^{-1}`` of one
-block or of the stacked (x, y) block, orthogonal scores
-``(L' sigma^{-1} L)^{-1/2} L' sigma^{-1}``, and correlation-preserving
-scores from parameters, which premultiply the regression weights by the
-multiplier below, or the orthogonal weights by ``phi^{1/2}``.  A block
-builds each of its weight matrices once and keeps it
-(:class:`cpscores.model.Block`), so repeated scoring under one model
-repeats only the product with the data.
+Every family built from indicator data is one weight matrix ``w`` of a
+block (:class:`cpscores.model.Block`) applied to its centred indicators,
+one data matrix per loading block: regression scores ``C L' sigma^{-1}``,
+orthogonal scores ``(L' sigma^{-1} L)^{-1/2} L' sigma^{-1}``, and
+correlation-preserving scores from parameters, which premultiply the
+regression weights by the multiplier below, or the orthogonal weights by
+``C^{1/2}``, C the block's FactorCorr.  A block keeps each of its weight
+matrices, so repeated scoring under one model repeats only the product
+with the data.
 
 The correlation-preserving multiplier ``C^{1/2} R^{-1/2} diag(cov)^{-1/2}``
 (:func:`cpscores.linalg.cp_multiplier`) standardizes scores of covariance
@@ -25,8 +25,6 @@ and each result is frozen so its ScoreMatrix adopts it without a copy.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .containers import FactorCorr, ScoreMatrix, DataMatrix
 from .errors import StructuralError
 from .linalg import centred_product, corr_from_cov, corr_sqrt, cp_multiplier, moments
@@ -41,36 +39,31 @@ def _scores(block: Block, data, w, provenance) -> ScoreMatrix:
     """``hstack([d - mean(d) for d in data]) @ w.T``, one column per factor
     of ``block``, with one DataMatrix per entry of its loading blocks
     (:func:`cpscores.model._indicator_values`)."""
-    values = _indicator_values(block, data, data[0].n_cases, f"{provenance} scores")
+    values = _indicator_values(block, data, None, f"{provenance} scores")
     return ScoreMatrix(centred_product(values, w), block.factor_labels, provenance)
 
 
-def regression_scores(block: Block, data: DataMatrix) -> ScoreMatrix:
-    """Regression factor scores for the factors of one block, e.g.
-    ``model.exo`` with the x data or ``model.endo`` with the y data."""
-    return _scores(block, [data], block.weights(), PROV_REGRESSION)
-
-
-def joint_regression_weights(model: SemModel) -> np.ndarray:
-    """Weights of the best linear predictor of all factors from all
-    indicators jointly: C lambda' sigma^{-1} over the stacked (x, y) block.
-
-    This is the population analogue of a posterior-mean factor score that
-    conditions on every observed variable, which is how mean plausible
-    values behave; the per-block regression scores above condition on one
-    indicator block only.
-    """
-    return model.joint.weights()
+def regression_scores(block: Block, *data: DataMatrix) -> ScoreMatrix:
+    """Regression factor scores for the factors of a block: ``model.exo``
+    with the x data, ``model.endo`` with the y data or ``model.joint``
+    with both."""
+    return _scores(block, data, block.weights(), PROV_REGRESSION)
 
 
 def joint_regression_scores(
     model: SemModel, x_data: DataMatrix, y_data: DataMatrix
 ) -> ScoreMatrix:
-    """Regression scores for all factors conditioning on x and y jointly."""
-    return _scores(
-        model.joint, [x_data, y_data], joint_regression_weights(model),
-        PROV_REGRESSION,
-    )
+    """Regression scores for all factors conditioning on x and y jointly,
+    ``regression_scores(model.joint, x_data, y_data)``.
+
+    Their weights ``C L' sigma^{-1}`` over the stacked (x, y) block give
+    the best linear predictor of every factor from every indicator: the
+    population analogue of a posterior-mean factor score that conditions
+    on every observed variable, which is how mean plausible values behave,
+    so these scores stand in for them.  The per-block regression scores
+    condition on one indicator block only.
+    """
+    return regression_scores(model.joint, x_data, y_data)
 
 
 def score_corr(block: Block) -> FactorCorr:
@@ -98,7 +91,9 @@ def cp_transform(p: ScoreMatrix, c_target: FactorCorr) -> ScoreMatrix:
             f"scores are ordered {p.labels}"
         )
     cov = moments([p.values], p.labels)[1]
-    values = centred_product([p.values], cp_multiplier(corr_sqrt(c_target), cov))
+    what = f"sample correlation of the scores ({', '.join(p.labels)})"
+    values = centred_product(
+        [p.values], cp_multiplier(corr_sqrt(c_target), cov, what))
     return p.replace_values(values, PROV_CP)
 
 
@@ -126,9 +121,9 @@ def orthogonal_scores(model: SemModel, x_data: DataMatrix) -> ScoreMatrix:
     )
 
 
-def cp_scores_from_orthogonal(model: SemModel, x_data: DataMatrix) -> ScoreMatrix:
-    """Correlation-preserving exogenous scores as ``phi^{1/2}`` times the
-    orthogonal score, with weights ``phi^{1/2}`` times the orthogonal
-    weights; population covariance phi."""
-    w = corr_sqrt(model.phi) @ model.exo.orthogonal_weights()
-    return _scores(model.exo, [x_data], w, PROV_CP)
+def cp_scores_from_orthogonal(block: Block, *data: DataMatrix) -> ScoreMatrix:
+    """Correlation-preserving scores of a block as ``C^{1/2}`` times its
+    orthogonal score, with weights ``C^{1/2}`` times the orthogonal
+    weights, C the block's factor correlation; population covariance C."""
+    w = corr_sqrt(block.corr) @ block.orthogonal_weights()
+    return _scores(block, data, w, PROV_CP)

@@ -297,7 +297,7 @@ def run_example(seed: int = DEFAULT_SEED, n_cases: int = DEFAULT_N_CASES) -> Exa
     ))
 
     # parameter route: orthogonal-score based cp scores keep phi
-    cp_param = cp_scores_from_orthogonal(model, x_data)
+    cp_param = cp_scores_from_orthogonal(model.exo, x_data)
     dev = np.max(np.abs(
         sample_corr(cp_param).values - model.phi.values))
     checks.append(ExampleCheck(

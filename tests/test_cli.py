@@ -233,6 +233,23 @@ class TestTransform:
         c = combined_factor_corr(model).values
         assert np.max(np.abs(sample_corr(cp).values - c)) < 1e-10
 
+    def test_too_few_cases_exit_two_naming_the_matrix(
+        self, tmp_path, model_file, capsys
+    ):
+        # 3 cases of 3 joint scores: their sample correlation is singular
+        x, y = str(tmp_path / "x3.csv"), str(tmp_path / "y3.csv")
+        raw = str(tmp_path / "raw3.csv")
+        assert main(["simulate", model_file, "--n", "3", "--seed", "1",
+                     "--out-x", x, "--out-y", y]) == 0
+        assert main(["scores", model_file, "--x", x, "--y", y,
+                     "--method", "regression", "--out", raw]) == 0
+        capsys.readouterr()
+        assert main(["transform", model_file, "--scores", raw,
+                     "--out", str(tmp_path / "cp3.csv")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: sample correlation of the scores (xi1, xi2, eta1) not "
+            "positive definite (smallest eigenvalue ")
+
     def test_label_mismatch_exits_two(self, tmp_path, model_file, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("xi1\n0.5\n-0.5\n1.5\n")

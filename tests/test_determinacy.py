@@ -264,3 +264,21 @@ def test_cp_determinacy_not_above_regression_at_population(rng):
         det_cp = np.diag(cross) / np.sqrt(var)
         det_reg = np.sqrt(np.diag(a))
         assert np.all(det_cp <= det_reg + 1e-9)
+
+
+def test_data_count_refused(model):
+    x_data, y_data, _ = simulate(model, n=50, seed=1)
+    joint = joint_regression_scores(model, x_data, y_data)
+    with pytest.raises(StructuralError) as info:
+        _determinacy(model.joint, joint, [x_data], NORMALIZER_SD)
+    assert str(info.value) == (
+        "joint determinacy: 1 indicator data matrix, the joint block takes "
+        "2 (x, y)"
+    )
+    xi = joint.select(model.xi_labels)
+    with pytest.raises(StructuralError) as info:
+        _determinacy(model.exo, xi, [x_data, y_data], NORMALIZER_SD)
+    assert str(info.value) == (
+        "exogenous determinacy: 2 indicator data matrices, the exogenous "
+        "block takes 1 (x)"
+    )

@@ -49,7 +49,7 @@ def fit(model, x, y):
         "endo": regression_scores(model.endo, y).values,
         "cp-params": cp_scores_from_params(model, x).values,
         "orthogonal": orthogonal_scores(model, x).values,
-        "cp-orthogonal": cp_scores_from_orthogonal(model, x).values,
+        "cp-orthogonal": cp_scores_from_orthogonal(model.exo, x).values,
         "score_corr": score_corr(model.endo).values,
         "det-exo": determinacy_exo(cp.select(model.xi_labels), x, model).coefficients,
         "det-endo": determinacy_endo(
@@ -87,7 +87,8 @@ def test_kept_arrays_are_read_only():
     (model, _), x, y = draw(1)
     fit(model, x, y)
     arrays = [v for v in kept_values(model) if isinstance(v, np.ndarray)]
-    arrays += [model.exo.corr, model.endo.corr, model.joint.corr]
+    arrays += [model.exo.corr.values, model.endo.corr.values,
+               model.joint.corr.values]
     arrays += [combined_factor_corr(model).values]
     assert len(arrays) >= 17
     for a in arrays:
@@ -213,8 +214,13 @@ def test_warm_replication_takes_one_eigendecomposition(eigh_calls):
 
 def test_warm_cp_scores_from_orthogonal_takes_no_eigendecomposition(eigh_calls):
     (model, _), x, _ = draw(6)
-    first = cp_scores_from_orthogonal(model, x)
+    cp_scores_from_params(model, x)
     eigh_calls.clear()
-    again = cp_scores_from_orthogonal(model, x)
+    # the root of phi is the one the parameter route took, kept by phi;
+    # only L' sigma^{-1} L of the x block is new
+    first = cp_scores_from_orthogonal(model.exo, x)
+    assert eigh_calls == [(3, 3)]
+    eigh_calls.clear()
+    again = cp_scores_from_orthogonal(model.exo, x)
     assert eigh_calls == []
     assert np.array_equal(first.values, again.values)

@@ -23,8 +23,6 @@ import numpy as np
 import pytest
 
 from cpscores import (
-    ENDOGENOUS,
-    EXOGENOUS,
     closed_form_regression_determinacy,
     combined_factor_corr,
     cp_scores_from_params,
@@ -127,7 +125,7 @@ def _fit(model, n_cases=200):
     determinacy_exo(xi, x, model)
     determinacy_endo(eta, y, model)
     standardized_betas(xi, eta)
-    for block in (EXOGENOUS, ENDOGENOUS):
+    for block in ("exogenous", "endogenous"):
         closed_form_regression_determinacy(model, block)
 
 
@@ -135,8 +133,9 @@ def _kept_float_count(model):
     """Floats a warm model must keep: the regression weights of its three
     blocks, the orthogonal and parameter-route weights of the x block, the
     x and y score covariances, each block's uniqueness and the smallest and
-    largest eigenvalue of its implied covariance, C, C^{1/2} and the
-    implied eta covariance."""
+    largest eigenvalue of its implied covariance, C and C^{1/2}, plus
+    h * h floats of slack: the eta correlation is a view of C and keeps
+    none of its own."""
     k, h, p, q = model.n_xi, model.n_eta, model.n_x, model.n_y
     return (3 * k * p + h * q + (k + h) * (p + q)
             + k * k + h * h
@@ -145,9 +144,10 @@ def _kept_float_count(model):
 
 
 # Bytes a warm model may retain beyond its kept floats: each kept array's
-# object, the dicts that hold them and the blocks.  Measured at about
-# 4.7 KB for the model below (numpy 2.4, CPython 3.11); keeping the stacked
-# joint loadings adds 4.8 KB and the joint implied covariance 28.8 KB.
+# object, the dicts that hold them, the blocks and the eta correlation's
+# FactorCorr.  Measured at about 5.7 KB for the model below (numpy 2.4,
+# CPython 3.11); keeping the stacked joint loadings adds 4.8 KB and the
+# joint implied covariance 28.8 KB.
 KEPT_OVERHEAD_BYTES = 7_500
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cpscores import (
+    Block,
     DataError,
     FactorCorr,
     ModelError,
@@ -281,6 +282,41 @@ class TestCombinedFactorCorr:
         assert validate_model(m).violations == (str(info.value),)
 
 
+class TestBlockCorr:
+    """Each block's factor correlation is the model's one FactorCorr."""
+
+    def test_blocks_hold_the_model_correlations(self, model):
+        c = combined_factor_corr(model)
+        assert model.exo.corr is model.phi
+        assert model.joint.corr is c
+        eta = model.endo.corr
+        assert eta.labels == model.eta_labels
+        assert eta.values.base is c.values
+        assert np.array_equal(eta.values, c.values[3:, 3:])
+        assert np.array_equal(np.diag(eta.values), np.ones(2))
+        for block in (model.exo, model.endo, model.joint):
+            assert block.factor_labels is block.corr.labels
+
+    def test_array_corr_refused(self, model):
+        with pytest.raises(StructuralError, match=(
+            "^exogenous block: corr must be a FactorCorr, got ndarray$")):
+            Block("exogenous", (model.lambda_x,), model.phi.values,
+                  model.x_labels)
+
+    def test_endo_block_needs_a_usable_combined_corr(self):
+        # gamma = I and psi = 0: C is singular
+        m = SemModel(
+            lambda_x=np.array([[0.7, 0.0], [0.0, 0.7]]),
+            phi=np.eye(2),
+            lambda_y=np.array([[0.6, 0.0], [0.0, 0.6]]),
+            gamma=np.eye(2),
+            psi=np.zeros((2, 2)),
+        )
+        with pytest.raises(ModelError, match="^combined factor correlation"):
+            m.endo
+        assert m.exo.sigma_violation() is None
+
+
 def test_combined_corr_valid_for_random_models(rng):
     for _ in range(20):
         m = __import__("cpscores").random_model(rng)
@@ -410,7 +446,7 @@ class TestLabels:
         phi = FactorCorr(("a", "b", "c"), model.phi.values)
         with pytest.raises(StructuralError, match=r"phi is labelled \('a', 'b', 'c'\)"):
             self.build(model, phi=phi)
-        eta_corr = FactorCorr(("b", "a"), model.endo.corr)
+        eta_corr = FactorCorr(("b", "a"), model.endo.corr.values)
         with pytest.raises(StructuralError, match="eta_corr is labelled"):
             self.build(model, psi=None, eta_corr=eta_corr)
 

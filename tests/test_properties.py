@@ -6,17 +6,25 @@ well-conditioned, realistic input.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpscores import (
     CpscoresError,
     FactorCorr,
+    NearSingularError,
     ScoreMatrix,
     SemModel,
+    closed_form_regression_determinacy,
+    combined_factor_corr,
+    cp_scores_from_params,
     cp_transform,
+    determinacy_endo,
+    determinacy_exo,
     joint_regression_scores,
     sample_corr,
+    standardized_betas,
     validate_model,
 )
 from cpscores.linalg import sym_inv_sqrt, sym_sqrt
@@ -86,7 +94,7 @@ def test_betas_solve_the_normal_equations(k, m, seed):
 def test_block_weights_and_joint_sigma(n_xi, n_eta, seed):
     model = random_model(np.random.default_rng(seed), n_xi=n_xi, n_eta=n_eta)
     for block in (model.exo, model.endo, model.joint):
-        oracle = block.corr @ block.loadings.T @ np.linalg.inv(block.sigma())
+        oracle = block.corr.values @ block.loadings.T @ np.linalg.inv(block.sigma())
         assert np.max(np.abs(block.weights() - oracle)) < 1e-9
     joint = model.joint.sigma()
     assert np.max(np.abs(joint[: model.n_x, : model.n_x] - model.exo.sigma())) < 1e-10
@@ -114,3 +122,79 @@ def test_validation_accepts_exactly_the_usable_models(seed):
     except CpscoresError:
         usable = False
     assert validate_model(m).ok == usable
+
+
+# ---------------------------------------------------------------------------
+# robustness edges: one factor per block, the fewest cases a transform can
+# take, a Heywood-edge loading and near-collinear factors
+
+def _chain(model, n, seed):
+    """Joint scores, their transform, both blocks' determinacy and betas."""
+    x, y, _ = simulate_dataset(SimulationSpec(model, n, seed, False))
+    c = combined_factor_corr(model)
+    cp = cp_transform(joint_regression_scores(model, x, y), c)
+    xi, eta = cp.select(model.xi_labels), cp.select(model.eta_labels)
+    determinacy_exo(xi, x, model)
+    determinacy_endo(eta, y, model)
+    return cp, c, standardized_betas(xi, eta)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=seeds)
+def test_one_factor_per_block_chain_runs(seed):
+    model = random_model(np.random.default_rng(seed), 1, 1, 3)
+    assert validate_model(model).ok
+    cp, c, betas = _chain(model, 200, seed)
+    assert np.max(np.abs(sample_corr(cp).values - c.values)) < 1e-12
+    # one predictor: the beta is the sample correlation, made C's
+    assert betas[0, 0] == pytest.approx(model.gamma[0, 0], abs=1e-12)
+
+
+def test_transform_from_k_plus_one_cases_and_refused_at_k(model):
+    k = len(model.factor_labels)
+    cp, c, _ = _chain(model, k + 1, 3)
+    assert np.max(np.abs(sample_corr(cp).values - c.values)) < 1e-12
+    x, y, _ = simulate_dataset(SimulationSpec(model, k, 3, False))
+    with pytest.raises(NearSingularError, match=(
+            r"^sample correlation of the scores \(xi1, xi2, xi3, eta1, eta2\) "
+            r"not positive definite")):
+        cp_transform(joint_regression_scores(model, x, y), combined_factor_corr(model))
+
+
+def test_heywood_edge_validates_and_transforms_exactly(model):
+    # x1 rescaled so its uniqueness is 1e-6
+    lambda_x = model.lambda_x.copy()
+    row = lambda_x[0]
+    lambda_x[0] = row * np.sqrt((1.0 - 1e-6) / (row @ model.phi.values @ row))
+    m = SemModel(lambda_x=lambda_x, phi=model.phi, lambda_y=model.lambda_y,
+                 gamma=model.gamma, psi=model.psi)
+    assert m.exo.uniqueness()[0] == pytest.approx(1e-6, rel=1e-6)
+    assert validate_model(m).ok
+    closed = closed_form_regression_determinacy(m, "exogenous").coefficients
+    assert np.all(closed <= 1.0)
+    # no sample determinacy bound here: exact regression scores can read
+    # above 1 at this edge
+    cp, c, _ = _chain(m, 20_000, 1)
+    assert np.max(np.abs(sample_corr(cp).values - c.values)) < 1e-12
+
+
+def test_near_collinear_factors_refused_naming_the_matrix():
+    # phi12 = 0.999999: the scores of xi1 and xi2 are collinear to within
+    # PD_RTOL, by sample and by parameters
+    m = SemModel(
+        lambda_x=np.array([[0.8, 0.0], [0.7, 0.0], [0.6, 0.0],
+                           [0.0, 0.8], [0.0, 0.7], [0.0, 0.6]]),
+        phi=np.array([[1.0, 0.999999], [0.999999, 1.0]]),
+        lambda_y=np.array([[0.7], [0.6], [0.8]]),
+        gamma=np.array([[0.2, 0.1]]),
+        psi=np.array([[1.0 - 0.05 - 0.04 * 0.999999]]),
+    )
+    with pytest.raises(NearSingularError, match=(
+            r"^sample correlation of the scores \(xi1, xi2, eta1\) not "
+            r"positive definite")):
+        _chain(m, 20_000, 1)
+    x, _, _ = simulate_dataset(SimulationSpec(m, 100, 1, False))
+    with pytest.raises(NearSingularError, match=(
+            "^regression-score correlation of the exogenous block not "
+            "positive definite")):
+        cp_scores_from_params(m, x)

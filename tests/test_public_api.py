@@ -2,7 +2,7 @@ import cpscores
 
 PUBLIC_NAMES = [
     "Block", "CpscoresError", "DataError", "DataMatrix", "DeterminacyReport",
-    "ENDOGENOUS", "EXOGENOUS", "ExampleReport", "FactorCorr", "ModelError",
+    "ExampleReport", "FactorCorr", "ModelError",
     "NearSingularError", "ScoreMatrix", "SemModel", "SimulationSpec",
     "StructuralError", "ValidationReport", "betas_from_corr",
     "closed_form_regression_determinacy", "combined_factor_corr",

@@ -61,8 +61,8 @@ def weights(corr, loadings):
 def oracle_weights(model):
     """Weights of every score family, from the model parameters alone."""
     phi = model.phi.values
-    eta_corr = model.endo.corr
-    c = model.joint.corr
+    eta_corr = model.endo.corr.values
+    c = model.joint.corr.values
     loadings = np.zeros((model.n_x + model.n_y, model.n_xi + model.n_eta))
     loadings[: model.n_x, : model.n_xi] = model.lambda_x
     loadings[model.n_x:, model.n_xi:] = model.lambda_y

@@ -5,6 +5,7 @@ from cpscores import (
     DataError,
     DataMatrix,
     FactorCorr,
+    NearSingularError,
     ScoreMatrix,
     SemModel,
     StructuralError,
@@ -20,7 +21,6 @@ from cpscores import (
     simulate_dataset,
     sym_sqrt,
 )
-from cpscores.scores import joint_regression_weights
 from cpscores.simulate import SimulationSpec, random_model
 
 
@@ -56,13 +56,17 @@ def eigh_multiplier(target, cov):
     return power(target, 0.5) @ power(cov * np.outer(d, d), -0.5) @ np.diag(d)
 
 
-def applied_weights(family, model):
-    """The weight matrix a score family applies to the x indicators: the
-    rows ``e_j`` and ``-e_j`` have mean zero, so the scores of the first
-    n_x rows are the columns of the weights."""
-    eye = np.eye(model.n_x)
-    data = DataMatrix(np.vstack([eye, -eye]), model.x_labels)
-    return family(model, data).values[: model.n_x].T
+def applied_weights(family, owner, block):
+    """The weight matrix ``family(owner, *data)`` applies to the indicators
+    of ``block``, one data matrix per loading block: the rows ``e_j`` and
+    ``-e_j`` have mean zero, so the scores of the first p rows are the
+    columns of the weights."""
+    p = len(block.indicator_labels)
+    rows = np.vstack([np.eye(p), -np.eye(p)])
+    bounds = np.cumsum([0] + [len(b) for b in block.loading_blocks])
+    data = [DataMatrix(rows[:, lo:hi], block.indicator_labels[lo:hi])
+            for lo, hi in zip(bounds, bounds[1:])]
+    return family(owner, *data).values[:p].T
 
 
 class TestRegressionScoresExo:
@@ -303,6 +307,34 @@ class TestParameterRoute:
             assert str(info.value) == expected
 
 
+class TestNamedSingularMatrices:
+    """A matrix that is not positive definite is named in the error."""
+
+    def test_too_few_cases_name_the_score_correlation(self, model):
+        # 5 cases of 5 scores: rank 4 after centring
+        x_data, y_data, _ = simulate(model, n=5, seed=1)
+        joint = joint_regression_scores(model, x_data, y_data)
+        with pytest.raises(NearSingularError, match=(
+            r"^sample correlation of the scores \(xi1, xi2, xi3, eta1, eta2\) "
+            r"not positive definite \(smallest eigenvalue ")):
+            cp_transform(joint, combined_factor_corr(model))
+
+    def test_factor_without_indicators_names_the_information_matrix(self):
+        # xi2 loads on no indicator: L' sigma^{-1} L has a zero row
+        m = SemModel(
+            lambda_x=np.array([[0.7, 0.0], [0.6, 0.0], [0.8, 0.0]]),
+            phi=np.eye(2),
+            lambda_y=np.array([[0.6]]),
+            gamma=np.array([[0.3, 0.0]]),
+            eta_corr=np.eye(1),
+        )
+        x = DataMatrix(np.eye(3), ("x1", "x2", "x3"))
+        with pytest.raises(NearSingularError, match=(
+            "^L\u2032\u03a3\u207b\u00b9L of the exogenous block not "
+            "positive definite")):
+            orthogonal_scores(m, x)
+
+
 class TestOrthogonalScores:
     def test_population_covariance_identity(self, model):
         x_data, _, _ = simulate(model)
@@ -334,7 +366,7 @@ class TestCpFromOrthogonal:
             eta_corr=np.eye(1),
         )
         x = DataMatrix(np.eye(2), ("x1", "x2"))
-        assert cp_scores_from_orthogonal(m, x).values == pytest.approx(
+        assert cp_scores_from_orthogonal(m.exo, x).values == pytest.approx(
             orthogonal_scores(m, x).values
         )
 
@@ -346,7 +378,7 @@ class TestCpFromOrthogonal:
         from cpscores import standardized_betas
 
         x_data, y_data, _ = simulate(model, n=10_000, seed=1)
-        cp_xi = cp_scores_from_orthogonal(model, x_data)
+        cp_xi = cp_scores_from_orthogonal(model.exo, x_data)
         # endogenous cp scores from the joint transform of the full proxy
         proxy = joint_regression_scores(model, x_data, y_data)
         cp_eta = cp_transform(
@@ -357,33 +389,62 @@ class TestCpFromOrthogonal:
 
 
 class TestParameterRouteWeights:
-    """Both parameter-route correlation-preserving weight matrices give
-    scores with population covariance phi, over random model shapes."""
+    """The parameter-route correlation-preserving weight matrices give
+    scores whose population covariance is the block's factor correlation
+    (phi for the x block), over random model shapes: from parameters on
+    the x block, and from orthogonal scores on every block."""
 
-    @pytest.mark.parametrize("family", [cp_scores_from_params, cp_scores_from_orthogonal])
+    @pytest.mark.parametrize("family, block", [
+        (cp_scores_from_params, "exo"), (cp_scores_from_orthogonal, "exo"),
+        (cp_scores_from_orthogonal, "endo"), (cp_scores_from_orthogonal, "joint"),
+    ])
     @pytest.mark.parametrize("n_xi, n_eta, per_factor", [
         (1, 1, 2), (2, 1, 3), (3, 2, 3), (4, 3, 4), (6, 4, 6),
     ])
-    def test_population_covariance_is_phi(self, family, n_xi, n_eta, per_factor):
+    def test_population_covariance_is_phi(self, family, block, n_xi, n_eta,
+                                          per_factor):
         rng = np.random.default_rng(100 * n_xi + 10 * n_eta + per_factor)
         m = random_model(rng, n_xi=n_xi, n_eta=n_eta,
                          indicators_per_factor=per_factor)
-        w = applied_weights(family, m)
-        assert w @ m.exo.sigma() @ w.T == pytest.approx(m.phi.values, abs=1e-10)
+        b = getattr(m, block)
+        w = applied_weights(family, m if family is cp_scores_from_params else b, b)
+        assert w @ b.sigma() @ w.T == pytest.approx(b.corr.values, abs=1e-10)
 
     def test_orthogonal_route_is_sqrt_phi_times_orthogonal_scores(self, model):
         x_data, _, _ = simulate(model, n=500, seed=4)
         w, v = np.linalg.eigh(model.phi.values)
         root = (v * np.sqrt(w)) @ v.T
         expected = orthogonal_scores(model, x_data).values @ root.T
-        assert cp_scores_from_orthogonal(model, x_data).values == pytest.approx(
+        assert cp_scores_from_orthogonal(model.exo, x_data).values == pytest.approx(
             expected, abs=1e-12
         )
 
 
 class TestJointRegressionScores:
+    def test_is_regression_scores_of_the_joint_block(self, model):
+        x_data, y_data, _ = simulate(model, n=500, seed=2)
+        assert np.array_equal(
+            regression_scores(model.joint, x_data, y_data).values,
+            joint_regression_scores(model, x_data, y_data).values,
+        )
+
+    def test_data_count_refused(self, model):
+        x_data, y_data, _ = simulate(model, n=50, seed=1)
+        with pytest.raises(StructuralError) as info:
+            regression_scores(model.joint, x_data)
+        assert str(info.value) == (
+            "regression scores: 1 indicator data matrix, the joint block "
+            "takes 2 (x, y)"
+        )
+        with pytest.raises(StructuralError) as info:
+            cp_scores_from_orthogonal(model.exo, x_data, y_data)
+        assert str(info.value) == (
+            "correlation-preserving scores: 2 indicator data matrices, the "
+            "exogenous block takes 1 (x)"
+        )
+
     def test_population_covariance_is_combined_corr(self, model):
-        w = joint_regression_weights(model)
+        w = model.joint.weights()
         c = combined_factor_corr(model).values
         loadings = np.zeros((25, 5))
         loadings[:15, :3] = model.lambda_x

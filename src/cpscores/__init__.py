@@ -8,7 +8,6 @@ for both score families.
 
 from .containers import DataMatrix, FactorCorr, ScoreMatrix
 from .determinacy import (
-    DeterminacyReport,
     closed_form_regression_determinacy,
     determinacy_endo,
     determinacy_exo,
@@ -27,26 +26,16 @@ from .io import (
     read_scores_csv,
     write_scores_csv,
 )
-from .linalg import sample_corr, sym_inv_sqrt, sym_sqrt
-from .model import (
-    Block,
-    SemModel,
-    ValidationReport,
-    combined_factor_corr,
-    validate_model,
-)
-from .regression import betas_from_corr, standardized_betas
+from .model import Block, SemModel, validate_model
+from .regression import standardized_betas
 from .scores import (
     cp_scores_from_orthogonal,
     cp_scores_from_params,
     cp_transform,
-    joint_regression_scores,
     orthogonal_scores,
     regression_scores,
-    score_corr,
 )
 from .simulate import (
-    ExampleReport,
     SimulationSpec,
     example_model,
     random_model,
@@ -57,18 +46,13 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Block", "CpscoresError", "DataError", "DataMatrix", "DeterminacyReport",
-    "ExampleReport", "FactorCorr", "ModelError", "NearSingularError",
-    "ScoreMatrix", "SemModel", "SimulationSpec", "StructuralError",
-    "ValidationReport",
-    "betas_from_corr", "closed_form_regression_determinacy",
-    "combined_factor_corr", "cp_scores_from_orthogonal",
-    "cp_scores_from_params", "cp_transform",
-    "determinacy_endo", "determinacy_exo", "example_model",
-    "joint_regression_scores", "model_hash",
-    "orthogonal_scores", "parse_model_file",
-    "random_model", "read_data_csv", "read_scores_csv",
-    "regression_scores", "run_example", "sample_corr",
-    "score_corr", "simulate_dataset", "standardized_betas", "sym_inv_sqrt",
-    "sym_sqrt", "validate_model", "write_scores_csv",
+    "Block", "CpscoresError", "DataError", "DataMatrix", "FactorCorr",
+    "ModelError", "NearSingularError", "ScoreMatrix", "SemModel",
+    "SimulationSpec", "StructuralError",
+    "closed_form_regression_determinacy", "cp_scores_from_orthogonal",
+    "cp_scores_from_params", "cp_transform", "determinacy_endo",
+    "determinacy_exo", "example_model", "model_hash", "orthogonal_scores",
+    "parse_model_file", "random_model", "read_data_csv", "read_scores_csv",
+    "regression_scores", "run_example", "simulate_dataset",
+    "standardized_betas", "validate_model", "write_scores_csv",
 ]

@@ -15,11 +15,11 @@ block, checked by the score families' rule
 (:func:`cpscores.model._indicator_values`).  The estimate is exact for
 scores linear in the block's indicators alone, plain or
 correlation-preserving; scores that also use indicators outside the block
-can give a coefficient above 1.  ``moments`` refuses a constant column of
-the scores or the indicators by label: a constant indicator would drop
-out of S while the model still weights it, a wrong coefficient with no
-error.  A closed-form population value for exact regression scores is
-provided as an oracle.
+can give a coefficient above 1, which the report's text flags unclipped.
+``moments`` refuses a constant column of the scores or the indicators by
+label: a constant indicator would drop out of S while the model still
+weights it, a wrong coefficient with no error.  A closed-form population
+value for exact regression scores is provided as an oracle.
 """
 
 from __future__ import annotations
@@ -58,7 +58,13 @@ class DeterminacyReport:
         pairs = ", ".join(
             f"{lb}={c:.3f}" for lb, c in zip(self.labels, self.coefficients)
         )
-        return f"determinacy[{self.variant}; {self.score_provenance}]: {pairs}"
+        text = f"determinacy[{self.variant}; {self.score_provenance}]: {pairs}"
+        # a correlation above 1 is flagged, not clipped; variance-normalized
+        # coefficients are not correlations
+        above = [lb for lb, c in zip(self.labels, self.coefficients) if c > 1.0]
+        if above and not self.variant.endswith("variance-normalized"):
+            text += f"  (above 1: {', '.join(above)})"
+        return text
 
 
 def _determinacy(block: Block, scores, data, normalizer):

@@ -35,11 +35,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 
 import numpy as np
 
-from .containers import FactorCorr, ScoreMatrix, _kept, pd_violation
+from .containers import FactorCorr, _kept, pd_violation
 from .errors import DataError, NearSingularError, StructuralError
 
 
@@ -48,7 +47,8 @@ SYMMETRY_RTOL = 1e-10
 
 
 def _sym_power(s, power, what="matrix"):
-    # a NearSingularError names the matrix as ``what``
+    # V diag(w)^power V' for s = V diag(w) V'; a NearSingularError names
+    # the matrix as ``what``
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise StructuralError(f"expected a square matrix, got shape {s.shape}")
@@ -62,20 +62,11 @@ def _sym_power(s, power, what="matrix"):
     return (v * w**power) @ v.T
 
 
-def sym_sqrt(s: np.ndarray) -> np.ndarray:
-    """Symmetric square root: V diag(w)^{1/2} V' for s = V diag(w) V'."""
-    return _sym_power(s, 0.5)
-
-
-def sym_inv_sqrt(s: np.ndarray) -> np.ndarray:
-    """Symmetric inverse square root: V diag(w)^{-1/2} V'."""
-    return _sym_power(s, -0.5)
-
-
 @_kept
 def corr_sqrt(c: FactorCorr) -> np.ndarray:
-    """:func:`sym_sqrt` of a correlation matrix, kept by the FactorCorr:
-    the one root of each factor correlation (phi, C and C's eta block)."""
+    """Symmetric square root of a correlation matrix, kept by the
+    FactorCorr: the one root of each factor correlation (phi, C and C's
+    eta block)."""
     return _sym_power(c.values, 0.5, f"factor correlation ({', '.join(c.labels)})")
 
 
@@ -230,15 +221,3 @@ def cp_multiplier(target_sqrt: np.ndarray, cov: np.ndarray, what: str) -> np.nda
     t = target_sqrt @ _sym_power(corr_from_cov(cov), -0.5, what)
     return t / np.sqrt(np.diag(cov))
 
-
-def sample_corr(scores: ScoreMatrix) -> FactorCorr:
-    """Sample correlation of the score columns as a labeled FactorCorr."""
-    n, k = scores.values.shape
-    if n <= k:
-        warnings.warn(
-            f"sample correlation of {k} columns from only {n} cases is rank "
-            "deficient or unstable",
-            stacklevel=2,
-        )
-    cov = moments([scores.values], scores.labels)[1]
-    return FactorCorr(scores.labels, corr_from_cov(cov))

@@ -77,6 +77,15 @@ class Block:
         # block keeps can go stale
         object.__setattr__(self, "loading_blocks", tuple(
             _as_matrix(b, "loadings") for b in self.loading_blocks))
+        rows, cols = map(sum, zip(*(b.shape for b in self.loading_blocks)))
+        if self.corr.order != cols:
+            raise StructuralError(
+                f"{self.name} block: factor correlation of order "
+                f"{self.corr.order}, loadings have {cols} columns")
+        if len(self.indicator_labels) != rows:
+            raise StructuralError(
+                f"{self.name} block: {len(self.indicator_labels)} indicator "
+                f"labels, loadings have {rows} rows")
 
     @property
     def factor_labels(self) -> tuple[str, ...]:
@@ -172,24 +181,19 @@ class Block:
         the regression weights premultiplied by
         ``C^{1/2} R^{-1/2} diag(A)^{-1/2}`` (:func:`cpscores.linalg.cp_multiplier`)
         with ``A`` the regression-score covariance and ``R`` its
-        correlation, so the population covariance of the scores is C."""
+        correlation, so the population covariance of the scores is C.
+        Refused if a score variance is not positive (the factor's
+        indicators carry none of it)."""
+        a = self.score_cov()
+        d = np.diag(a)
+        if np.min(d) <= 0.0:
+            i = int(np.argmin(d))
+            raise StructuralError(
+                f"regression-score variance {d[i]:.3e} for factor "
+                f"{self.factor_labels[i]} is not positive"
+            )
         what = f"regression-score correlation of the {self.name} block"
-        m = cp_multiplier(corr_sqrt(self.corr), _score_cov(self), what)
-        return m @ self.weights()
-
-
-def _score_cov(block: Block) -> np.ndarray:
-    """:meth:`Block.score_cov`, refused if a regression-score variance is
-    not positive (the factor's indicators carry none of it)."""
-    a = block.score_cov()
-    d = np.diag(a)
-    if np.min(d) <= 0.0:
-        i = int(np.argmin(d))
-        raise StructuralError(
-            f"regression-score variance {d[i]:.3e} for factor "
-            f"{block.factor_labels[i]} is not positive"
-        )
-    return a
+        return cp_multiplier(corr_sqrt(self.corr), a, what) @ self.weights()
 
 
 def _indicator_values(block: Block, data, n: int | None, what: str) -> list[np.ndarray]:

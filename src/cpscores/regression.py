@@ -13,17 +13,6 @@ from .containers import ScoreMatrix, pd_violation
 from .errors import NearSingularError, StructuralError
 from .linalg import corr_from_cov, moments
 
-def betas_from_corr(r_xx: np.ndarray, r_xy: np.ndarray) -> np.ndarray:
-    """Solve the normal equations on correlation matrices.
-
-    ``r_xx`` is the predictor correlation matrix, ``r_xy`` the matrix of
-    predictor-outcome correlations (one column per outcome).
-    """
-    msg = pd_violation(np.linalg.eigvalsh(r_xx), "collinear predictors: correlation")
-    if msg:
-        raise NearSingularError(msg)
-    return np.linalg.solve(r_xx, r_xy)
-
 
 def standardized_betas(predictors: ScoreMatrix, outcomes: ScoreMatrix) -> np.ndarray:
     """Standardized regression coefficients, one column per outcome."""
@@ -36,4 +25,8 @@ def standardized_betas(predictors: ScoreMatrix, outcomes: ScoreMatrix) -> np.nda
     labels = predictors.labels + outcomes.labels
     cov = moments([predictors.values, outcomes.values], labels)[1]
     r = corr_from_cov(cov)
-    return betas_from_corr(r[:k, :k], r[:k, k:])
+    r_xx, r_xy = r[:k, :k], r[:k, k:]
+    msg = pd_violation(np.linalg.eigvalsh(r_xx), "collinear predictors: correlation")
+    if msg:
+        raise NearSingularError(msg)
+    return np.linalg.solve(r_xx, r_xy)

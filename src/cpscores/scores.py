@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from .containers import FactorCorr, ScoreMatrix, DataMatrix
 from .errors import StructuralError
-from .linalg import centred_product, corr_from_cov, corr_sqrt, cp_multiplier, moments
-from .model import Block, SemModel, _indicator_values, _score_cov
+from .linalg import centred_product, corr_sqrt, cp_multiplier, moments
+from .model import Block, SemModel, _indicator_values
 
 PROV_REGRESSION = "regression"
 PROV_ORTHOGONAL = "orthogonal"
@@ -64,16 +64,6 @@ def joint_regression_scores(
     condition on one indicator block only.
     """
     return regression_scores(model.joint, x_data, y_data)
-
-
-def score_corr(block: Block) -> FactorCorr:
-    """Population correlation of the block's regression scores.
-
-    The regression score does not preserve C: its covariance is
-    A = C lambda' sigma^{-1} lambda C (:meth:`Block.score_cov`), and this
-    returns diag(A)^{-1/2} A diag(A)^{-1/2}.
-    """
-    return FactorCorr(block.factor_labels, corr_from_cov(_score_cov(block)))
 
 
 def cp_transform(p: ScoreMatrix, c_target: FactorCorr) -> ScoreMatrix:

@@ -19,7 +19,7 @@ from .containers import DataMatrix, ScoreMatrix
 from .determinacy import determinacy_endo, determinacy_exo
 from .errors import DataError
 from .io import model_hash, parse_model_file
-from .linalg import corr_sqrt, row_blocks, sample_corr
+from .linalg import corr_from_cov, corr_sqrt, moments, row_blocks
 from .model import SemModel, combined_factor_corr
 from .regression import standardized_betas
 from .scores import (
@@ -299,7 +299,7 @@ def run_example(seed: int = DEFAULT_SEED, n_cases: int = DEFAULT_N_CASES) -> Exa
     # parameter route: orthogonal-score based cp scores keep phi
     cp_param = cp_scores_from_orthogonal(model.exo, x_data)
     dev = np.max(np.abs(
-        sample_corr(cp_param).values - model.phi.values))
+        corr_from_cov(moments([cp_param.values])[1]) - model.phi.values))
     checks.append(ExampleCheck(
         "parameter-route cp scores reproduce phi",
         dev <= SAMPLE_CORR_TOL,

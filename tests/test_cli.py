@@ -1,9 +1,11 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
-from cpscores import combined_factor_corr, sample_corr
 from cpscores.cli import main
 from cpscores.io import read_labeled_csv, read_scores_csv, write_matrix_csv
+from cpscores.model import combined_factor_corr
 
 MODEL_TEXT = """
 [dimensions]
@@ -170,7 +172,7 @@ class TestScores:
             "--method", "cp-params", "--out", out,
         ]) == 0
         scores = read_scores_csv(out)
-        r = sample_corr(scores).values
+        r = np.corrcoef(scores.values, rowvar=False)
         assert r[0, 1] == pytest.approx(0.3, abs=0.1)
 
     @pytest.mark.parametrize("method", ["takeuchi", "cp-params"])
@@ -231,7 +233,7 @@ class TestTransform:
         model = parse_model_file(model_file)
         cp = read_scores_csv(out, model)
         c = combined_factor_corr(model).values
-        assert np.max(np.abs(sample_corr(cp).values - c)) < 1e-10
+        assert np.max(np.abs(np.corrcoef(cp.values, rowvar=False) - c)) < 1e-10
 
     def test_too_few_cases_exit_two_naming_the_matrix(
         self, tmp_path, model_file, capsys
@@ -404,6 +406,31 @@ class TestDeterminacy:
         ]) == 0
         out = capsys.readouterr().out
         assert "variance-normalized" in out
+
+    def test_example_chain_flags_eta1_above_one(self, tmp_path, capsys):
+        # the block-wise estimator on the transform of joint scores reads
+        # eta1 above 1; the sd-normalized line says so, unclipped, and the
+        # variance-normalized line, not a correlation, does not
+        model = str(resources.files("cpscores").joinpath("data/example.model"))
+        x, y, pv, cp = (str(tmp_path / f) for f in ("x.csv", "y.csv", "pv.csv", "cp.csv"))
+        for argv in (
+            ["simulate", model, "--n", "2000", "--seed", "1", "--out-x", x, "--out-y", y],
+            ["scores", model, "--x", x, "--y", y, "--method", "regression", "--out", pv],
+            ["transform", model, "--scores", pv, "--out", cp],
+        ):
+            assert main(argv) == 0
+        capsys.readouterr()
+        determinacy = ["determinacy", model, "--scores", cp, "--x", x, "--y", y]
+        assert main(determinacy) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == [
+            "determinacy[exogenous; file]: xi1=0.949, xi2=0.963, xi3=0.951",
+            "determinacy[endogenous; file]: eta1=1.008, eta2=0.810  (above 1: eta1)",
+        ]
+        assert main(determinacy + ["--appendix-compat"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == ("determinacy[endogenous-variance-normalized; file]: "
+                        "eta1=1.008, eta2=0.810")
 
 
 class TestVerify:

@@ -11,6 +11,8 @@ import pytest
 
 import cpscores
 from cpscores import DataError, DataMatrix, ScoreMatrix, StructuralError
+from cpscores.determinacy import DeterminacyReport
+from cpscores.simulate import ExampleReport
 
 LABELS = ("a", "b")
 
@@ -227,7 +229,7 @@ def test_data_matrix_refuses_zero_cases(values):
 
 @pytest.mark.parametrize("cls", [
     cpscores.SemModel, cpscores.Block, cpscores.FactorCorr, DataMatrix,
-    ScoreMatrix, cpscores.DeterminacyReport, cpscores.ExampleReport,
+    ScoreMatrix, DeterminacyReport, ExampleReport,
     cpscores.SimulationSpec,
 ], ids=lambda cls: cls.__name__)
 def test_array_holders_compare_and_hash_by_identity(cls):

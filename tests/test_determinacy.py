@@ -9,15 +9,22 @@ from cpscores import (
     SemModel,
     StructuralError,
     closed_form_regression_determinacy,
-    combined_factor_corr,
     cp_transform,
     determinacy_endo,
     determinacy_exo,
-    joint_regression_scores,
     regression_scores,
 )
-from cpscores.determinacy import NORMALIZER_SD, NORMALIZER_VARIANCE, _determinacy
+from cpscores.determinacy import (
+    NORMALIZER_SD,
+    NORMALIZER_VARIANCE,
+    DeterminacyReport,
+    _determinacy,
+)
+from cpscores.linalg import _sym_power
+from cpscores.model import combined_factor_corr
+from cpscores.scores import joint_regression_scores
 from cpscores.simulate import SimulationSpec, random_model, simulate_dataset
+from conftest import heywood_model
 
 
 def simulate(model, n=10_000, seed=7):
@@ -184,6 +191,35 @@ class TestClosedForm:
             closed_form_regression_determinacy(model, "sideways")
 
 
+class TestReportText:
+    def test_coefficients_at_most_one_print_the_pairs_only(self):
+        report = DeterminacyReport(("a", "b"), [0.9, 1.0], "file", 10, "exogenous")
+        assert str(report) == "determinacy[exogenous; file]: a=0.900, b=1.000"
+
+    def test_coefficients_above_one_flagged_unclipped(self):
+        report = DeterminacyReport(("a", "b", "c"), [1.0004, 0.9, 1.2], "file", 10, "joint")
+        assert str(report) == (
+            "determinacy[joint; file]: a=1.000, b=0.900, c=1.200  (above 1: a, c)")
+
+    def test_variance_normalized_not_flagged(self):
+        # not correlations, so 1 bounds nothing
+        report = DeterminacyReport(
+            ("eta1",), [1.2], "file", 10, "endogenous-variance-normalized")
+        assert str(report) == (
+            "determinacy[endogenous-variance-normalized; file]: eta1=1.200")
+
+
+@pytest.mark.parametrize("seed", [7001, 7002, 7003, 7004])
+def test_heywood_edge_sample_near_closed_form(model, seed):
+    # x1's uniqueness 1e-6 puts xi1's closed form at 1.000, and sampling
+    # error can carry exact regression scores' estimate above it
+    m = heywood_model(model)
+    x_data, _, _ = simulate(m, n=20_000, seed=seed)
+    report = determinacy_exo(regression_scores(m.exo, x_data), x_data, m)
+    closed = closed_form_regression_determinacy(m, "exogenous").coefficients
+    assert np.max(np.abs(report.coefficients - closed)) <= 0.03
+
+
 @pytest.mark.parametrize("normalizer", ["Variance", "SD", "", None])
 def test_unknown_normalizer_refused(model, normalizer):
     x_data, _, _ = simulate(model, n=200, seed=4)
@@ -248,8 +284,6 @@ def test_joint_block_matches_closed_form_and_true_factors(rng):
 def test_cp_determinacy_not_above_regression_at_population(rng):
     # population-level: the regression score maximizes determinacy, so the
     # correlation-preserving weights cannot beat it (weight-matrix algebra)
-    from cpscores import sym_sqrt, sym_inv_sqrt
-
     for _ in range(5):
         m = random_model(rng)
         sigma = m.exo.sigma()
@@ -257,7 +291,7 @@ def test_cp_determinacy_not_above_regression_at_population(rng):
         a = m.exo.score_cov()
         d_inv = np.diag(1.0 / np.sqrt(np.diag(a)))
         r = d_inv @ a @ d_inv
-        w_cp = sym_sqrt(m.phi.values) @ sym_inv_sqrt(r) @ d_inv @ w_reg
+        w_cp = _sym_power(m.phi.values, 0.5) @ _sym_power(r, -0.5) @ d_inv @ w_reg
         # determinacy of a weight matrix w: corr(w x, factor)
         cross = w_cp @ m.lambda_x @ m.phi.values
         var = np.diag(w_cp @ sigma @ w_cp.T)

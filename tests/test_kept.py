@@ -12,19 +12,19 @@ import pytest
 from cpscores import (
     SemModel,
     closed_form_regression_determinacy,
-    combined_factor_corr,
     cp_scores_from_orthogonal,
     cp_scores_from_params,
     cp_transform,
     determinacy_endo,
     determinacy_exo,
-    joint_regression_scores,
     orthogonal_scores,
     regression_scores,
-    score_corr,
     standardized_betas,
     validate_model,
 )
+from cpscores.linalg import corr_from_cov
+from cpscores.model import combined_factor_corr
+from cpscores.scores import joint_regression_scores
 from cpscores.simulate import SimulationSpec, random_model, simulate_dataset
 
 BLOCKS = ("exo", "endo", "joint")
@@ -50,7 +50,7 @@ def fit(model, x, y):
         "cp-params": cp_scores_from_params(model, x).values,
         "orthogonal": orthogonal_scores(model, x).values,
         "cp-orthogonal": cp_scores_from_orthogonal(model.exo, x).values,
-        "score_corr": score_corr(model.endo).values,
+        "score_corr": corr_from_cov(model.endo.score_cov()),
         "det-exo": determinacy_exo(cp.select(model.xi_labels), x, model).coefficients,
         "det-endo": determinacy_endo(
             cp.select(model.eta_labels), y, model).coefficients,

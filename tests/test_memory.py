@@ -24,18 +24,18 @@ import pytest
 
 from cpscores import (
     closed_form_regression_determinacy,
-    combined_factor_corr,
     cp_scores_from_params,
     cp_transform,
     determinacy_endo,
     determinacy_exo,
-    joint_regression_scores,
     orthogonal_scores,
     regression_scores,
     standardized_betas,
     validate_model,
 )
 from cpscores import linalg
+from cpscores.model import combined_factor_corr
+from cpscores.scores import joint_regression_scores
 from cpscores.simulate import SimulationSpec, random_model, simulate_dataset
 
 N_CASES = 10 * linalg.ROW_BLOCK + 17

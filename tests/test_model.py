@@ -12,13 +12,13 @@ from cpscores import (
     SemModel,
     SimulationSpec,
     StructuralError,
-    combined_factor_corr,
     cp_transform,
     random_model,
     regression_scores,
     simulate_dataset,
     validate_model,
 )
+from cpscores.model import combined_factor_corr
 
 
 def test_example_model_accepted(model):
@@ -302,6 +302,25 @@ class TestBlockCorr:
             "^exogenous block: corr must be a FactorCorr, got ndarray$")):
             Block("exogenous", (model.lambda_x,), model.phi.values,
                   model.x_labels)
+
+    @pytest.mark.parametrize("name", ["exogenous", "joint"])
+    def test_corr_order_must_match_loading_columns(self, model, name):
+        block = getattr(model, "exo" if name == "exogenous" else "joint")
+        two = FactorCorr(("a", "b"), np.eye(2))
+        cols = 3 if name == "exogenous" else 5
+        with pytest.raises(StructuralError, match=(
+                f"^{name} block: factor correlation of order 2, loadings "
+                f"have {cols} columns$")):
+            Block(name, block.loading_blocks, two, block.indicator_labels)
+
+    @pytest.mark.parametrize("name", ["exogenous", "joint"])
+    def test_one_indicator_label_per_loading_row(self, model, name):
+        block = getattr(model, "exo" if name == "exogenous" else "joint")
+        rows = len(block.indicator_labels)
+        with pytest.raises(StructuralError, match=(
+                f"^{name} block: 3 indicator labels, loadings have {rows} rows$")):
+            Block(name, block.loading_blocks, block.corr,
+                  block.indicator_labels[:3])
 
     def test_endo_block_needs_a_usable_combined_corr(self):
         # gamma = I and psi = 0: C is singular

@@ -17,24 +17,23 @@ from cpscores import (
     ScoreMatrix,
     SemModel,
     closed_form_regression_determinacy,
-    combined_factor_corr,
     cp_scores_from_params,
     cp_transform,
     determinacy_endo,
     determinacy_exo,
-    joint_regression_scores,
-    sample_corr,
     standardized_betas,
     validate_model,
 )
-from cpscores.linalg import sym_inv_sqrt, sym_sqrt
-from cpscores.regression import betas_from_corr
+from cpscores.linalg import _sym_power
+from cpscores.model import combined_factor_corr
+from cpscores.scores import joint_regression_scores
 from cpscores.simulate import (
     SimulationSpec,
     random_correlation,
     random_model,
     simulate_dataset,
 )
+from conftest import exact_corr_values, heywood_model
 
 dims = st.integers(min_value=2, max_value=6)
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -51,7 +50,7 @@ def test_transform_hits_target_correlation(k, seed):
     target = FactorCorr(_labels(k), random_correlation(rng, k))
     p = ScoreMatrix(rng.standard_normal((40, k)), target.labels, "raw")
     out = cp_transform(p, target)
-    assert np.max(np.abs(sample_corr(out).values - target.values)) < 1e-9
+    assert np.max(np.abs(np.corrcoef(out.values, rowvar=False) - target.values)) < 1e-9
 
 
 @settings(max_examples=60, deadline=None)
@@ -74,19 +73,22 @@ def test_sym_sqrt_squares_back_and_inverts(k, seed):
     rng = np.random.default_rng(seed)
     b = rng.standard_normal((k, k + 3))
     s = b @ b.T + 0.1 * np.eye(k)
-    root = sym_sqrt(s)
+    root = _sym_power(s, 0.5)
     assert np.max(np.abs(root @ root - s)) < 1e-8
-    assert np.max(np.abs(root @ sym_inv_sqrt(s) - np.eye(k))) < 1e-8
+    assert np.max(np.abs(root @ _sym_power(s, -0.5) - np.eye(k))) < 1e-8
 
 
 @settings(max_examples=60, deadline=None)
 @given(k=dims, m=dims, seed=seeds)
 def test_betas_solve_the_normal_equations(k, m, seed):
+    # scores whose sample correlation is c: the betas solve its blocks
     rng = np.random.default_rng(seed)
-    r_xx = random_correlation(rng, k)
-    r_xy = rng.uniform(-0.4, 0.4, size=(k, m))
-    betas = betas_from_corr(r_xx, r_xy)
-    assert np.max(np.abs(r_xx @ betas - r_xy)) < 1e-8
+    c = random_correlation(rng, k + m)
+    values = exact_corr_values(rng, c, k + m + 10)
+    betas = standardized_betas(
+        ScoreMatrix(values[:, :k], _labels(k)),
+        ScoreMatrix(values[:, k:], tuple(f"o{i + 1}" for i in range(m))))
+    assert np.max(np.abs(c[:k, :k] @ betas - c[:k, k:])) < 1e-8
 
 
 @settings(max_examples=40, deadline=None)
@@ -145,7 +147,7 @@ def test_one_factor_per_block_chain_runs(seed):
     model = random_model(np.random.default_rng(seed), 1, 1, 3)
     assert validate_model(model).ok
     cp, c, betas = _chain(model, 200, seed)
-    assert np.max(np.abs(sample_corr(cp).values - c.values)) < 1e-12
+    assert np.max(np.abs(np.corrcoef(cp.values, rowvar=False) - c.values)) < 1e-12
     # one predictor: the beta is the sample correlation, made C's
     assert betas[0, 0] == pytest.approx(model.gamma[0, 0], abs=1e-12)
 
@@ -153,7 +155,7 @@ def test_one_factor_per_block_chain_runs(seed):
 def test_transform_from_k_plus_one_cases_and_refused_at_k(model):
     k = len(model.factor_labels)
     cp, c, _ = _chain(model, k + 1, 3)
-    assert np.max(np.abs(sample_corr(cp).values - c.values)) < 1e-12
+    assert np.max(np.abs(np.corrcoef(cp.values, rowvar=False) - c.values)) < 1e-12
     x, y, _ = simulate_dataset(SimulationSpec(model, k, 3, False))
     with pytest.raises(NearSingularError, match=(
             r"^sample correlation of the scores \(xi1, xi2, xi3, eta1, eta2\) "
@@ -162,20 +164,15 @@ def test_transform_from_k_plus_one_cases_and_refused_at_k(model):
 
 
 def test_heywood_edge_validates_and_transforms_exactly(model):
-    # x1 rescaled so its uniqueness is 1e-6
-    lambda_x = model.lambda_x.copy()
-    row = lambda_x[0]
-    lambda_x[0] = row * np.sqrt((1.0 - 1e-6) / (row @ model.phi.values @ row))
-    m = SemModel(lambda_x=lambda_x, phi=model.phi, lambda_y=model.lambda_y,
-                 gamma=model.gamma, psi=model.psi)
+    m = heywood_model(model)
     assert m.exo.uniqueness()[0] == pytest.approx(1e-6, rel=1e-6)
     assert validate_model(m).ok
     closed = closed_form_regression_determinacy(m, "exogenous").coefficients
     assert np.all(closed <= 1.0)
-    # no sample determinacy bound here: exact regression scores can read
-    # above 1 at this edge
+    # exact regression scores can read above 1 at this edge; their
+    # distance from the closed form is bounded in test_determinacy.py
     cp, c, _ = _chain(m, 20_000, 1)
-    assert np.max(np.abs(sample_corr(cp).values - c.values)) < 1e-12
+    assert np.max(np.abs(np.corrcoef(cp.values, rowvar=False) - c.values)) < 1e-12
 
 
 def test_near_collinear_factors_refused_naming_the_matrix():

@@ -5,9 +5,9 @@ from cpscores import (
     NearSingularError,
     ScoreMatrix,
     StructuralError,
-    betas_from_corr,
     standardized_betas,
 )
+from conftest import exact_corr_values
 
 
 def scores(values, labels=None):
@@ -42,8 +42,11 @@ def test_exact_moments_recover_paths(rng):
         [1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0],
     ])
     gamma = np.array([[0.4, 0.0, 0.2], [0.1, -0.3, 0.25]])
-    r_xy = phi @ gamma.T
-    betas = betas_from_corr(phi, r_xy)
+    explained = gamma @ phi @ gamma.T
+    c = np.block([[phi, phi @ gamma.T],
+                  [gamma @ phi, explained + np.diag(1.0 - np.diag(explained))]])
+    values = exact_corr_values(rng, c, 20)
+    betas = standardized_betas(scores(values[:, :3]), scores(values[:, 3:], ("a", "b")))
     assert betas == pytest.approx(gamma.T, abs=1e-10)
 
 

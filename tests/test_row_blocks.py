@@ -17,16 +17,16 @@ import pytest
 from cpscores import (
     DataMatrix,
     ScoreMatrix,
-    combined_factor_corr,
     cp_scores_from_params,
     determinacy_endo,
     determinacy_exo,
-    joint_regression_scores,
     orthogonal_scores,
     regression_scores,
-    sym_sqrt,
 )
 from cpscores import linalg
+from cpscores.linalg import _sym_power
+from cpscores.model import combined_factor_corr
+from cpscores.scores import joint_regression_scores
 from cpscores.simulate import SimulationSpec, random_model, simulate_dataset
 
 SHAPES = [(3, 2, 3), (2, 1, 4), (4, 3, 3)]
@@ -259,8 +259,8 @@ def test_simulator_keeps_whole_array_draw_order(seed, shape, n):
     model = random_model(np.random.default_rng(seed), *shape)
     x, y, factors = simulate_dataset(SimulationSpec(model, n, seed))
     rng = np.random.default_rng(seed)
-    f = rng.standard_normal((n, model.n_xi + model.n_eta)) @ sym_sqrt(
-        combined_factor_corr(model).values)
+    f = rng.standard_normal((n, model.n_xi + model.n_eta)) @ _sym_power(
+        combined_factor_corr(model).values, 0.5)
     want_x = (f[:, : model.n_xi] @ model.lambda_x.T
               + rng.standard_normal((n, model.n_x)) * np.sqrt(model.exo.uniqueness()))
     want_y = (f[:, model.n_xi:] @ model.lambda_y.T

@@ -9,18 +9,16 @@ from cpscores import (
     ScoreMatrix,
     SemModel,
     StructuralError,
-    combined_factor_corr,
     cp_scores_from_orthogonal,
     cp_scores_from_params,
     cp_transform,
-    joint_regression_scores,
     orthogonal_scores,
     regression_scores,
-    sample_corr,
-    score_corr,
     simulate_dataset,
-    sym_sqrt,
 )
+from cpscores.linalg import _sym_power, corr_from_cov
+from cpscores.model import combined_factor_corr
+from cpscores.scores import joint_regression_scores
 from cpscores.simulate import SimulationSpec, random_model
 
 
@@ -95,8 +93,8 @@ class TestRegressionScoresExo:
     def test_sample_corr_is_shrunk_toward_score_corr(self, model):
         x_data, _, _ = simulate(model)
         out = regression_scores(model.exo, x_data)
-        observed = sample_corr(out).values
-        predicted = score_corr(model.exo).values
+        observed = np.corrcoef(out.values, rowvar=False)
+        predicted = corr_from_cov(model.exo.score_cov())
         assert np.max(np.abs(observed - predicted)) < 0.03
         # and differs from phi itself
         assert np.max(np.abs(predicted - model.phi.values)) > 1e-3
@@ -144,20 +142,20 @@ class TestRegressionScoreCorr:
             gamma=np.array([[0.2, 0.0]]),
             eta_corr=np.eye(1),
         )
-        assert score_corr(m.exo).values == pytest.approx(np.eye(2), abs=1e-12)
+        assert corr_from_cov(m.exo.score_cov()) == pytest.approx(np.eye(2), abs=1e-12)
 
     def test_example_differs_from_phi(self, model):
-        r = score_corr(model.exo)
+        r = corr_from_cov(model.exo.score_cov())
         # oracle: direct matrix arithmetic
         sigma = model.exo.sigma()
         a = (model.phi.values @ model.lambda_x.T @ np.linalg.inv(sigma)
              @ model.lambda_x @ model.phi.values)
         d = 1.0 / np.sqrt(np.diag(a))
-        assert r.values == pytest.approx(a * np.outer(d, d), abs=1e-10)
-        assert np.max(np.abs(r.values - model.phi.values)) > 1e-3
+        assert r == pytest.approx(a * np.outer(d, d), abs=1e-10)
+        assert np.max(np.abs(r - model.phi.values)) > 1e-3
 
     def test_single_factor(self):
-        assert score_corr(one_factor_model().exo).values == pytest.approx(
+        assert corr_from_cov(one_factor_model().exo.score_cov()) == pytest.approx(
             np.eye(1)
         )
 
@@ -166,7 +164,7 @@ class TestCpTransform:
     def test_target_equal_to_sample_corr_is_identity(self, rng):
         values = rng.standard_normal((60, 3))
         p = ScoreMatrix(values, ("a", "b", "c"))
-        c_p = sample_corr(p)
+        c_p = FactorCorr(p.labels, np.corrcoef(values, rowvar=False))
         out = cp_transform(p, c_p)
         # input is standardized first, so compare against the standardized input
         std = centred(values)
@@ -178,7 +176,7 @@ class TestCpTransform:
         p = joint_regression_scores(model, x_data, y_data)
         target = combined_factor_corr(model)
         out = cp_transform(p, target)
-        assert np.max(np.abs(sample_corr(out).values - target.values)) < 1e-10
+        assert np.max(np.abs(np.corrcoef(out.values, rowvar=False) - target.values)) < 1e-10
         assert out.provenance == "correlation-preserving"
 
     def test_scale_invariance(self, rng):
@@ -226,7 +224,7 @@ class TestCpTransformExo:
         x_data, _, _ = simulate(model, n=400, seed=11)
         p_xi = regression_scores(model.exo, x_data)
         out = cp_transform(p_xi, model.phi)
-        assert np.max(np.abs(sample_corr(out).values - model.phi.values)) < 1e-10
+        assert np.max(np.abs(np.corrcoef(out.values, rowvar=False) - model.phi.values)) < 1e-10
 
     def test_joint_and_blockwise_differ_on_xi_block(self, model):
         x_data, y_data, _ = simulate(model, n=600, seed=5)
@@ -242,7 +240,7 @@ class TestCpTransformExo:
         values = rng.standard_normal((300, 2)) @ np.array([[1.0, 0.6], [0.0, 0.8]])
         p = ScoreMatrix(values, ("xi1", "xi2"))
         out = cp_transform(p, FactorCorr(("xi1", "xi2"), np.eye(2)))
-        assert sample_corr(out).values == pytest.approx(np.eye(2), abs=1e-10)
+        assert np.corrcoef(out.values, rowvar=False) == pytest.approx(np.eye(2), abs=1e-10)
 
 
 class TestParameterRoute:
@@ -262,8 +260,8 @@ class TestParameterRoute:
         a = w_reg @ model.lambda_x @ model.phi.values
         d_inv = np.diag(1.0 / np.sqrt(np.diag(a)))
         r = d_inv @ a @ d_inv
-        w = (sym_sqrt(model.phi.values)
-             @ np.linalg.inv(sym_sqrt(r)) @ d_inv @ w_reg)
+        w = (_sym_power(model.phi.values, 0.5)
+             @ np.linalg.inv(_sym_power(r, 0.5)) @ d_inv @ w_reg)
         assert w @ sigma @ w.T == pytest.approx(model.phi.values, abs=1e-9)
 
     def test_equals_orthogonal_route_when_diag_constant(self):
@@ -285,7 +283,7 @@ class TestParameterRoute:
     def test_sample_corr_near_phi(self, model):
         x_data, _, _ = simulate(model)
         out = cp_scores_from_params(model, x_data)
-        assert np.max(np.abs(sample_corr(out).values - model.phi.values)) < 0.03
+        assert np.max(np.abs(np.corrcoef(out.values, rowvar=False) - model.phi.values)) < 0.03
 
     def test_factor_without_indicators_refused(self):
         # xi2 loads on no indicator and is uncorrelated with xi1: its
@@ -300,11 +298,9 @@ class TestParameterRoute:
         x = DataMatrix(np.eye(3), ("x1", "x2", "x3"))
         expected = ("regression-score variance 0.000e+00 for factor xi2 "
                     "is not positive")
-        for call in (lambda: cp_scores_from_params(m, x),
-                     lambda: score_corr(m.exo)):
-            with pytest.raises(StructuralError) as info:
-                call()
-            assert str(info.value) == expected
+        with pytest.raises(StructuralError) as info:
+            cp_scores_from_params(m, x)
+        assert str(info.value) == expected
 
 
 class TestNamedSingularMatrices:
@@ -371,7 +367,7 @@ class TestCpFromOrthogonal:
         )
 
     def test_population_covariance_is_phi(self, model):
-        root = sym_sqrt(model.phi.values)
+        root = _sym_power(model.phi.values, 0.5)
         assert root @ np.eye(3) @ root.T == pytest.approx(model.phi.values, abs=1e-12)
 
     def test_betas_reproduce_paths_at_scale(self, model):

@@ -27,8 +27,9 @@ Exactly one of ``[psi]`` / ``[eta_corr]`` is required.
 CSV files carry a header row of labels and one row of numbers per case.
 The reader accepts this dialect:
 
-* UTF-8 text, comma-delimited, ``"`` as the quote character, LF, CRLF or
-  CR line ends, with or without a final one;
+* UTF-8 text, with or without a byte-order mark, comma-delimited, ``"`` as
+  the quote character, LF, CRLF or CR line ends, with or without a final
+  one;
 * a header of unique labels, stripped of surrounding whitespace; a leading
   ``case``/``case_id``/``id`` column (in any letter case) is dropped and
   its cells are not parsed;
@@ -47,15 +48,41 @@ labels: a label with surrounding whitespace, and a first label named like
 a case-id column.  The writer emits the header through ``csv.writer`` and each
 value with ``%.17g`` and CRLF line ends, so a write/read round trip is
 exact to double precision; the bytes are the same as the earlier
-cell-by-cell writer produced.
+cell-by-cell writer produced.  A write that fails part way removes the
+regular file it was writing, whose whole rows would otherwise read as
+valid.
+
+Parsed-file cache: after parsing a regular file ``x.csv``, the reader
+keeps ``.x.csv.cpscores.npy`` beside it.  That sidecar is three ``.npy``
+arrays, no zip and no pickle: the key (uint8), the labels (unicode) and the
+values (C-ordered float64).  The key is the sha256 of a format tag followed
+by the file's raw bytes, hashed beneath the text layer as the parse reads
+them, so it names exactly what was parsed; a file rewritten with other
+values, whatever its size or timestamp, misses.  A later read hashes the
+file in 64 KiB chunks, and on a matching key loads the sidecar instead of
+parsing; the loaded labels and values pass the same checks as a parse
+(layout, finite cells, unique labels).  A sidecar that is missing, stale,
+damaged, of another layout, owned by neither the CSV's owner nor the
+reader, or more readable than its CSV is a miss: the file is parsed and
+the sidecar replaced.  A sidecar gets its CSV's permission bits, less
+execute and, unless it has the CSV's group, less the group's, so it is
+readable by no one the CSV is not readable by.  The sidecar is
+written to a temporary file and renamed into place; a directory that will
+not take it, a full disk or a file that is not regular (a FIFO,
+``/dev/stdin``) only means the read is not cached, and a refused CSV
+leaves no sidecar.  Deleting a sidecar is always safe.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import itertools
 import math
+import os
+import stat
+from io import BufferedReader, RawIOBase, TextIOWrapper
 from typing import NoReturn
 
 import numpy as np
@@ -69,6 +96,10 @@ DIMENSION_KEYS = ("n_x", "n_xi", "n_y", "n_eta")
 CASE_ID_LABELS = ("case", "case_id", "id")
 # Cells formatted per write call: bounds the chunk's temporary list and text.
 _WRITE_CHUNK_CELLS = 1024
+# The parsed-file cache: a sidecar's key is sha256 over this tag and then the
+# CSV's bytes, so a change of the sidecar layout misses every older sidecar.
+_SIDECAR_TAG = b"cpscores csv sidecar v1: key u1, labels U, values <f8 C\n"
+_HASH_CHUNK = 1 << 16
 
 
 def _parse_blocks(lines):
@@ -205,6 +236,13 @@ def write_matrix_csv(path, labels, values) -> None:
     labels and finite cells; a label with surrounding whitespace, which the
     reader strips; a first label the reader takes for a case-id column; and
     a matrix with no rows, whose header-only file has no data rows.
+
+    A write that fails once the file is open, interrupted or short of
+    space, removes the file if it is still the regular file it opened:
+    every chunk holds whole rows, so a cut-off file would read as valid.
+    The write is in place, so a symlink, a FIFO or ``/dev/stdout`` is
+    written through and left as it is; a file descriptor has no name to
+    remove and is left to the caller.
     """
     values = np.asarray(values, dtype=float)
     labels = _check_matrix(values, path, labels)
@@ -224,11 +262,26 @@ def write_matrix_csv(path, labels, values) -> None:
     k = values.shape[1]
     row_template = ",".join(["%.17g"] * k) + "\r\n"
     chunk_rows = max(1, _WRITE_CHUNK_CELLS // max(k, 1))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(labels)
-        for start in range(0, values.shape[0], chunk_rows):
-            block = values[start:start + chunk_rows]
-            fh.write((row_template * len(block)) % tuple(block.ravel().tolist()))
+    fh = open(path, "w", encoding="utf-8", newline="")
+    opened = os.fstat(fh.fileno())
+    try:
+        with fh:
+            csv.writer(fh).writerow(labels)
+            for start in range(0, values.shape[0], chunk_rows):
+                block = values[start:start + chunk_rows]
+                fh.write((row_template * len(block)) % tuple(block.ravel().tolist()))
+    except BaseException:
+        if not isinstance(path, int):
+            _remove_if_opened(path, opened)
+        raise
+
+
+def _remove_if_opened(path, opened: os.stat_result) -> None:
+    """Remove ``path`` if it is still the regular file ``opened`` describes."""
+    with contextlib.suppress(OSError):  # the original error is the one to report
+        now = os.lstat(path)
+        if stat.S_ISREG(now.st_mode) and os.path.samestat(now, opened):
+            os.remove(path)
 
 
 def _read_header(path, fh) -> tuple[tuple[str, ...], bool]:
@@ -261,7 +314,7 @@ def _reject(path, cause: Exception) -> NoReturn:
     Called only after the bulk parse has failed, this re-reads the file row
     by row under the same rules and names the line at fault.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         header, drop_first = _read_header(path, fh)
         last_line = ""
 
@@ -295,6 +348,139 @@ def _ignore_cell(cell) -> float:
     return 0.0
 
 
+def _parse(path, fh) -> tuple[tuple[str, ...], np.ndarray]:
+    """Parse the open text of ``path`` into its labels and values."""
+    header, drop_first = _read_header(path, fh)
+    lines = itertools.filterfalse(str.isspace, fh)
+    first = next(lines, None)
+    if first is None:
+        raise DataError(f"{path}: no data rows")
+    try:
+        # numpy < 2 by default hands the converter each case id encoded
+        # as latin-1, which fails for ids outside latin-1
+        values = np.loadtxt(
+            itertools.chain((first,), lines), delimiter=",", comments=None,
+            quotechar='"', ndmin=2, encoding=None,
+            converters={0: _ignore_cell} if drop_first else None,
+        )
+    except ValueError as exc:
+        _reject(path, exc)
+    if values.shape[1] != len(header) + drop_first:
+        _reject(path, ValueError(f"rows have {values.shape[1]} cells"))
+    if drop_first:
+        values = np.ascontiguousarray(values[:, 1:])
+    _check_matrix(values, path, header)
+    return header, values
+
+
+class _HashingReader(RawIOBase):
+    """A raw binary reader that feeds every byte it reads to the sidecar
+    key's ``digest``."""
+
+    def __init__(self, raw):
+        self._raw = raw
+        self.digest = hashlib.sha256(_SIDECAR_TAG)
+        self.at_eof = False
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        n = self._raw.readinto(buf)
+        if n:
+            self.digest.update(memoryview(buf)[:n])
+        else:
+            self.at_eof = True
+        return n
+
+
+def _sidecar_path(path) -> str:
+    directory, name = os.path.split(os.fsdecode(path))
+    return os.path.join(directory, f".{name}.cpscores.npy")
+
+
+def _file_key(raw) -> bytes:
+    """The sidecar key of the bytes left in ``raw``, hashed a chunk at a time."""
+    reader = _HashingReader(raw)
+    buf = bytearray(_HASH_CHUNK)
+    while reader.readinto(buf):
+        pass
+    return reader.digest.digest()
+
+
+def _sidecar_mode(csv_stat, sidecar_stat) -> int:
+    """The permission bits a sidecar may have: its CSV's, less execute, and
+    less the group's unless the sidecar has the CSV's group.  A sidecar
+    holds every value of its CSV, so it is readable by no one the CSV is
+    not readable by."""
+    mode = stat.S_IMODE(csv_stat.st_mode) & 0o666
+    if sidecar_stat.st_gid != csv_stat.st_gid:
+        mode &= ~0o070
+    return mode
+
+
+def _load_sidecar(sidecar, raw, csv_stat):
+    """The labels and values kept for the bytes of ``raw``, or None.
+
+    Only a sidecar owned by the CSV's owner or by the reader is read: in a
+    directory others may write to, such as ``/tmp``, a third user's
+    sidecar would change what the read returns.  A sidecar with more
+    permission bits than ``_sidecar_mode`` allows, as when the CSV was
+    made private after it was cached, is a miss, so it is replaced.
+    """
+    trusted = {csv_stat.st_uid}
+    if hasattr(os, "geteuid"):
+        trusted.add(os.geteuid())
+    read = np.lib.format.read_array
+    try:
+        with open(sidecar, "rb") as fh:
+            kept = os.fstat(fh.fileno())
+            if (kept.st_uid not in trusted
+                    or stat.S_IMODE(kept.st_mode) & ~_sidecar_mode(csv_stat, kept)):
+                return None
+            key = read(fh, allow_pickle=False)
+            if key.dtype != np.uint8 or key.tobytes() != _file_key(raw):
+                return None
+            labels = read(fh, allow_pickle=False)
+            values = read(fh, allow_pickle=False)
+    except Exception:  # no sidecar, or one that cannot be read: a miss
+        return None
+    if (labels.ndim == 1 and labels.dtype.kind == "U"
+            and values.ndim == 2 and values.dtype == np.float64
+            and values.flags.c_contiguous and len(labels) == values.shape[1]):
+        return tuple(labels.tolist()), values
+    return None
+
+
+def _store_sidecar(sidecar, key: bytes, labels, values, csv_stat) -> None:
+    """Keep ``labels`` and ``values`` under ``key`` in three ``.npy``
+    arrays, written to a temporary file and renamed into place; a directory
+    that will not take the file, or a full disk, leaves no sidecar.  The
+    file is created private and given ``_sidecar_mode`` before any value
+    is written."""
+    label_array = np.array(labels, dtype=str)
+    if tuple(label_array.tolist()) != labels:
+        return  # numpy drops a label's trailing NULs
+    tmp = f"{sidecar}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL
+                     | getattr(os, "O_BINARY", 0), 0o600)
+    except OSError:
+        return
+    try:
+        with open(fd, "wb") as fh:
+            if hasattr(os, "fchmod"):
+                os.fchmod(fd, _sidecar_mode(csv_stat, os.fstat(fd)))
+            for array in (np.frombuffer(key, dtype=np.uint8), label_array, values):
+                np.save(fh, array)
+        os.replace(tmp, sidecar)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if not isinstance(exc, OSError):
+            raise
+
+
 def read_labeled_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
     """Read a header row of labels and one row of finite numbers per case.
 
@@ -302,29 +488,29 @@ def read_labeled_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
     lines holding only whitespace are skipped, and a leading case-id column
     is not parsed. If the bulk parse fails, a row-by-row pass names the
     line at fault.
+
+    A regular file's parse is kept in a sidecar beside it, keyed by the
+    sha256 of the bytes the parse read; a later read of the same bytes
+    loads the sidecar instead of parsing, and checks its cells and labels
+    as a parse does.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        header, drop_first = _read_header(path, fh)
-        lines = itertools.filterfalse(str.isspace, fh)
-        first = next(lines, None)
-        if first is None:
-            raise DataError(f"{path}: no data rows")
-        try:
-            # numpy < 2 by default hands the converter each case id encoded
-            # as latin-1, which fails for ids outside latin-1
-            values = np.loadtxt(
-                itertools.chain((first,), lines), delimiter=",", comments=None,
-                quotechar='"', ndmin=2, encoding=None,
-                converters={0: _ignore_cell} if drop_first else None,
-            )
-        except ValueError as exc:
-            _reject(path, exc)
-    if values.shape[1] != len(header) + drop_first:
-        _reject(path, ValueError(f"rows have {values.shape[1]} cells"))
-    if drop_first:
-        values = np.ascontiguousarray(values[:, 1:])
-    _check_matrix(values, path, header)
-    return header, values
+    with open(path, "rb", buffering=0) as raw:
+        sidecar = None
+        opened = os.fstat(raw.fileno())
+        if stat.S_ISREG(opened.st_mode) and not isinstance(path, int):
+            sidecar = _sidecar_path(path)
+            kept = _load_sidecar(sidecar, raw, opened)
+            if kept is not None:
+                labels, values = kept
+                return _check_matrix(values, path, labels), values
+            raw.seek(0)
+        reader = _HashingReader(raw)
+        with TextIOWrapper(BufferedReader(reader, _HASH_CHUNK),
+                           encoding="utf-8-sig", newline="") as fh:
+            labels, values = _parse(path, fh)
+    if sidecar is not None and reader.at_eof:
+        _store_sidecar(sidecar, reader.digest.digest(), labels, values, opened)
+    return labels, values
 
 
 def read_data_csv(path) -> DataMatrix:

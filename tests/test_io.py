@@ -1,6 +1,12 @@
 import csv
+import errno
+import hashlib
 import io
+import itertools
+import os
+import stat
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -280,6 +286,40 @@ class TestCsvRoundTrip:
         assert m.values is parsed[0]
         assert not m.values.flags.writeable
 
+    @pytest.mark.parametrize("interrupt", [
+        OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt(),
+    ], ids=["disk-full", "interrupt"])
+    @pytest.mark.parametrize("target", ["path", "descriptor"])
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, interrupt,
+                                         target):
+        # every chunk holds whole rows, so the rows written before the
+        # failure would read back as a valid, shorter matrix; a descriptor
+        # has no name to remove, so it is the caller's to clean up
+        path = tmp_path / "part.csv"
+
+        def open_failing(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            write, calls = fh.write, itertools.count(1)
+
+            def write_or_fail(text):
+                if next(calls) == 4:  # the header, then the third chunk
+                    raise interrupt
+                return write(text)
+
+            fh.write = write_or_fail
+            return fh
+
+        monkeypatch.setattr(cpscores.io, "open", open_failing, raising=False)
+        values = np.arange(2500.0).reshape(500, 5)
+        if target == "descriptor":
+            dest = os.open(path, os.O_WRONLY | os.O_CREAT, 0o644)
+        else:
+            dest = path
+        with pytest.raises(type(interrupt)) as info:
+            write_matrix_csv(dest, ("a", "b", "c", "d", "e"), values)
+        assert info.value is interrupt and info.value.__context__ is None
+        assert path.exists() == (target == "descriptor")
+
 
 # Each input gives the labels and values, or the DataError text, that the
 # row-by-row reader of earlier versions gave.  The intended differences:
@@ -315,6 +355,11 @@ READER_CONTRACT = [
     ("hex-float", "a\n1\n0x1p3\n", "non-numeric cell on line 3"),
     ("underscore-digits", "a\n1\n1_0\n", "non-numeric cell on line 3"),
     ("non-ascii-digits", "a\n1\n\u0661\n", "non-numeric cell on line 3"),
+    # a UTF-8 byte-order mark, as spreadsheet exports write, is not a label
+    ("bom", "\ufeffa,b\n1,2\n", (("a", "b"), [[1, 2]])),
+    ("bom-case-id", "\ufeffcase,a\n1,2\n", (("a",), [[2]])),
+    ("bom-case-id-bad-cell", "\ufeffcase,a\nA,1\nB,x\n",
+     "non-numeric cell on line 3"),
 ]
 
 
@@ -375,3 +420,275 @@ def test_writer_bytes_and_round_trip(values, chunk_cells):
 def test_example_model_loads_via_package_data():
     m = example_model()
     assert m.n_x == 15 and m.n_eta == 2
+
+
+needs_root = pytest.mark.skipif(
+    not hasattr(os, "geteuid") or os.geteuid() != 0,
+    reason="giving a file away needs root")
+
+
+def sidecar_of(path: Path) -> Path:
+    return path.with_name(f".{path.name}.cpscores.npy")
+
+
+def load_sidecar(path: Path):
+    with open(sidecar_of(path), "rb") as fh:
+        return [np.load(fh, allow_pickle=False) for _ in range(3)]
+
+
+def save_sidecar(path: Path, key, labels, values) -> None:
+    with open(sidecar_of(path), "wb") as fh:
+        for a in (key, labels, values):
+            np.save(fh, a)
+
+
+@pytest.fixture
+def no_parse(monkeypatch):
+    """Make any CSV parse fail, so only a sidecar can answer a read."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the CSV was parsed")
+
+    monkeypatch.setattr(cpscores.io.np, "loadtxt", refuse)
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Count the bulk parses."""
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(cpscores.io.np, "loadtxt", counted)
+    return calls
+
+
+class TestParsedFileCache:
+    def write_matrix(self, tmp_path, rng):
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, ("a", "b", "c"), rng.standard_normal((20, 3)))
+        return path
+
+    def test_second_read_loads_the_sidecar(self, tmp_path, rng, request):
+        path = self.write_matrix(tmp_path, rng)
+        labels, values = read_labeled_csv(path)
+        assert sidecar_of(path).is_file()
+        request.getfixturevalue("no_parse")
+        again_labels, again = read_labeled_csv(path)
+        assert again_labels == labels
+        assert again.dtype == np.float64 and again.flags.c_contiguous
+        assert again.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "case,a,b\nA-1,1,2\n\"B,2\",3,4\n",
+        "\ufeffa,b\n1,2\n3,4\n",
+        "\ufeffID,a,b\r\nx,1,2\r\n",
+    ], ids=["case-id", "bom", "bom-case-id"])
+    def test_case_id_and_bom_files_hit(self, tmp_path, request, text):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        labels, values = read_labeled_csv(path)
+        request.getfixturevalue("no_parse")
+        again_labels, again = read_labeled_csv(path)
+        assert again_labels == labels == ("a", "b")
+        assert again.tobytes() == values.tobytes()
+
+    def test_stored_key_is_the_tagged_file_hash(self, tmp_path, rng):
+        path = self.write_matrix(tmp_path, rng)
+        labels, values = read_labeled_csv(path)
+        key, stored_labels, stored = load_sidecar(path)
+        digest = hashlib.sha256(cpscores.io._SIDECAR_TAG + path.read_bytes())
+        assert key.dtype == np.uint8 and key.tobytes() == digest.digest()
+        assert stored_labels.dtype.kind == "U"
+        assert tuple(stored_labels.tolist()) == labels
+        assert stored.dtype == np.float64 and stored.flags.c_contiguous
+        assert stored.tobytes() == values.tobytes()
+
+    def test_same_size_rewrite_parses_again(self, tmp_path, parses):
+        # the key is the content: an equal size and mtime do not hit
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b\n1,2\n")
+        read_labeled_csv(path)
+        old_sidecar = sidecar_of(path).read_bytes()
+        stamp = path.stat()
+        path.write_bytes(b"a,b\n3,4\n")
+        os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+        labels, values = read_labeled_csv(path)
+        assert values.tolist() == [[3.0, 4.0]]
+        assert len(parses) == 2
+        assert sidecar_of(path).read_bytes() != old_sidecar
+        read_labeled_csv(path)
+        assert len(parses) == 2
+
+    @pytest.mark.parametrize("damage", [
+        lambda b: b[: len(b) // 2],  # truncated in the values
+        lambda b: b[:100],  # truncated in the labels
+        lambda b: b"",
+        lambda b: b"garbage, not an npy file\n" * 4,
+        lambda b: b"PK\x03\x04" + b[4:],  # a zip's magic
+    ], ids=["truncated-values", "truncated-labels", "empty", "garbage", "zip"])
+    def test_bad_sidecar_parses_and_is_replaced(self, tmp_path, rng, parses,
+                                                damage):
+        path = self.write_matrix(tmp_path, rng)
+        labels, values = read_labeled_csv(path)
+        good = sidecar_of(path).read_bytes()
+        sidecar_of(path).write_bytes(damage(good))
+        again_labels, again = read_labeled_csv(path)
+        assert again_labels == labels
+        assert again.tobytes() == values.tobytes()
+        assert len(parses) == 2
+        assert sidecar_of(path).read_bytes() == good
+
+    @pytest.mark.parametrize("forge", [
+        lambda labels, values: (labels, values.astype(np.float32)),
+        lambda labels, values: (labels, values[:, :2]),
+        lambda labels, values: (labels.astype("S"), values),
+        lambda labels, values: (labels, np.asfortranarray(values)),
+    ], ids=["float32", "too-narrow", "bytes-labels", "fortran"])
+    def test_sidecar_of_another_layout_is_a_miss(self, tmp_path, rng, parses,
+                                                 forge):
+        path = self.write_matrix(tmp_path, rng)
+        labels, values = read_labeled_csv(path)
+        key, stored_labels, stored = load_sidecar(path)
+        save_sidecar(path, key, *forge(stored_labels, stored))
+        again_labels, again = read_labeled_csv(path)
+        assert again_labels == labels
+        assert again.tobytes() == values.tobytes()
+        assert len(parses) == 2
+
+    @pytest.mark.parametrize("forge, message", [
+        (lambda labels, values: (labels, np.where(values == 4.0, np.nan, values)),
+         "non-finite value nan in data row 2, column b"),
+        (lambda labels, values: (np.array(["a", "a"]), values),
+         "duplicate label 'a'"),
+    ], ids=["nan", "duplicate-label"])
+    def test_forged_sidecar_is_checked(self, tmp_path, forge, message):
+        # a sidecar under the right key still passes every check a parse does
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b\n1,2\n3,4\n")
+        read_labeled_csv(path)
+        key, labels, values = load_sidecar(path)
+        save_sidecar(path, key, *forge(labels, values))
+        with pytest.raises(DataError) as info:
+            read_labeled_csv(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @needs_root
+    def test_sidecar_of_another_owner_is_a_miss(self, tmp_path, rng, parses):
+        # in a shared directory another user could plant a sidecar
+        path = self.write_matrix(tmp_path, rng)
+        labels, values = read_labeled_csv(path)
+        key, stored_labels, stored = load_sidecar(path)
+        save_sidecar(path, key, stored_labels, stored + 1.0)
+        os.chown(sidecar_of(path), path.stat().st_uid + 1, -1)
+        again_labels, again = read_labeled_csv(path)
+        assert again.tobytes() == values.tobytes()
+        assert len(parses) == 2
+        assert sidecar_of(path).stat().st_uid == path.stat().st_uid
+
+    @needs_root
+    def test_reader_sidecar_of_another_users_csv_hits(self, tmp_path, rng,
+                                                      parses):
+        # reading a file someone else owns, in a directory the reader may
+        # write to, keeps the reader's own sidecar
+        path = self.write_matrix(tmp_path, rng)
+        os.chown(path, os.geteuid() + 1, -1)
+        labels, values = read_labeled_csv(path)
+        assert sidecar_of(path).stat().st_uid == os.geteuid()
+        again_labels, again = read_labeled_csv(path)
+        assert again_labels == labels
+        assert again.tobytes() == values.tobytes()
+        assert len(parses) == 1
+
+    @pytest.mark.parametrize("mode", [0o600, 0o640, 0o644, 0o444],
+                             ids=["600", "640", "644", "444"])
+    def test_sidecar_has_the_csv_permissions(self, tmp_path, rng, mode):
+        # the sidecar holds every value, so it is no more readable than
+        # the CSV, whatever the umask
+        path = self.write_matrix(tmp_path, rng)
+        path.chmod(mode)
+        read_labeled_csv(path)
+        assert stat.S_IMODE(sidecar_of(path).stat().st_mode) == mode
+
+    @needs_root
+    def test_sidecar_of_another_group_drops_the_group_bits(self, tmp_path,
+                                                           rng):
+        path = self.write_matrix(tmp_path, rng)
+        path.chmod(0o640)
+        os.chown(path, -1, os.getegid() + 1)
+        read_labeled_csv(path)
+        assert stat.S_IMODE(sidecar_of(path).stat().st_mode) == 0o600
+
+    def test_csv_made_private_replaces_its_sidecar(self, tmp_path, rng,
+                                                   parses):
+        path = self.write_matrix(tmp_path, rng)
+        path.chmod(0o644)
+        labels, values = read_labeled_csv(path)
+        path.chmod(0o600)
+        again_labels, again = read_labeled_csv(path)
+        assert again.tobytes() == values.tobytes()
+        assert len(parses) == 2
+        assert stat.S_IMODE(sidecar_of(path).stat().st_mode) == 0o600
+        read_labeled_csv(path)
+        assert len(parses) == 2
+
+    @pytest.mark.parametrize("refused", ["create", "rename"])
+    def test_unwritable_directory_reads_without_a_sidecar(
+            self, tmp_path, rng, monkeypatch, refused):
+        # root ignores a directory's mode, so refuse the calls instead
+        path = self.write_matrix(tmp_path, rng)
+
+        def refuse(name):
+            raise PermissionError(errno.EACCES, "Permission denied", name)
+
+        if refused == "rename":
+            monkeypatch.setattr(os, "replace", lambda src, dst: refuse(dst))
+        else:
+            os_open = os.open
+
+            def open_no_create(file, flags, *args, **kwargs):
+                if flags & os.O_CREAT:
+                    refuse(file)
+                return os_open(file, flags, *args, **kwargs)
+
+            monkeypatch.setattr(os, "open", open_no_create)
+        labels, values = read_labeled_csv(path)
+        assert labels == ("a", "b", "c") and values.shape == (20, 3)
+        assert os.listdir(tmp_path) == ["m.csv"]
+
+    @pytest.mark.parametrize("text", [
+        "a,b\n1,x\n", "a,b\n1,nan\n", "a,a\n1,2\n",
+    ], ids=["text-cell", "nan-cell", "duplicate-label"])
+    def test_refused_csv_leaves_no_sidecar(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(DataError):
+            read_labeled_csv(path)
+        assert os.listdir(tmp_path) == ["d.csv"]
+
+    def test_file_descriptor_is_read_without_a_sidecar(self, tmp_path):
+        # an open descriptor has no name to put a sidecar beside
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b\n1,2\n")
+        labels, values = read_labeled_csv(os.open(path, os.O_RDONLY))
+        assert labels == ("a", "b") and values.tolist() == [[1.0, 2.0]]
+        assert os.listdir(tmp_path) == ["d.csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+    def test_fifo_is_read_without_a_sidecar(self, tmp_path):
+        path = tmp_path / "d.csv"
+        os.mkfifo(path)
+
+        def feed():
+            with open(path, "w") as fh:
+                fh.write("a,b\n1,2\n")
+
+        feeder = threading.Thread(target=feed, daemon=True)
+        feeder.start()
+        labels, values = read_labeled_csv(path)
+        feeder.join(timeout=10)
+        assert not feeder.is_alive()
+        assert labels == ("a", "b") and values.tolist() == [[1.0, 2.0]]
+        assert os.listdir(tmp_path) == ["d.csv"]

@@ -7,11 +7,6 @@ for both score families.
 """
 
 from .containers import DataMatrix, FactorCorr, ScoreMatrix
-from .determinacy import (
-    closed_form_regression_determinacy,
-    determinacy_endo,
-    determinacy_exo,
-)
 from .errors import (
     CpscoresError,
     DataError,
@@ -48,11 +43,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Block", "CpscoresError", "DataError", "DataMatrix", "FactorCorr",
     "ModelError", "NearSingularError", "ScoreMatrix", "SemModel",
-    "SimulationSpec", "StructuralError",
-    "closed_form_regression_determinacy", "cp_scores_from_orthogonal",
-    "cp_scores_from_params", "cp_transform", "determinacy_endo",
-    "determinacy_exo", "example_model", "model_hash", "orthogonal_scores",
-    "parse_model_file", "random_model", "read_data_csv", "read_scores_csv",
-    "regression_scores", "run_example", "simulate_dataset",
+    "SimulationSpec", "StructuralError", "cp_scores_from_orthogonal",
+    "cp_scores_from_params", "cp_transform", "example_model", "model_hash",
+    "orthogonal_scores", "parse_model_file", "random_model", "read_data_csv",
+    "read_scores_csv", "regression_scores", "run_example", "simulate_dataset",
     "standardized_betas", "validate_model", "write_scores_csv",
 ]

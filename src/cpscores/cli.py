@@ -21,18 +21,12 @@ import sys
 import numpy as np
 
 from . import io
-from .determinacy import (
-    NORMALIZER_SD,
-    NORMALIZER_VARIANCE,
-    determinacy_endo,
-    determinacy_exo,
-)
+from .determinacy import NORMALIZER_SD, NORMALIZER_VARIANCE, determinacy
 from .errors import CpscoresError
 from .model import combined_factor_corr, validate_model
 from .scores import (
     cp_scores_from_params,
     cp_transform,
-    joint_regression_scores,
     orthogonal_scores,
     regression_scores,
 )
@@ -135,7 +129,7 @@ def _cmd_scores(args) -> int:
     if args.method == "regression":
         if args.y is not None:
             y_data = io.read_data_csv(args.y)
-            result = joint_regression_scores(model, x_data, y_data)
+            result = regression_scores(model.joint, x_data, y_data)
             note = "joint regression scores (all indicators)"
         else:
             result = regression_scores(model.exo, x_data)
@@ -179,16 +173,17 @@ def _cmd_determinacy(args) -> int:
         )
     # read_scores_csv refuses a column that names no model factor, so at
     # least one block is reported
-    for block, determinacy, path, flag, norm in (
-        (model.exo, determinacy_exo, args.x, "--x", NORMALIZER_SD),
-        (model.endo, determinacy_endo, args.y, "--y", normalizer),
+    for block, path, flag, norm in (
+        (model.exo, args.x, "--x", NORMALIZER_SD),
+        (model.endo, args.y, "--y", normalizer),
     ):
         if not set(block.factor_labels) & set(scores.labels):
             continue
         if path is None:
             raise CpscoresError(f"{flag} is required for {block.name} score columns")
         data = io.read_data_csv(path)
-        print(determinacy(scores.select(block.factor_labels), data, model, norm))
+        print(determinacy(block, scores.select(block.factor_labels), data,
+                          normalizer=norm))
     return 0
 
 

@@ -9,9 +9,10 @@ of its factor from one block's indicators z:
 with S the sample covariance (divisor n - 1) of the scores p and z side
 by side, from one :func:`cpscores.linalg.moments` pass, and
 ``C lambda' sigma^{-1}`` the block's regression weights
-(:meth:`cpscores.model.Block.weights`).  The block is the exogenous (x),
-endogenous (y) or joint (x, y) block, with one data matrix per loading
-block, checked by the score families' rule
+(:meth:`cpscores.model.Block.weights`).  :func:`determinacy` is one call
+for any block: ``model.exo`` with the x data, ``model.endo`` with the y
+data or ``model.joint`` with both, one data matrix per loading block,
+checked by the score families' rule
 (:func:`cpscores.model._indicator_values`).  The estimate is exact for
 scores linear in the block's indicators alone, plain or
 correlation-preserving; scores that also use indicators outside the block
@@ -20,6 +21,10 @@ can give a coefficient above 1, which the report's text flags unclipped.
 label: a constant indicator would drop out of S while the model still
 weights it, a wrong coefficient with no error.  A closed-form population
 value for exact regression scores is provided as an oracle.
+
+The verb is imported from this module, ``from cpscores.determinacy import
+determinacy``, and not from the package: there the name
+``cpscores.determinacy`` is this module.
 """
 
 from __future__ import annotations
@@ -67,7 +72,12 @@ class DeterminacyReport:
         return text
 
 
-def _determinacy(block: Block, scores, data, normalizer):
+def determinacy(
+    block: Block, scores: ScoreMatrix, *data: DataMatrix,
+    normalizer: str = NORMALIZER_SD,
+) -> DeterminacyReport:
+    """Determinacy of the scores of ``block``'s factors against its
+    indicators, one data matrix per loading block."""
     if normalizer not in (NORMALIZER_SD, NORMALIZER_VARIANCE):
         raise StructuralError(
             f"unknown determinacy normalizer {normalizer!r}: expected "
@@ -90,24 +100,14 @@ def _determinacy(block: Block, scores, data, normalizer):
     return DeterminacyReport(labels, coeffs, scores.provenance, n, tag)
 
 
-def determinacy_exo(
-    scores: ScoreMatrix,
-    x_data: DataMatrix,
-    model: SemModel,
-    normalizer: str = NORMALIZER_SD,
-) -> DeterminacyReport:
-    """Determinacy of exogenous-factor scores against the x indicators."""
-    return _determinacy(model.exo, scores, [x_data], normalizer)
+def determinacy_exo(scores, x_data, model):
+    """Benchmark shim: ``determinacy(model.exo, scores, x_data)``."""
+    return determinacy(model.exo, scores, x_data)
 
 
-def determinacy_endo(
-    scores: ScoreMatrix,
-    y_data: DataMatrix,
-    model: SemModel,
-    normalizer: str = NORMALIZER_SD,
-) -> DeterminacyReport:
-    """Determinacy of endogenous-factor scores against the y indicators."""
-    return _determinacy(model.endo, scores, [y_data], normalizer)
+def determinacy_endo(scores, y_data, model):
+    """Benchmark shim: ``determinacy(model.endo, scores, y_data)``."""
+    return determinacy(model.endo, scores, y_data)
 
 
 def closed_form_regression_determinacy(model: SemModel, block: str) -> DeterminacyReport:

@@ -234,8 +234,9 @@ def write_matrix_csv(path, labels, values) -> None:
     spells it.  What the reader would refuse, or read back otherwise,
     raises before the file is opened: the containers' rule on shape,
     labels and finite cells; a label with surrounding whitespace, which the
-    reader strips; a first label the reader takes for a case-id column; and
-    a matrix with no rows, whose header-only file has no data rows.
+    reader strips; a first label the reader takes for a case-id column; a
+    matrix with no rows, whose header-only file has no data rows; and a
+    matrix with no columns, whose file of bare line ends has no header.
 
     A write that fails once the file is open, interrupted or short of
     space, removes the file if it is still the regular file it opened:
@@ -259,9 +260,11 @@ def write_matrix_csv(path, labels, values) -> None:
         )
     if values.shape[0] == 0:
         raise DataError(f"{path}: no data rows to write")
+    if values.shape[1] == 0:
+        raise DataError(f"{path}: no data columns to write")
     k = values.shape[1]
     row_template = ",".join(["%.17g"] * k) + "\r\n"
-    chunk_rows = max(1, _WRITE_CHUNK_CELLS // max(k, 1))
+    chunk_rows = max(1, _WRITE_CHUNK_CELLS // k)
     fh = open(path, "w", encoding="utf-8", newline="")
     opened = os.fstat(fh.fileno())
     try:
@@ -308,13 +311,19 @@ def _strict_float(cell: str) -> float:
     return float(text)
 
 
-def _reject(path, cause: Exception) -> NoReturn:
+def _reject(path, raw, cause: Exception) -> NoReturn:
     """Raise the ``DataError`` for the first bad row of ``path``.
 
-    Called only after the bulk parse has failed, this re-reads the file row
-    by row under the same rules and names the line at fault.
+    Called only after the bulk parse has failed, this reads the open binary
+    handle ``raw`` again from its start, row by row under the same rules,
+    and names the line at fault.  ``path`` is never opened again, so a
+    stream that cannot seek back (a pipe, a FIFO, ``/dev/stdin``) is not
+    re-read: its error is the bulk parser's, prefixed with the path.
     """
-    with open(path, encoding="utf-8-sig", newline="") as fh:
+    if not raw.seekable():
+        raise DataError(f"{path}: {cause}") from cause
+    raw.seek(0)  # the handle's owner closes it, not this text view of it
+    with open(raw.fileno(), encoding="utf-8-sig", newline="", closefd=False) as fh:
         header, drop_first = _read_header(path, fh)
         last_line = ""
 
@@ -348,8 +357,9 @@ def _ignore_cell(cell) -> float:
     return 0.0
 
 
-def _parse(path, fh) -> tuple[tuple[str, ...], np.ndarray]:
-    """Parse the open text of ``path`` into its labels and values."""
+def _parse(path, fh, raw) -> tuple[tuple[str, ...], np.ndarray]:
+    """Parse the open text ``fh`` of ``path``, read from the binary handle
+    ``raw``, into its labels and values."""
     header, drop_first = _read_header(path, fh)
     lines = itertools.filterfalse(str.isspace, fh)
     first = next(lines, None)
@@ -364,9 +374,9 @@ def _parse(path, fh) -> tuple[tuple[str, ...], np.ndarray]:
             converters={0: _ignore_cell} if drop_first else None,
         )
     except ValueError as exc:
-        _reject(path, exc)
+        _reject(path, raw, exc)
     if values.shape[1] != len(header) + drop_first:
-        _reject(path, ValueError(f"rows have {values.shape[1]} cells"))
+        _reject(path, raw, ValueError(f"rows have {values.shape[1]} cells"))
     if drop_first:
         values = np.ascontiguousarray(values[:, 1:])
     _check_matrix(values, path, header)
@@ -507,7 +517,7 @@ def read_labeled_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
         reader = _HashingReader(raw)
         with TextIOWrapper(BufferedReader(reader, _HASH_CHUNK),
                            encoding="utf-8-sig", newline="") as fh:
-            labels, values = _parse(path, fh)
+            labels, values = _parse(path, fh, raw)
     if sidecar is not None and reader.at_eof:
         _store_sidecar(sidecar, reader.digest.digest(), labels, values, opened)
     return labels, values

@@ -8,7 +8,8 @@ correlation-preserving scores from parameters, which premultiply the
 regression weights by the multiplier below, or the orthogonal weights by
 ``C^{1/2}``, C the block's FactorCorr.  A block keeps each of its weight
 matrices, so repeated scoring under one model repeats only the product
-with the data.
+with the data.  Regression scores of ``model.joint``, which condition on
+every indicator, stand in for mean plausible values.
 
 The correlation-preserving multiplier ``C^{1/2} R^{-1/2} diag(cov)^{-1/2}``
 (:func:`cpscores.linalg.cp_multiplier`) standardizes scores of covariance
@@ -46,23 +47,20 @@ def _scores(block: Block, data, w, provenance) -> ScoreMatrix:
 def regression_scores(block: Block, *data: DataMatrix) -> ScoreMatrix:
     """Regression factor scores for the factors of a block: ``model.exo``
     with the x data, ``model.endo`` with the y data or ``model.joint``
-    with both."""
+    with both.
+
+    The joint block's weights ``C L' sigma^{-1}`` over the stacked (x, y)
+    indicators give the best linear predictor of every factor from every
+    indicator: the population analogue of a posterior-mean factor score
+    that conditions on every observed variable, which is how mean
+    plausible values behave, so joint regression scores stand in for them.
+    The per-block scores condition on one indicator block only.
+    """
     return _scores(block, data, block.weights(), PROV_REGRESSION)
 
 
-def joint_regression_scores(
-    model: SemModel, x_data: DataMatrix, y_data: DataMatrix
-) -> ScoreMatrix:
-    """Regression scores for all factors conditioning on x and y jointly,
-    ``regression_scores(model.joint, x_data, y_data)``.
-
-    Their weights ``C L' sigma^{-1}`` over the stacked (x, y) block give
-    the best linear predictor of every factor from every indicator: the
-    population analogue of a posterior-mean factor score that conditions
-    on every observed variable, which is how mean plausible values behave,
-    so these scores stand in for them.  The per-block regression scores
-    condition on one indicator block only.
-    """
+def joint_regression_scores(model, x_data, y_data):
+    """Benchmark shim: ``regression_scores(model.joint, x_data, y_data)``."""
     return regression_scores(model.joint, x_data, y_data)
 
 

@@ -16,18 +16,13 @@ from importlib import resources
 import numpy as np
 
 from .containers import DataMatrix, ScoreMatrix
-from .determinacy import determinacy_endo, determinacy_exo
+from .determinacy import determinacy
 from .errors import DataError
 from .io import model_hash, parse_model_file
 from .linalg import corr_from_cov, corr_sqrt, moments, row_blocks
 from .model import SemModel, combined_factor_corr
 from .regression import standardized_betas
-from .scores import (
-    cp_scores_from_orthogonal,
-    cp_transform,
-    joint_regression_scores,
-    regression_scores,
-)
+from .scores import cp_scores_from_orthogonal, cp_transform, regression_scores
 
 RNG_NAME = "numpy default_rng (PCG64)"
 
@@ -241,7 +236,7 @@ def run_example(seed: int = DEFAULT_SEED, n_cases: int = DEFAULT_N_CASES) -> Exa
     c = combined_factor_corr(model)
 
     # plain panel: posterior-mean proxy scores for all five factors
-    proxy = joint_regression_scores(model, x_data, y_data)
+    proxy = regression_scores(model.joint, x_data, y_data)
     proxy_xi = proxy.select(model.xi_labels)
     proxy_eta = proxy.select(model.eta_labels)
     plain_betas = standardized_betas(proxy_xi, proxy_eta)
@@ -256,12 +251,12 @@ def run_example(seed: int = DEFAULT_SEED, n_cases: int = DEFAULT_N_CASES) -> Exa
     reg_xi = regression_scores(model.exo, x_data)
     reg_eta = regression_scores(model.endo, y_data)
     plain_det = np.concatenate([
-        determinacy_exo(reg_xi, x_data, model).coefficients,
-        determinacy_endo(reg_eta, y_data, model).coefficients,
+        determinacy(model.exo, reg_xi, x_data).coefficients,
+        determinacy(model.endo, reg_eta, y_data).coefficients,
     ])
     cp_det = np.concatenate([
-        determinacy_exo(cp_xi, x_data, model).coefficients,
-        determinacy_endo(cp_eta, y_data, model).coefficients,
+        determinacy(model.exo, cp_xi, x_data).coefficients,
+        determinacy(model.endo, cp_eta, y_data).coefficients,
     ])
 
     gamma_by_xi = model.gamma.T

@@ -14,10 +14,8 @@ from cpscores import (
     FactorCorr,
     ScoreMatrix,
     SimulationSpec,
-    closed_form_regression_determinacy,
     cp_scores_from_params,
     cp_transform,
-    determinacy_exo,
     example_model,
     orthogonal_scores,
     regression_scores,
@@ -25,6 +23,7 @@ from cpscores import (
     simulate_dataset,
     standardized_betas,
 )
+from cpscores.determinacy import closed_form_regression_determinacy, determinacy
 from cpscores.linalg import _sym_power
 from cpscores.model import combined_factor_corr
 from cpscores.simulate import random_correlation, random_model
@@ -172,7 +171,7 @@ def test_criterion_7_determinacy_estimator_matches_closed_form():
         x_data, _, _ = simulate_dataset(
             SimulationSpec(model, 10_000, 2000 + i, emit_true_factors=False))
         scores = regression_scores(model.exo, x_data)
-        estimated = determinacy_exo(scores, x_data, model).coefficients
+        estimated = determinacy(model.exo, scores, x_data).coefficients
         closed = closed_form_regression_determinacy(model, "exogenous").coefficients
         worst = max(worst, float(np.max(np.abs(estimated - closed))))
     report(7, "determinacy estimator vs closed form", worst <= 0.02,
@@ -203,8 +202,8 @@ def test_criterion_8_scale_invariance_properties():
         - standardized_betas(rescaled, reg_eta))))
 
     det_dev = float(np.max(np.abs(
-        determinacy_exo(scores, x_data, model).coefficients
-        - determinacy_exo(rescaled, x_data, model).coefficients)))
+        determinacy(model.exo, scores, x_data).coefficients
+        - determinacy(model.exo, rescaled, x_data).coefficients)))
 
     sqrt_dev = 0.0
     for _ in range(20):

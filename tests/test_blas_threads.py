@@ -19,10 +19,11 @@ CHAIN = r"""
 import hashlib, json, sys
 import numpy as np
 from cpscores import (
-    SimulationSpec, cp_scores_from_params, cp_transform, determinacy_endo,
-    determinacy_exo, example_model, orthogonal_scores, random_model,
-    regression_scores, simulate_dataset, standardized_betas,
+    SimulationSpec, cp_scores_from_params, cp_transform, example_model,
+    orthogonal_scores, random_model, regression_scores, simulate_dataset,
+    standardized_betas,
 )
+from cpscores.determinacy import determinacy
 
 rand = random_model(np.random.default_rng(3), 6, 4, 6)
 out = {}
@@ -37,8 +38,8 @@ for name, model, n in (("example", example_model(), 20_000),
         ("cp_transform", cp.values),
         ("cp-params", cp_scores_from_params(model, x).values),
         ("orthogonal", orthogonal_scores(model, x).values),
-        ("determinacy_exo", determinacy_exo(xi, x, model).coefficients),
-        ("determinacy_endo", determinacy_endo(eta, y, model).coefficients),
+        ("determinacy-exo", determinacy(model.exo, xi, x).coefficients),
+        ("determinacy-endo", determinacy(model.endo, eta, y).coefficients),
         ("betas", standardized_betas(xi, eta)),
     ):
         data = np.ascontiguousarray(a).tobytes()

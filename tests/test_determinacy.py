@@ -8,21 +8,17 @@ from cpscores import (
     ScoreMatrix,
     SemModel,
     StructuralError,
-    closed_form_regression_determinacy,
     cp_transform,
-    determinacy_endo,
-    determinacy_exo,
     regression_scores,
 )
 from cpscores.determinacy import (
-    NORMALIZER_SD,
     NORMALIZER_VARIANCE,
     DeterminacyReport,
-    _determinacy,
+    closed_form_regression_determinacy,
+    determinacy,
 )
 from cpscores.linalg import _sym_power
 from cpscores.model import combined_factor_corr
-from cpscores.scores import joint_regression_scores
 from cpscores.simulate import SimulationSpec, random_model, simulate_dataset
 from conftest import heywood_model
 
@@ -35,17 +31,17 @@ class TestDeterminacyExo:
     def test_example_reference_values(self, model):
         x_data, y_data, _ = simulate(model, seed=0)
         reg = regression_scores(model.exo, x_data)
-        plain = determinacy_exo(reg, x_data, model)
+        plain = determinacy(model.exo, reg, x_data)
         assert plain.coefficients == pytest.approx([0.97, 0.97, 0.97], abs=0.02)
-        proxy = joint_regression_scores(model, x_data, y_data)
+        proxy = regression_scores(model.joint, x_data, y_data)
         cp = cp_transform(proxy, combined_factor_corr(model))
-        cp_rep = determinacy_exo(cp.select(model.xi_labels), x_data, model)
+        cp_rep = determinacy(model.exo, cp.select(model.xi_labels), x_data)
         assert cp_rep.coefficients == pytest.approx([0.97, 0.97, 0.97], abs=0.02)
 
     def test_matches_closed_form_oracle(self, model):
         x_data, _, _ = simulate(model, seed=5)
         reg = regression_scores(model.exo, x_data)
-        observed = determinacy_exo(reg, x_data, model).coefficients
+        observed = determinacy(model.exo, reg, x_data).coefficients
         oracle = closed_form_regression_determinacy(model, "exogenous").coefficients
         assert observed == pytest.approx(oracle, abs=0.02)
 
@@ -54,17 +50,17 @@ class TestDeterminacyExo:
         noise = ScoreMatrix(
             rng.standard_normal((x_data.n_cases, 3)), model.xi_labels
         )
-        report = determinacy_exo(noise, x_data, model)
+        report = determinacy(model.exo, noise, x_data)
         assert np.max(np.abs(report.coefficients)) < 0.03
 
     def test_scale_invariance(self, model):
         x_data, _, _ = simulate(model, n=500, seed=1)
         reg = regression_scores(model.exo, x_data)
-        base = determinacy_exo(reg, x_data, model).coefficients
+        base = determinacy(model.exo, reg, x_data).coefficients
         rescaled = ScoreMatrix(
             reg.values * np.array([5.0, 0.02, 17.0]), reg.labels, reg.provenance,
         )
-        assert determinacy_exo(rescaled, x_data, model).coefficients == pytest.approx(
+        assert determinacy(model.exo, rescaled, x_data).coefficients == pytest.approx(
             base, abs=1e-10
         )
 
@@ -72,20 +68,20 @@ class TestDeterminacyExo:
         x_data, _, _ = simulate(model, n=50, seed=1)
         scores = ScoreMatrix(np.zeros((49, 3)) + np.eye(49, 3), model.xi_labels)
         with pytest.raises(StructuralError, match="rows"):
-            determinacy_exo(scores, x_data, model)
+            determinacy(model.exo, scores, x_data)
 
     def test_wrong_width_refused(self, model):
         x_data, y_data, _ = simulate(model, n=50, seed=1)
         reg = regression_scores(model.exo, x_data)
         with pytest.raises(StructuralError, match="10 columns, expected 50 x 15"):
-            determinacy_exo(reg, y_data, model)
+            determinacy(model.exo, reg, y_data)
 
     def test_reversed_columns_refused(self, model):
         x_data, _, _ = simulate(model, n=50, seed=1)
         reg = regression_scores(model.exo, x_data)
         reversed_x = DataMatrix(x_data.values[:, ::-1], x_data.labels[::-1])
         with pytest.raises(StructuralError) as info:
-            determinacy_exo(reg, reversed_x, model)
+            determinacy(model.exo, reg, reversed_x)
         assert str(info.value) == (
             "exogenous determinacy: indicator data column 1 is 'x15', "
             "the model's indicator 1 is 'x1'"
@@ -99,27 +95,27 @@ class TestDeterminacyExo:
         values = x_data.values.copy()
         values[:, 2] = 0.5
         with pytest.raises(DataError, match="constant column 'x3'"):
-            determinacy_exo(reg, DataMatrix(values, x_data.labels), model)
+            determinacy(model.exo, reg, DataMatrix(values, x_data.labels))
 
     def test_zero_variance_rejected(self, model):
         x_data, _, _ = simulate(model, n=50, seed=1)
         scores = ScoreMatrix(np.ones((50, 3)), model.xi_labels)
         with pytest.raises(DataError, match="variance"):
-            determinacy_exo(scores, x_data, model)
+            determinacy(model.exo, scores, x_data)
 
 
 class TestDeterminacyEndo:
     def test_example_reference_values(self, model):
         x_data, y_data, _ = simulate(model, seed=0)
         reg = regression_scores(model.endo, y_data)
-        plain = determinacy_endo(reg, y_data, model)
+        plain = determinacy(model.endo, reg, y_data)
         # reference endogenous row (.97, .85); exact regression scores for a
         # factor with near-unit loadings sit at the top of the band
         assert plain.coefficients[0] == pytest.approx(0.97, abs=0.02)
         assert plain.coefficients[1] == pytest.approx(0.85, abs=0.02)
-        proxy = joint_regression_scores(model, x_data, y_data)
+        proxy = regression_scores(model.joint, x_data, y_data)
         cp = cp_transform(proxy, combined_factor_corr(model))
-        cp_rep = determinacy_endo(cp.select(model.eta_labels), y_data, model)
+        cp_rep = determinacy(model.endo, cp.select(model.eta_labels), y_data)
         assert cp_rep.coefficients[0] == pytest.approx(0.99, abs=0.02)
         assert cp_rep.coefficients[1] == pytest.approx(0.82, abs=0.02)
 
@@ -129,22 +125,21 @@ class TestDeterminacyEndo:
             rng.standard_normal((y_data.n_cases, 2)), model.eta_labels
         )
         assert np.max(np.abs(
-            determinacy_endo(noise, y_data, model).coefficients)) < 0.03
+            determinacy(model.endo, noise, y_data).coefficients)) < 0.03
 
     def test_matches_closed_form_oracle(self, model):
         _, y_data, _ = simulate(model, seed=13)
         reg = regression_scores(model.endo, y_data)
-        observed = determinacy_endo(reg, y_data, model).coefficients
+        observed = determinacy(model.endo, reg, y_data).coefficients
         oracle = closed_form_regression_determinacy(model, "endogenous").coefficients
         assert observed == pytest.approx(oracle, abs=0.02)
 
     def test_variance_normalizer_variant(self, model):
         _, y_data, _ = simulate(model, n=2_000, seed=4)
         reg = regression_scores(model.endo, y_data)
-        sd_report = determinacy_endo(reg, y_data, model)
-        var_report = determinacy_endo(
-            reg, y_data, model, normalizer=NORMALIZER_VARIANCE
-        )
+        sd_report = determinacy(model.endo, reg, y_data)
+        var_report = determinacy(
+            model.endo, reg, y_data, normalizer=NORMALIZER_VARIANCE)
         assert var_report.variant == "endogenous-variance-normalized"
         # the variance variant divides by an extra factor of the sd
         sds = np.std(reg.values - reg.values.mean(0), axis=0, ddof=1)
@@ -215,7 +210,7 @@ def test_heywood_edge_sample_near_closed_form(model, seed):
     # error can carry exact regression scores' estimate above it
     m = heywood_model(model)
     x_data, _, _ = simulate(m, n=20_000, seed=seed)
-    report = determinacy_exo(regression_scores(m.exo, x_data), x_data, m)
+    report = determinacy(m.exo, regression_scores(m.exo, x_data), x_data)
     closed = closed_form_regression_determinacy(m, "exogenous").coefficients
     assert np.max(np.abs(report.coefficients - closed)) <= 0.03
 
@@ -225,7 +220,7 @@ def test_unknown_normalizer_refused(model, normalizer):
     x_data, _, _ = simulate(model, n=200, seed=4)
     reg = regression_scores(model.exo, x_data)
     with pytest.raises(StructuralError, match="expected 'sd' or 'variance'"):
-        determinacy_exo(reg, x_data, model, normalizer=normalizer)
+        determinacy(model.exo, reg, x_data, normalizer=normalizer)
 
 
 def test_singular_implied_covariance_raises_package_error(rng):
@@ -241,9 +236,9 @@ def test_singular_implied_covariance_raises_package_error(rng):
     xi = ScoreMatrix(rng.standard_normal((20, 1)), m.xi_labels)
     eta = ScoreMatrix(rng.standard_normal((20, 1)), m.eta_labels)
     with pytest.raises(NearSingularError, match="exogenous"):
-        determinacy_exo(xi, data, m)
+        determinacy(m.exo, xi, data)
     with pytest.raises(NearSingularError, match="endogenous"):
-        determinacy_endo(eta, data, m)
+        determinacy(m.endo, eta, data)
     for block in ("exogenous", "endogenous"):
         with pytest.raises(NearSingularError, match=block):
             closed_form_regression_determinacy(m, block)
@@ -254,7 +249,7 @@ def test_regression_determinacy_converges_across_random_models(rng):
         m = random_model(rng)
         x_data, _, _ = simulate(m, n=10_000, seed=seed)
         reg = regression_scores(m.exo, x_data)
-        observed = determinacy_exo(reg, x_data, m).coefficients
+        observed = determinacy(m.exo, reg, x_data).coefficients
         oracle = closed_form_regression_determinacy(m, "exogenous").coefficients
         assert observed == pytest.approx(oracle, abs=0.02)
 
@@ -267,13 +262,11 @@ def test_joint_block_matches_closed_form_and_true_factors(rng):
         x_data, y_data, factors = simulate_dataset(
             SimulationSpec(m, 200_000, seed, emit_true_factors=True)
         )
-        reg = joint_regression_scores(m, x_data, y_data)
+        reg = regression_scores(m.joint, x_data, y_data)
         cp = cp_transform(reg, combined_factor_corr(m))
         k = len(m.factor_labels)
         for scores in (reg, cp):
-            observed = _determinacy(
-                m.joint, scores, [x_data, y_data], NORMALIZER_SD
-            ).coefficients
+            observed = determinacy(m.joint, scores, x_data, y_data).coefficients
             r = np.corrcoef(scores.values, factors.values, rowvar=False)
             assert observed == pytest.approx(np.diag(r[:k, k:]), abs=0.01)
             if scores is reg:
@@ -302,17 +295,41 @@ def test_cp_determinacy_not_above_regression_at_population(rng):
 
 def test_data_count_refused(model):
     x_data, y_data, _ = simulate(model, n=50, seed=1)
-    joint = joint_regression_scores(model, x_data, y_data)
+    joint = regression_scores(model.joint, x_data, y_data)
     with pytest.raises(StructuralError) as info:
-        _determinacy(model.joint, joint, [x_data], NORMALIZER_SD)
+        determinacy(model.joint, joint, x_data)
     assert str(info.value) == (
         "joint determinacy: 1 indicator data matrix, the joint block takes "
         "2 (x, y)"
     )
     xi = joint.select(model.xi_labels)
     with pytest.raises(StructuralError) as info:
-        _determinacy(model.exo, xi, [x_data, y_data], NORMALIZER_SD)
+        determinacy(model.exo, xi, x_data, y_data)
     assert str(info.value) == (
         "exogenous determinacy: 2 indicator data matrices, the exogenous "
         "block takes 1 (x)"
     )
+
+
+def test_benchmark_shims_equal_the_block_calls(rng):
+    # the benchmark times the shims by name; they must run the same code
+    # as the block calls, bit for bit
+    from cpscores.determinacy import determinacy_endo, determinacy_exo
+    from cpscores.scores import joint_regression_scores
+
+    for seed in range(3):
+        m = random_model(rng)
+        x_data, y_data, _ = simulate(m, n=500, seed=seed)
+        joint = regression_scores(m.joint, x_data, y_data)
+        assert np.array_equal(
+            joint_regression_scores(m, x_data, y_data).values, joint.values)
+        cp = cp_transform(joint, m.joint.corr)
+        xi, eta = cp.select(m.xi_labels), cp.select(m.eta_labels)
+        for shim, block, scores, data in (
+            (determinacy_exo, m.exo, xi, x_data),
+            (determinacy_endo, m.endo, eta, y_data),
+        ):
+            want = determinacy(block, scores, data)
+            got = shim(scores, data, m)
+            assert np.array_equal(got.coefficients, want.coefficients)
+            assert got.variant == want.variant == block.name

@@ -5,8 +5,11 @@ import io
 import itertools
 import os
 import stat
+import subprocess
+import sys
 import tempfile
 import threading
+from importlib.resources import files
 from pathlib import Path
 from unittest import mock
 
@@ -193,11 +196,15 @@ class TestCsvRoundTrip:
         assert not path.exists()
 
     def test_writer_rejects_zero_rows(self, tmp_path):
-        # the header-only file it would write is refused by the reader
+        # the reader refuses both files it would write: a header with no
+        # data rows, and bare line ends with no data columns in the header
         path = tmp_path / "m.csv"
-        with pytest.raises(DataError, match="no data rows"):
-            write_matrix_csv(path, ("a", "b"), np.empty((0, 2)))
-        assert not path.exists()
+        for labels, values, what in ((("a", "b"), np.empty((0, 2)), "rows"),
+                                     ((), np.zeros((3, 0)), "columns")):
+            with pytest.raises(DataError) as info:
+                write_matrix_csv(path, labels, values)
+            assert str(info.value) == f"{path}: no data {what} to write"
+            assert not path.exists()
 
     def test_writer_rejects_duplicate_labels(self, tmp_path):
         # the reader would refuse the header
@@ -378,6 +385,68 @@ def test_reader_contract(tmp_path, text, expected):
         assert labels == expected[0]
         assert values.dtype == np.float64
         assert np.array_equal(values, expected[1])
+
+
+BAD_THIRD_LINE = b"a,b\n1,2\n3,x\n"
+
+
+def test_bad_row_named_through_a_descriptor(tmp_path):
+    # the row-by-row pass re-reads the open descriptor, which it neither
+    # reopens nor closes twice
+    path = tmp_path / "d.csv"
+    path.write_bytes(BAD_THIRD_LINE)
+    fd = os.open(path, os.O_RDONLY)
+    with pytest.raises(DataError) as info:
+        read_labeled_csv(fd)
+    assert str(info.value) == f"{fd}: non-numeric cell on line 3"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+def test_bad_row_in_a_fifo_refused_without_reopening(tmp_path):
+    # a FIFO cannot be read twice: its error is the bulk parser's, and
+    # opening it again would wait for a writer that never comes
+    path = tmp_path / "d.csv"
+    os.mkfifo(path)
+    errors = []
+
+    def feed():
+        with open(path, "wb") as fh:
+            fh.write(BAD_THIRD_LINE)
+
+    def read():
+        try:
+            read_labeled_csv(path)
+        except DataError as exc:
+            errors.append(str(exc))
+
+    threads = [threading.Thread(target=f, daemon=True) for f in (feed, read)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    hung = [t for t in threads if t.is_alive()]
+    if hung:  # release a reader blocked in open() before failing
+        os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+    assert not hung
+    assert len(errors) == 1 and errors[0].startswith(f"{path}: ")
+    assert "'x'" in errors[0]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_bad_row_on_piped_stdin_names_the_path(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cpscores.io.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    model = files("cpscores") / "data" / "example.model"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cpscores.cli", "scores", str(model),
+         "--x", "/dev/stdin", "--method", "regression",
+         "--out", str(tmp_path / "s.csv")],
+        input=BAD_THIRD_LINE, capture_output=True, env=env, timeout=60,
+    )
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert err.startswith("error: /dev/stdin: ") and "empty file" not in err
 
 
 def _per_cell_csv(labels, values) -> bytes:

@@ -11,20 +11,17 @@ import pytest
 
 from cpscores import (
     SemModel,
-    closed_form_regression_determinacy,
     cp_scores_from_orthogonal,
     cp_scores_from_params,
     cp_transform,
-    determinacy_endo,
-    determinacy_exo,
     orthogonal_scores,
     regression_scores,
     standardized_betas,
     validate_model,
 )
+from cpscores.determinacy import closed_form_regression_determinacy, determinacy
 from cpscores.linalg import corr_from_cov
 from cpscores.model import combined_factor_corr
-from cpscores.scores import joint_regression_scores
 from cpscores.simulate import SimulationSpec, random_model, simulate_dataset
 
 BLOCKS = ("exo", "endo", "joint")
@@ -39,7 +36,7 @@ def fit(model, x, y):
                        "score_cov", "orthogonal_weights"):
             out[f"{name}.{method}"] = getattr(block, method)()
     out["exo.cp_weights"] = model.exo.cp_weights()
-    joint = joint_regression_scores(model, x, y)
+    joint = regression_scores(model.joint, x, y)
     cp = cp_transform(joint, combined_factor_corr(model))
     out.update({
         "c": combined_factor_corr(model).values,
@@ -51,9 +48,9 @@ def fit(model, x, y):
         "orthogonal": orthogonal_scores(model, x).values,
         "cp-orthogonal": cp_scores_from_orthogonal(model.exo, x).values,
         "score_corr": corr_from_cov(model.endo.score_cov()),
-        "det-exo": determinacy_exo(cp.select(model.xi_labels), x, model).coefficients,
-        "det-endo": determinacy_endo(
-            cp.select(model.eta_labels), y, model).coefficients,
+        "det-exo": determinacy(model.exo, cp.select(model.xi_labels), x).coefficients,
+        "det-endo": determinacy(
+            model.endo, cp.select(model.eta_labels), y).coefficients,
     })
     for block in ("exogenous", "endogenous"):
         out[f"closed-{block}"] = closed_form_regression_determinacy(
@@ -190,13 +187,13 @@ def replication(model, seed):
     whole score chain on it."""
     validate_model(model)
     x, y, _ = simulate_dataset(SimulationSpec(model, 100, seed, False))
-    cp = cp_transform(joint_regression_scores(model, x, y),
+    cp = cp_transform(regression_scores(model.joint, x, y),
                       combined_factor_corr(model))
     cp_scores_from_params(model, x)
     orthogonal_scores(model, x)
     xi, eta = cp.select(model.xi_labels), cp.select(model.eta_labels)
-    determinacy_exo(xi, x, model)
-    determinacy_endo(eta, y, model)
+    determinacy(model.exo, xi, x)
+    determinacy(model.endo, eta, y)
     standardized_betas(xi, eta)
     for block in ("exogenous", "endogenous"):
         closed_form_regression_determinacy(model, block)

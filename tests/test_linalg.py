@@ -6,11 +6,10 @@ from cpscores import (
     NearSingularError,
     ScoreMatrix,
     cp_transform,
-    determinacy_endo,
-    determinacy_exo,
     regression_scores,
     standardized_betas,
 )
+from cpscores.determinacy import determinacy
 from cpscores.linalg import _sym_power, column_means, corr_from_cov, moments
 from cpscores.simulate import SimulationSpec, simulate_dataset
 from conftest import spd_matrix
@@ -180,10 +179,10 @@ class TestSampleCorr:
 MOMENT_CONSUMERS = [
     ("sample_corr", "exo", lambda s, m, x, y: sample_corr(s)),
     ("cp_transform", "exo", lambda s, m, x, y: cp_transform(s, m.phi).values),
-    ("determinacy_exo", "exo",
-     lambda s, m, x, y: determinacy_exo(s, x, m).coefficients),
-    ("determinacy_endo", "endo",
-     lambda s, m, x, y: determinacy_endo(s, y, m).coefficients),
+    ("determinacy-exo", "exo",
+     lambda s, m, x, y: determinacy(m.exo, s, x).coefficients),
+    ("determinacy-endo", "endo",
+     lambda s, m, x, y: determinacy(m.endo, s, y).coefficients),
     ("betas_predictor", "exo",
      lambda s, m, x, y: standardized_betas(s, regression_scores(m.endo, y))),
     ("betas_outcome", "endo",

@@ -23,19 +23,16 @@ import numpy as np
 import pytest
 
 from cpscores import (
-    closed_form_regression_determinacy,
     cp_scores_from_params,
     cp_transform,
-    determinacy_endo,
-    determinacy_exo,
     orthogonal_scores,
     regression_scores,
     standardized_betas,
     validate_model,
 )
+from cpscores.determinacy import closed_form_regression_determinacy, determinacy
 from cpscores import linalg
 from cpscores.model import combined_factor_corr
-from cpscores.scores import joint_regression_scores
 from cpscores.simulate import SimulationSpec, random_model, simulate_dataset
 
 N_CASES = 10 * linalg.ROW_BLOCK + 17
@@ -75,7 +72,7 @@ def test_simulate_peak_within_bound(example_data):
 def test_score_peak_within_twice_the_result(model, example_data, family):
     x, y, _ = example_data
     call = {
-        "joint": (joint_regression_scores, model, x, y),
+        "joint": (regression_scores, model.joint, x, y),
         "exo": (regression_scores, model.exo, x),
         "orthogonal": (orthogonal_scores, model, x),
         "cp-params": (cp_scores_from_params, model, x),
@@ -87,7 +84,7 @@ def test_score_peak_within_twice_the_result(model, example_data, family):
 
 def test_select_peak_within_bound(model, example_data):
     x, y, _ = example_data
-    joint = joint_regression_scores(model, x, y)
+    joint = regression_scores(model.joint, x, y)
     xi, peak = traced_peak(joint.select, model.xi_labels)
     assert np.shares_memory(xi.values, joint.values)
     # the view and the container only: consecutive columns are not copied,
@@ -97,7 +94,7 @@ def test_select_peak_within_bound(model, example_data):
 
 def test_cp_transform_peak_within_bound(model, example_data):
     x, y, _ = example_data
-    joint = joint_regression_scores(model, x, y)
+    joint = regression_scores(model.joint, x, y)
     cp, peak = traced_peak(cp_transform, joint, combined_factor_corr(model))
     # the result, one row block of centred scores (ROW_BLOCK / N_CASES of
     # it) and the moments' accumulators; a finiteness mask adds 0.125
@@ -106,7 +103,7 @@ def test_cp_transform_peak_within_bound(model, example_data):
 
 def test_betas_peak_within_bound(model, example_data):
     x, y, _ = example_data
-    joint = joint_regression_scores(model, x, y)
+    joint = regression_scores(model.joint, x, y)
     xi, eta = joint.select(model.xi_labels), joint.select(model.eta_labels)
     _, peak = traced_peak(standardized_betas, xi, eta)
     assert peak / (xi.values.nbytes + eta.values.nbytes) <= 0.5
@@ -117,13 +114,13 @@ def _fit(model, n_cases=200):
     determinacy, betas and the closed form under one model."""
     validate_model(model)
     x, y, _ = simulate_dataset(SimulationSpec(model, n_cases, 1, False))
-    joint = joint_regression_scores(model, x, y)
+    joint = regression_scores(model.joint, x, y)
     cp = cp_transform(joint, combined_factor_corr(model))
     cp_scores_from_params(model, x)
     orthogonal_scores(model, x)
     xi, eta = cp.select(model.xi_labels), cp.select(model.eta_labels)
-    determinacy_exo(xi, x, model)
-    determinacy_endo(eta, y, model)
+    determinacy(model.exo, xi, x)
+    determinacy(model.endo, eta, y)
     standardized_betas(xi, eta)
     for block in ("exogenous", "endogenous"):
         closed_form_regression_determinacy(model, block)

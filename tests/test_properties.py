@@ -16,17 +16,15 @@ from cpscores import (
     NearSingularError,
     ScoreMatrix,
     SemModel,
-    closed_form_regression_determinacy,
     cp_scores_from_params,
     cp_transform,
-    determinacy_endo,
-    determinacy_exo,
+    regression_scores,
     standardized_betas,
     validate_model,
 )
+from cpscores.determinacy import closed_form_regression_determinacy, determinacy
 from cpscores.linalg import _sym_power
 from cpscores.model import combined_factor_corr
-from cpscores.scores import joint_regression_scores
 from cpscores.simulate import (
     SimulationSpec,
     random_correlation,
@@ -119,7 +117,7 @@ def test_validation_accepts_exactly_the_usable_models(seed):
     )
     try:
         x, y, _ = simulate_dataset(SimulationSpec(m, 20, seed, False))
-        joint_regression_scores(m, x, y)
+        regression_scores(m.joint, x, y)
         usable = True
     except CpscoresError:
         usable = False
@@ -134,10 +132,10 @@ def _chain(model, n, seed):
     """Joint scores, their transform, both blocks' determinacy and betas."""
     x, y, _ = simulate_dataset(SimulationSpec(model, n, seed, False))
     c = combined_factor_corr(model)
-    cp = cp_transform(joint_regression_scores(model, x, y), c)
+    cp = cp_transform(regression_scores(model.joint, x, y), c)
     xi, eta = cp.select(model.xi_labels), cp.select(model.eta_labels)
-    determinacy_exo(xi, x, model)
-    determinacy_endo(eta, y, model)
+    determinacy(model.exo, xi, x)
+    determinacy(model.endo, eta, y)
     return cp, c, standardized_betas(xi, eta)
 
 
@@ -160,7 +158,7 @@ def test_transform_from_k_plus_one_cases_and_refused_at_k(model):
     with pytest.raises(NearSingularError, match=(
             r"^sample correlation of the scores \(xi1, xi2, xi3, eta1, eta2\) "
             r"not positive definite")):
-        cp_transform(joint_regression_scores(model, x, y), combined_factor_corr(model))
+        cp_transform(regression_scores(model.joint, x, y), combined_factor_corr(model))
 
 
 def test_heywood_edge_validates_and_transforms_exactly(model):

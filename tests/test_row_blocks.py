@@ -18,15 +18,13 @@ from cpscores import (
     DataMatrix,
     ScoreMatrix,
     cp_scores_from_params,
-    determinacy_endo,
-    determinacy_exo,
     orthogonal_scores,
     regression_scores,
 )
+from cpscores.determinacy import determinacy
 from cpscores import linalg
 from cpscores.linalg import _sym_power
 from cpscores.model import combined_factor_corr
-from cpscores.scores import joint_regression_scores
 from cpscores.simulate import SimulationSpec, random_model, simulate_dataset
 
 SHAPES = [(3, 2, 3), (2, 1, 4), (4, 3, 3)]
@@ -82,7 +80,7 @@ def families(model, x, y):
     return {
         "exo": regression_scores(model.exo, x),
         "endo": regression_scores(model.endo, y),
-        "joint": joint_regression_scores(model, x, y),
+        "joint": regression_scores(model.joint, x, y),
         "ortho": orthogonal_scores(model, x),
         "cp-params": cp_scores_from_params(model, x),
     }
@@ -120,8 +118,7 @@ def test_determinacy_equals_one_shot_moments(seed, shape, n):
     model, x, y = draw(seed, shape, n)
     w = oracle_weights(model)
     rng = np.random.default_rng(seed)
-    for block, data, fn in (("exo", x, determinacy_exo),
-                            ("endo", y, determinacy_endo)):
+    for block, data in (("exo", x), ("endo", y)):
         # scores unrelated to the data, so no term of the cross moment
         # cancels by construction
         labels = getattr(model, block).factor_labels
@@ -130,7 +127,7 @@ def test_determinacy_equals_one_shot_moments(seed, shape, n):
         cross = p.T @ centred(data.values) / (n - 1)
         sd = np.sqrt(np.sum(p * p, axis=0) / (n - 1))
         want = np.sum(cross * w[block], axis=1) / sd
-        got = fn(scores, data, model).coefficients
+        got = determinacy(getattr(model, block), scores, data).coefficients
         assert np.max(np.abs(got - want)) < 1e-12, block
 
 
@@ -199,7 +196,7 @@ def check_determinacy(layouts, n):
     cross = p.T @ centred(x) / (n - 1)
     sd = np.sqrt(np.sum(p * p, axis=0) / (n - 1))
     want = np.sum(cross * oracle_weights(model)["exo"], axis=1) / sd
-    assert_close(determinacy_exo(scores, data, model).coefficients, want)
+    assert_close(determinacy(model.exo, scores, data).coefficients, want)
 
 
 @pytest.mark.usefixtures("row_block")

@@ -18,7 +18,6 @@ from cpscores import (
 )
 from cpscores.linalg import _sym_power, corr_from_cov
 from cpscores.model import combined_factor_corr
-from cpscores.scores import joint_regression_scores
 from cpscores.simulate import SimulationSpec, random_model
 
 
@@ -173,7 +172,7 @@ class TestCpTransform:
 
     def test_sample_corr_becomes_target(self, rng, model):
         x_data, y_data, _ = simulate(model, n=500, seed=3)
-        p = joint_regression_scores(model, x_data, y_data)
+        p = regression_scores(model.joint, x_data, y_data)
         target = combined_factor_corr(model)
         out = cp_transform(p, target)
         assert np.max(np.abs(np.corrcoef(out.values, rowvar=False) - target.values)) < 1e-10
@@ -228,7 +227,7 @@ class TestCpTransformExo:
 
     def test_joint_and_blockwise_differ_on_xi_block(self, model):
         x_data, y_data, _ = simulate(model, n=600, seed=5)
-        p = joint_regression_scores(model, x_data, y_data)
+        p = regression_scores(model.joint, x_data, y_data)
         joint = cp_transform(p, combined_factor_corr(model))
         blockwise = cp_transform(p.select(model.xi_labels), model.phi)
         dev = np.max(np.abs(
@@ -309,7 +308,7 @@ class TestNamedSingularMatrices:
     def test_too_few_cases_name_the_score_correlation(self, model):
         # 5 cases of 5 scores: rank 4 after centring
         x_data, y_data, _ = simulate(model, n=5, seed=1)
-        joint = joint_regression_scores(model, x_data, y_data)
+        joint = regression_scores(model.joint, x_data, y_data)
         with pytest.raises(NearSingularError, match=(
             r"^sample correlation of the scores \(xi1, xi2, xi3, eta1, eta2\) "
             r"not positive definite \(smallest eigenvalue ")):
@@ -376,7 +375,7 @@ class TestCpFromOrthogonal:
         x_data, y_data, _ = simulate(model, n=10_000, seed=1)
         cp_xi = cp_scores_from_orthogonal(model.exo, x_data)
         # endogenous cp scores from the joint transform of the full proxy
-        proxy = joint_regression_scores(model, x_data, y_data)
+        proxy = regression_scores(model.joint, x_data, y_data)
         cp_eta = cp_transform(
             proxy, combined_factor_corr(model)
         ).select(model.eta_labels)
@@ -421,7 +420,7 @@ class TestJointRegressionScores:
         x_data, y_data, _ = simulate(model, n=500, seed=2)
         assert np.array_equal(
             regression_scores(model.joint, x_data, y_data).values,
-            joint_regression_scores(model, x_data, y_data).values,
+            regression_scores(model.joint, x_data, y_data).values,
         )
 
     def test_data_count_refused(self, model):
@@ -455,7 +454,7 @@ class TestJointRegressionScores:
         x = DataMatrix(np.zeros((3, 15)), model.x_labels)
         y = DataMatrix(np.zeros((4, 10)), model.y_labels)
         with pytest.raises(StructuralError, match="cases"):
-            joint_regression_scores(model, x, y)
+            regression_scores(model.joint, x, y)
 
     def test_reversed_y_refused(self, model):
         x_data, y_data, _ = simulate(model, n=50, seed=1)
@@ -463,4 +462,4 @@ class TestJointRegressionScores:
         with pytest.raises(StructuralError, match=(
             "indicator data column 1 is 'y10', the model's indicator 1 is 'y1'"
         )):
-            joint_regression_scores(model, x_data, reversed_y)
+            regression_scores(model.joint, x_data, reversed_y)

@@ -46,11 +46,16 @@ labels too: both sides call the containers' one rule for labelled
 matrices.  It also refuses what the reader would read back under other
 labels: a label with surrounding whitespace, and a first label named like
 a case-id column.  The writer emits the header through ``csv.writer`` and each
-value with ``%.17g`` and CRLF line ends, so a write/read round trip is
-exact to double precision; the bytes are the same as the earlier
-cell-by-cell writer produced.  A write that fails part way removes the
-regular file it was writing, whose whole rows would otherwise read as
-valid.
+value as ``%.17g`` formats it, with CRLF line ends, so a write/read round
+trip is exact to double precision.  The body is formatted in numpy, a
+chunk of cells at a time: a cell of fixed notation, 1e-4 <= |x| < 1e17,
+gets its 17 significant digits from exact integer arithmetic, rounded
+half to even as ``%.17g`` rounds them, and its text from table lookups;
+zero and the cells ``%.17g`` writes in exponent notation are formatted
+by ``%``, one call each.  The bytes, ``-0`` and the stripped trailing
+zeros included, are the same as the earlier cell-by-cell writer
+produced.  A write that fails part way removes the regular file it was
+writing, whose whole rows would otherwise read as valid.
 
 Parsed-file cache: after parsing a regular file ``x.csv``, the reader
 keeps ``.x.csv.cpscores.npy`` beside it.  That sidecar is three ``.npy``
@@ -81,9 +86,10 @@ import hashlib
 import itertools
 import math
 import os
+import re
 import stat
 from io import BufferedReader, RawIOBase, TextIOWrapper
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
 
@@ -91,15 +97,21 @@ from .containers import DataMatrix, ScoreMatrix, _check_labels, _check_matrix
 from .errors import DataError, StructuralError
 from .model import SemModel, validate_model
 
+if TYPE_CHECKING:
+    from array import array
+
 MODEL_BLOCKS = ("dimensions", "lambda_x", "phi", "lambda_y", "gamma", "psi", "eta_corr")
 DIMENSION_KEYS = ("n_x", "n_xi", "n_y", "n_eta")
 CASE_ID_LABELS = ("case", "case_id", "id")
-# Cells formatted per write call: bounds the chunk's temporary list and text.
-_WRITE_CHUNK_CELLS = 1024
+# Cells formatted per write call: bounds the chunk's temporaries (each at
+# most one 28-byte slot per cell) and its text.
+_WRITE_CHUNK_CELLS = 2048
 # The parsed-file cache: a sidecar's key is sha256 over this tag and then the
 # CSV's bytes, so a change of the sidecar layout misses every older sidecar.
 _SIDECAR_TAG = b"cpscores csv sidecar v1: key u1, labels U, values <f8 C\n"
 _HASH_CHUNK = 1 << 16
+# numpy's message for a cell it cannot convert, with the row counted from 0
+_NOT_CONVERTED = r"could not convert string .* at row (\d+), column \d+\.$"
 
 
 def _parse_blocks(lines):
@@ -228,10 +240,13 @@ def model_hash(model: SemModel) -> str:
 def write_matrix_csv(path, labels, values) -> None:
     """Write a header row of labels and one row of 17-digit values per case.
 
-    The body is formatted a chunk of rows at a time by one ``%`` call on a
-    repeated row template. The bytes are those of ``csv.writer`` writing
-    ``f"{v:.17g}"`` cells: CRLF line ends, and ``-0`` spelled as Python
-    spells it.  What the reader would refuse, or read back otherwise,
+    The bytes are those of ``csv.writer`` writing ``f"{v:.17g}"`` cells:
+    CRLF line ends, ``-0`` spelled as Python spells it, and ``%g``'s
+    trailing zeros stripped.  The body is formatted in numpy a chunk of
+    whole rows at a time (``_format_cells``): cells of fixed notation,
+    1e-4 <= |x| < 1e17, exactly, from their integer digits; zero and the
+    exponent notation by ``%``, one call per cell.  What the reader would
+    refuse, or read back otherwise,
     raises before the file is opened: the containers' rule on shape,
     labels and finite cells; a label with surrounding whitespace, which the
     reader strips; a first label the reader takes for a case-id column; a
@@ -263,16 +278,23 @@ def write_matrix_csv(path, labels, values) -> None:
     if values.shape[1] == 0:
         raise DataError(f"{path}: no data columns to write")
     k = values.shape[1]
-    row_template = ",".join(["%.17g"] * k) + "\r\n"
     chunk_rows = max(1, _WRITE_CHUNK_CELLS // k)
+    row_ends = np.zeros((chunk_rows, k), np.intp)
+    row_ends[:, -1] = 1
+    row_ends = row_ends.ravel()
+    # imported on the first write: where bytecode is not cached, compiling
+    # the formatter would cost every process that imports the package
+    # about 2.5 ms, whether it writes or not
+    from ._csvformat import _format_cells
+
     fh = open(path, "w", encoding="utf-8", newline="")
     opened = os.fstat(fh.fileno())
     try:
         with fh:
             csv.writer(fh).writerow(labels)
             for start in range(0, values.shape[0], chunk_rows):
-                block = values[start:start + chunk_rows]
-                fh.write((row_template * len(block)) % tuple(block.ravel().tolist()))
+                block = values[start:start + chunk_rows].ravel()
+                fh.write(_format_cells(block, row_ends[:block.size]))
     except BaseException:
         if not isinstance(path, int):
             _remove_if_opened(path, opened)
@@ -311,16 +333,24 @@ def _strict_float(cell: str) -> float:
     return float(text)
 
 
-def _reject(path, raw, cause: Exception) -> NoReturn:
+def _reject(path, raw, cause: Exception, lines: array | None = None) -> NoReturn:
     """Raise the ``DataError`` for the first bad row of ``path``.
 
     Called only after the bulk parse has failed, this reads the open binary
     handle ``raw`` again from its start, row by row under the same rules,
     and names the line at fault.  ``path`` is never opened again, so a
     stream that cannot seek back (a pipe, a FIFO, ``/dev/stdin``) is not
-    re-read: its error is the bulk parser's, prefixed with the path.
+    re-read.  For a stream, ``lines`` holds the file line of each line the
+    bulk parse was given: a cell numpy could not convert is named by the
+    line of numpy's row, and any other error is the bulk parser's,
+    prefixed with the path.
     """
     if not raw.seekable():
+        found = re.search(_NOT_CONVERTED, str(cause), re.DOTALL)
+        if found and int(found[1]) < len(lines):
+            raise DataError(
+                f"{path}: non-numeric cell on line {lines[int(found[1])]}"
+            ) from cause
         raise DataError(f"{path}: {cause}") from cause
     raw.seek(0)  # the handle's owner closes it, not this text view of it
     with open(raw.fileno(), encoding="utf-8-sig", newline="", closefd=False) as fh:
@@ -357,11 +387,32 @@ def _ignore_cell(cell) -> float:
     return 0.0
 
 
+def _numbered_lines(numbered, numbers: array):
+    """The lines of ``numbered``, (line number, line) pairs, that hold more
+    than whitespace; each one's number is appended to ``numbers`` as it is
+    yielded."""
+    for number, line in numbered:
+        if not line.isspace():
+            numbers.append(number)
+            yield line
+
+
 def _parse(path, fh, raw) -> tuple[tuple[str, ...], np.ndarray]:
     """Parse the open text ``fh`` of ``path``, read from the binary handle
     ``raw``, into its labels and values."""
-    header, drop_first = _read_header(path, fh)
-    lines = itertools.filterfalse(str.isspace, fh)
+    numbers = None
+    if raw.seekable():
+        header, drop_first = _read_header(path, fh)
+        lines = itertools.filterfalse(str.isspace, fh)
+    else:
+        # a stream is read once: number the lines numpy is given, so that
+        # its row of a bad cell can be named by its line
+        from array import array  # loaded for streams only
+
+        numbered = enumerate(fh, start=1)
+        header, drop_first = _read_header(path, (line for _, line in numbered))
+        numbers = array("q")
+        lines = _numbered_lines(numbered, numbers)
     first = next(lines, None)
     if first is None:
         raise DataError(f"{path}: no data rows")
@@ -374,9 +425,9 @@ def _parse(path, fh, raw) -> tuple[tuple[str, ...], np.ndarray]:
             converters={0: _ignore_cell} if drop_first else None,
         )
     except ValueError as exc:
-        _reject(path, raw, exc)
+        _reject(path, raw, exc, numbers)
     if values.shape[1] != len(header) + drop_first:
-        _reject(path, raw, ValueError(f"rows have {values.shape[1]} cells"))
+        _reject(path, raw, ValueError(f"rows have {values.shape[1]} cells"), numbers)
     if drop_first:
         values = np.ascontiguousarray(values[:, 1:])
     _check_matrix(values, path, header)

@@ -317,6 +317,8 @@ class TestCsvRoundTrip:
             return fh
 
         monkeypatch.setattr(cpscores.io, "open", open_failing, raising=False)
+        # 204-row chunks: the 500 rows take three body writes
+        monkeypatch.setattr(cpscores.io, "_WRITE_CHUNK_CELLS", 1024)
         values = np.arange(2500.0).reshape(500, 5)
         if target == "descriptor":
             dest = os.open(path, os.O_WRONLY | os.O_CREAT, 0o644)
@@ -402,16 +404,25 @@ def test_bad_row_named_through_a_descriptor(tmp_path):
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
-def test_bad_row_in_a_fifo_refused_without_reopening(tmp_path):
-    # a FIFO cannot be read twice: its error is the bulk parser's, and
-    # opening it again would wait for a writer that never comes
+@pytest.mark.parametrize("text, expected", [
+    (BAD_THIRD_LINE, "non-numeric cell on line 3"),
+    # blank lines are not given to numpy, but they are counted
+    (b"a,b\n\n1,2\n \n3,\n", "non-numeric cell on line 5"),
+    (b"id,b\r\nq,2\r\nr,y\r\n", "non-numeric cell on line 3"),
+    # numpy names no row of a cell it could convert: its message stands
+    (b"a,b\n1,2\n3,4,5\n", "the number of columns changed from 2 to 3"),
+], ids=["text-cell", "after-blank-lines", "case-id-crlf", "ragged"])
+def test_bad_row_in_a_fifo_refused_without_reopening(tmp_path, text, expected):
+    # a FIFO cannot be read twice, and opening it again would wait for a
+    # writer that never comes: the bulk parse numbers the lines it is
+    # given, and names the line of a cell numpy could not convert
     path = tmp_path / "d.csv"
     os.mkfifo(path)
     errors = []
 
     def feed():
         with open(path, "wb") as fh:
-            fh.write(BAD_THIRD_LINE)
+            fh.write(text)
 
     def read():
         try:
@@ -428,8 +439,7 @@ def test_bad_row_in_a_fifo_refused_without_reopening(tmp_path):
     if hung:  # release a reader blocked in open() before failing
         os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
     assert not hung
-    assert len(errors) == 1 and errors[0].startswith(f"{path}: ")
-    assert "'x'" in errors[0]
+    assert len(errors) == 1 and errors[0].startswith(f"{path}: {expected}")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
@@ -446,7 +456,7 @@ def test_bad_row_on_piped_stdin_names_the_path(tmp_path):
     )
     err = proc.stderr.decode()
     assert proc.returncode == 2, err
-    assert err.startswith("error: /dev/stdin: ") and "empty file" not in err
+    assert err == "error: /dev/stdin: non-numeric cell on line 3\n"
 
 
 def _per_cell_csv(labels, values) -> bytes:
@@ -484,6 +494,65 @@ def test_writer_bytes_and_round_trip(values, chunk_cells):
         back_labels, back = read_labeled_csv(path)
     assert back_labels == labels
     assert back.tobytes() == values.tobytes()
+
+
+def _template_csv(labels, values) -> bytes:
+    """The writer of earlier versions: the header through ``csv.writer``,
+    then the body through one ``%.17g`` row template."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerow(labels)
+    row = ",".join(["%.17g"] * values.shape[1]) + "\r\n"
+    buf.write(row * len(values) % tuple(values.ravel().tolist()))
+    return buf.getvalue().encode()
+
+
+def _formatter_probes() -> np.ndarray:
+    """Finite doubles for every path of the writer's formatter, both signs."""
+    rng = np.random.default_rng(1917)
+    bits = rng.integers(0, 2**64, 10**5, dtype=np.uint64).view(float)
+    tens = np.array([float(f"1e{k}") for k in range(-330, 309)])
+    ties = []  # m * 5**q / 2 for odd m: a 17-digit value and a half
+    for q in range(1, 21):
+        lo = -(-(2 ** (q + 1) * 10**16) // 10**q)
+        hi = min(2 ** (q + 1) * 10**17 // 10**q, 2**53)
+        odd = rng.integers(lo // 2, hi // 2, 200) * 2 + 1
+        ties.append(np.ldexp(odd.astype(float), -(q + 1)))
+    cells = np.concatenate([
+        bits[np.isfinite(bits)],
+        tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf), *ties,
+        # the ends of fixed notation
+        [1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), 1e17,
+         99999999999999984.0, np.nextafter(1e17, np.inf)],
+        # zero, subnormals and the normal range's ends
+        [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+         np.finfo(float).max],
+        rng.integers(1, 2**52, 1000, dtype=np.uint64).view(float),
+        # integers and short decimals: trailing zeros to strip
+        rng.integers(-10**6, 10**6, 1000).astype(float),
+        np.round(rng.standard_normal(1000), 3),
+    ])
+    return np.concatenate([cells, -cells])
+
+
+def test_writer_formats_every_probe_as_the_template_does(tmp_path):
+    cells = _formatter_probes()[:, None]
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, ("v",), cells)
+    assert path.read_bytes() == _template_csv(("v",), cells)
+
+
+def test_writer_bytes_at_every_width(tmp_path):
+    # two full chunks and one row more at each width: every chunk boundary,
+    # and a short last chunk, with exponent-notation cells among the rest
+    rng = np.random.default_rng(1918)
+    probes = _formatter_probes()
+    path = tmp_path / "m.csv"
+    for k in range(1, 31):
+        rows = 2 * (cpscores.io._WRITE_CHUNK_CELLS // k) + 1
+        values = rng.choice(probes, (rows, k))
+        labels = tuple(f"v{j}" for j in range(k))
+        write_matrix_csv(path, labels, values)
+        assert path.read_bytes() == _template_csv(labels, values), k
 
 
 def test_example_model_loads_via_package_data():

@@ -17,6 +17,7 @@ loadings, which are rebuilt when needed.
 """
 
 import gc
+import os
 import tracemalloc
 
 import numpy as np
@@ -32,6 +33,7 @@ from cpscores import (
 )
 from cpscores.determinacy import closed_form_regression_determinacy, determinacy
 from cpscores import linalg
+from cpscores.io import write_matrix_csv
 from cpscores.model import combined_factor_corr
 from cpscores.simulate import SimulationSpec, random_model, simulate_dataset
 
@@ -159,3 +161,25 @@ def test_warm_model_keeps_weights_and_short_vectors_only(traced):
     retained = tracemalloc.get_traced_memory()[0] - base
     kept = 8 * _kept_float_count(model)
     assert kept <= retained <= kept + KEPT_OVERHEAD_BYTES
+
+
+# The CSV writer's traced peak: one chunk of _WRITE_CHUNK_CELLS cells in
+# flight, whose arrays take at most 28 bytes a cell (the slot, the digits,
+# the masks) or 8 (the 128-bit arithmetic's uint64 arrays), with the
+# chunk's text; measured at about 0.31 MB (numpy 2.4, CPython 3.11).
+WRITE_PEAK_BYTES = 450_000
+
+
+def test_csv_write_peak_does_not_grow_with_rows(traced):
+    rng = np.random.default_rng(12)
+    labels = tuple(f"x{j}" for j in range(25))
+    # the tables, and whatever numpy keeps after a first full chunk
+    write_matrix_csv(os.devnull, labels, rng.standard_normal((200, 25)))
+    peaks = []
+    for rows in (20_000, 200_000):
+        values = rng.standard_normal((rows, 25))
+        _, peak = traced_peak(write_matrix_csv, os.devnull, labels, values)
+        peaks.append(peak)
+    # a copy of the values would make the two peaks differ by 36 MB
+    assert max(peaks) <= WRITE_PEAK_BYTES
+    assert abs(peaks[1] - peaks[0]) <= 16_384

@@ -200,8 +200,10 @@ def _format_cells(cells: np.ndarray, row_ends: np.ndarray) -> str:
     it, followed by CRLF where ``row_ends`` is 1 and by ``,`` elsewhere.
 
     Cells of fixed notation, 1e-4 <= |x| < 1e17, are formatted from their
-    exact digits (``_decimal17``) by table lookups.  The others (zero, and
-    the exponent notation) are formatted by ``%``, one call each.
+    exact digits (``_decimal17``) by table lookups.  Zero keeps the slot of
+    its stand-in 1, with the digit made ``0`` and the sign taken from its
+    sign bit, as ``-0.0 < 0`` is false.  The exponent notation is formatted
+    by ``%``, one call per cell.
     """
     a = np.abs(cells)
     other = np.where(a < 1e-4, True, a >= 1e17)
@@ -209,6 +211,11 @@ def _format_cells(cells: np.ndarray, row_ends: np.ndarray) -> str:
     slot = _fixed_slots(a, cells < 0, row_ends)
     others = np.flatnonzero(other)
     if others.size:
+        rare = cells[others]
+        zeros = others[rare == 0]
+        slot[zeros, 7] = ord("0")
+        slot[zeros, 0] = (cells[zeros].view(np.uint64) >> 63) * ord("-")
+        others = others[rare != 0]
         text = b"".join(("%.17g" % x).encode().ljust(_CELL, b"\0")
                         for x in cells[others].tolist())
         slot[others, :_CELL] = np.frombuffer(text, np.uint8).reshape(-1, _CELL)

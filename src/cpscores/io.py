@@ -41,39 +41,39 @@ The reader accepts this dialect:
   and a line holding only a quoted blank cell (``""``) is not skipped.
 
 Errors name the file and the line, or the data row and the column for a
-non-finite value.  The writer refuses non-finite values and duplicate
-labels too: both sides call the containers' one rule for labelled
-matrices.  It also refuses what the reader would read back under other
-labels: a label with surrounding whitespace, and a first label named like
-a case-id column.  The writer emits the header through ``csv.writer`` and each
-value as ``%.17g`` formats it, with CRLF line ends, so a write/read round
-trip is exact to double precision.  The body is formatted in numpy, a
-chunk of cells at a time: a cell of fixed notation, 1e-4 <= |x| < 1e17,
-gets its 17 significant digits from exact integer arithmetic, rounded
-half to even as ``%.17g`` rounds them, and its text from table lookups;
-zero and the cells ``%.17g`` writes in exponent notation are formatted
-by ``%``, one call each.  The bytes, ``-0`` and the stripped trailing
-zeros included, are the same as the earlier cell-by-cell writer
-produced.  A write that fails part way removes the regular file it was
-writing, whose whole rows would otherwise read as valid.
+non-finite value.  A stream that cannot seek back (a pipe, a FIFO,
+``/dev/stdin``) is copied once to an unnamed temporary file and read from
+there as a file is, with the same results and messages.  The writer
+refuses non-finite values and duplicate labels too: both sides call the
+containers' one rule for labelled matrices.  It also refuses what the
+reader would read back under other labels: a label with surrounding
+whitespace, and a first label named like a case-id column.  The writer
+emits the header through ``csv.writer`` and each value as ``%.17g``
+formats it, with CRLF line ends, so a write/read round trip is exact to
+double precision.  The body is formatted in numpy, a chunk of cells at a
+time (``_csvformat``), to the bytes, ``-0`` and the stripped trailing
+zeros included, that the earlier cell-by-cell writer produced.  A write
+that fails part way removes the regular file it was writing, whose whole
+rows would otherwise read as valid.
 
-Parsed-file cache: after parsing a regular file ``x.csv``, the reader
-keeps ``.x.csv.cpscores.npy`` beside it.  That sidecar is three ``.npy``
-arrays, no zip and no pickle: the key (uint8), the labels (unicode) and the
-values (C-ordered float64).  The key is the sha256 of a format tag followed
-by the file's raw bytes, hashed beneath the text layer as the parse reads
-them, so it names exactly what was parsed; a file rewritten with other
-values, whatever its size or timestamp, misses.  A later read hashes the
-file in 64 KiB chunks, and on a matching key loads the sidecar instead of
-parsing; the loaded labels and values pass the same checks as a parse
-(layout, finite cells, unique labels).  A sidecar that is missing, stale,
-damaged, of another layout, owned by neither the CSV's owner nor the
-reader, or more readable than its CSV is a miss: the file is parsed and
-the sidecar replaced.  A sidecar gets its CSV's permission bits, less
-execute and, unless it has the CSV's group, less the group's, so it is
-readable by no one the CSV is not readable by.  The sidecar is
-written to a temporary file and renamed into place; a directory that will
-not take it, a full disk or a file that is not regular (a FIFO,
+Parsed-file cache: after parsing a regular file ``x.csv``, named by its
+path and not through a symlink, the reader keeps ``.x.csv.cpscores.npy``
+beside it.  That sidecar is three ``.npy`` arrays, no zip and no pickle:
+the key (uint8), the labels (unicode) and the values (C-ordered float64).
+The key is the sha256 of a format tag followed by the file's raw bytes,
+hashed beneath the text layer as the parse reads them, so it names exactly
+what was parsed; a file rewritten with other values, whatever its size or
+timestamp, misses.  A later read hashes the file in 64 KiB chunks, and on
+a matching key loads the sidecar instead of parsing; the loaded labels and
+values pass the same checks as a parse (layout, finite cells, unique
+labels).  A sidecar that is missing, stale, damaged, of another layout,
+owned by neither the CSV's owner nor the reader, or more readable than its
+CSV is a miss: the file is parsed and the sidecar replaced.  A sidecar
+gets its CSV's permission bits, less execute and, unless it has the CSV's
+group, less the group's, so it is readable by no one the CSV is not
+readable by.  The sidecar is written to a temporary file and renamed into
+place; a directory that will not take it, a full disk, a descriptor or a
+path that is not the regular file itself (a FIFO, a symlink such as
 ``/dev/stdin``) only means the read is not cached, and a refused CSV
 leaves no sidecar.  Deleting a sidecar is always safe.
 """
@@ -86,19 +86,17 @@ import hashlib
 import itertools
 import math
 import os
-import re
+import shutil
 import stat
+import tempfile
 from io import BufferedReader, RawIOBase, TextIOWrapper
-from typing import TYPE_CHECKING, NoReturn
+from typing import NoReturn
 
 import numpy as np
 
 from .containers import DataMatrix, ScoreMatrix, _check_labels, _check_matrix
 from .errors import DataError, StructuralError
 from .model import SemModel, validate_model
-
-if TYPE_CHECKING:
-    from array import array
 
 MODEL_BLOCKS = ("dimensions", "lambda_x", "phi", "lambda_y", "gamma", "psi", "eta_corr")
 DIMENSION_KEYS = ("n_x", "n_xi", "n_y", "n_eta")
@@ -110,8 +108,6 @@ _WRITE_CHUNK_CELLS = 2048
 # CSV's bytes, so a change of the sidecar layout misses every older sidecar.
 _SIDECAR_TAG = b"cpscores csv sidecar v1: key u1, labels U, values <f8 C\n"
 _HASH_CHUNK = 1 << 16
-# numpy's message for a cell it cannot convert, with the row counted from 0
-_NOT_CONVERTED = r"could not convert string .* at row (\d+), column \d+\.$"
 
 
 def _parse_blocks(lines):
@@ -170,13 +166,19 @@ def parse_model_file(path) -> SemModel:
     if ("psi" in blocks) == ("eta_corr" in blocks):
         raise DataError(f"{path}: exactly one of [psi] or [eta_corr] is required")
 
-    dims = {}
+    dims, key_lines = {}, {}
     for lineno, line in blocks["dimensions"]:
         parts = line.split()
         if len(parts) != 2 or parts[0] not in DIMENSION_KEYS:
             raise DataError(
                 f"line {lineno}: expected '<{'|'.join(DIMENSION_KEYS)}> <count>'"
             )
+        if parts[0] in key_lines:
+            raise DataError(
+                f"line {lineno}: {parts[0]} repeated in [dimensions], first "
+                f"given on line {key_lines[parts[0]]}"
+            )
+        key_lines[parts[0]] = lineno
         try:
             dims[parts[0]] = int(parts[1])
         except ValueError as exc:
@@ -243,15 +245,13 @@ def write_matrix_csv(path, labels, values) -> None:
     The bytes are those of ``csv.writer`` writing ``f"{v:.17g}"`` cells:
     CRLF line ends, ``-0`` spelled as Python spells it, and ``%g``'s
     trailing zeros stripped.  The body is formatted in numpy a chunk of
-    whole rows at a time (``_format_cells``): cells of fixed notation,
-    1e-4 <= |x| < 1e17, exactly, from their integer digits; zero and the
-    exponent notation by ``%``, one call per cell.  What the reader would
-    refuse, or read back otherwise,
-    raises before the file is opened: the containers' rule on shape,
-    labels and finite cells; a label with surrounding whitespace, which the
-    reader strips; a first label the reader takes for a case-id column; a
-    matrix with no rows, whose header-only file has no data rows; and a
-    matrix with no columns, whose file of bare line ends has no header.
+    whole rows at a time (``_format_cells``).  What the reader would
+    refuse, or read back otherwise, raises before the file is opened: the
+    containers' rule on shape, labels and finite cells; a label with
+    surrounding whitespace, which the reader strips; a first label the
+    reader takes for a case-id column; a matrix with no rows, whose
+    header-only file has no data rows; and a matrix with no columns, whose
+    file of bare line ends has no header.
 
     A write that fails once the file is open, interrupted or short of
     space, removes the file if it is still the regular file it opened:
@@ -296,17 +296,22 @@ def write_matrix_csv(path, labels, values) -> None:
                 block = values[start:start + chunk_rows].ravel()
                 fh.write(_format_cells(block, row_ends[:block.size]))
     except BaseException:
-        if not isinstance(path, int):
-            _remove_if_opened(path, opened)
+        if _names_opened_file(path, opened):
+            with contextlib.suppress(OSError):  # the original error is the one to report
+                os.remove(path)
         raise
 
 
-def _remove_if_opened(path, opened: os.stat_result) -> None:
-    """Remove ``path`` if it is still the regular file ``opened`` describes."""
-    with contextlib.suppress(OSError):  # the original error is the one to report
+def _names_opened_file(path, opened: os.stat_result) -> bool:
+    """Whether ``path`` itself, not a symlink to it nor a descriptor, names
+    the regular file that ``opened`` describes."""
+    if isinstance(path, int):
+        return False
+    try:
         now = os.lstat(path)
-        if stat.S_ISREG(now.st_mode) and os.path.samestat(now, opened):
-            os.remove(path)
+    except OSError:
+        return False
+    return stat.S_ISREG(now.st_mode) and os.path.samestat(now, opened)
 
 
 def _read_header(path, fh) -> tuple[tuple[str, ...], bool]:
@@ -333,25 +338,14 @@ def _strict_float(cell: str) -> float:
     return float(text)
 
 
-def _reject(path, raw, cause: Exception, lines: array | None = None) -> NoReturn:
+def _reject(path, raw, cause: Exception) -> NoReturn:
     """Raise the ``DataError`` for the first bad row of ``path``.
 
     Called only after the bulk parse has failed, this reads the open binary
     handle ``raw`` again from its start, row by row under the same rules,
-    and names the line at fault.  ``path`` is never opened again, so a
-    stream that cannot seek back (a pipe, a FIFO, ``/dev/stdin``) is not
-    re-read.  For a stream, ``lines`` holds the file line of each line the
-    bulk parse was given: a cell numpy could not convert is named by the
-    line of numpy's row, and any other error is the bulk parser's,
-    prefixed with the path.
+    and names the line at fault.  ``path`` is never opened again: ``raw``
+    may be the temporary copy of a stream that cannot be read twice.
     """
-    if not raw.seekable():
-        found = re.search(_NOT_CONVERTED, str(cause), re.DOTALL)
-        if found and int(found[1]) < len(lines):
-            raise DataError(
-                f"{path}: non-numeric cell on line {lines[int(found[1])]}"
-            ) from cause
-        raise DataError(f"{path}: {cause}") from cause
     raw.seek(0)  # the handle's owner closes it, not this text view of it
     with open(raw.fileno(), encoding="utf-8-sig", newline="", closefd=False) as fh:
         header, drop_first = _read_header(path, fh)
@@ -387,32 +381,11 @@ def _ignore_cell(cell) -> float:
     return 0.0
 
 
-def _numbered_lines(numbered, numbers: array):
-    """The lines of ``numbered``, (line number, line) pairs, that hold more
-    than whitespace; each one's number is appended to ``numbers`` as it is
-    yielded."""
-    for number, line in numbered:
-        if not line.isspace():
-            numbers.append(number)
-            yield line
-
-
 def _parse(path, fh, raw) -> tuple[tuple[str, ...], np.ndarray]:
     """Parse the open text ``fh`` of ``path``, read from the binary handle
     ``raw``, into its labels and values."""
-    numbers = None
-    if raw.seekable():
-        header, drop_first = _read_header(path, fh)
-        lines = itertools.filterfalse(str.isspace, fh)
-    else:
-        # a stream is read once: number the lines numpy is given, so that
-        # its row of a bad cell can be named by its line
-        from array import array  # loaded for streams only
-
-        numbered = enumerate(fh, start=1)
-        header, drop_first = _read_header(path, (line for _, line in numbered))
-        numbers = array("q")
-        lines = _numbered_lines(numbered, numbers)
+    header, drop_first = _read_header(path, fh)
+    lines = itertools.filterfalse(str.isspace, fh)
     first = next(lines, None)
     if first is None:
         raise DataError(f"{path}: no data rows")
@@ -425,9 +398,9 @@ def _parse(path, fh, raw) -> tuple[tuple[str, ...], np.ndarray]:
             converters={0: _ignore_cell} if drop_first else None,
         )
     except ValueError as exc:
-        _reject(path, raw, exc, numbers)
+        _reject(path, raw, exc)
     if values.shape[1] != len(header) + drop_first:
-        _reject(path, raw, ValueError(f"rows have {values.shape[1]} cells"), numbers)
+        _reject(path, raw, ValueError(f"rows have {values.shape[1]} cells"))
     if drop_first:
         values = np.ascontiguousarray(values[:, 1:])
     _check_matrix(values, path, header)
@@ -547,28 +520,35 @@ def read_labeled_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
 
     numpy's C reader parses the body in bulk, streaming from the open file;
     lines holding only whitespace are skipped, and a leading case-id column
-    is not parsed. If the bulk parse fails, a row-by-row pass names the
-    line at fault.
+    is not parsed. If the bulk parse fails, a row-by-row pass re-reads the
+    file and names the line at fault; a stream that cannot seek back is
+    first copied to an unnamed temporary file, which that pass reads.
 
-    A regular file's parse is kept in a sidecar beside it, keyed by the
-    sha256 of the bytes the parse read; a later read of the same bytes
-    loads the sidecar instead of parsing, and checks its cells and labels
-    as a parse does.
+    A regular file's parse, read by its own path and not through a symlink,
+    is kept in a sidecar beside it, keyed by the sha256 of the bytes the
+    parse read; a later read of the same bytes loads the sidecar instead of
+    parsing, and checks its cells and labels as a parse does.
     """
-    with open(path, "rb", buffering=0) as raw:
-        sidecar = None
+    with open(path, "rb", buffering=0) as raw, contextlib.ExitStack() as stack:
+        handle, sidecar = raw, None
         opened = os.fstat(raw.fileno())
-        if stat.S_ISREG(opened.st_mode) and not isinstance(path, int):
+        if _names_opened_file(path, opened):
             sidecar = _sidecar_path(path)
             kept = _load_sidecar(sidecar, raw, opened)
             if kept is not None:
                 labels, values = kept
                 return _check_matrix(values, path, labels), values
             raw.seek(0)
-        reader = _HashingReader(raw)
+        elif not raw.seekable():
+            # copied to a file that a failed parse can read again; buffered,
+            # as copyfileobj does not check for a short raw write
+            handle = stack.enter_context(tempfile.TemporaryFile())
+            shutil.copyfileobj(raw, handle)
+            handle.seek(0)
+        reader = _HashingReader(handle)
         with TextIOWrapper(BufferedReader(reader, _HASH_CHUNK),
                            encoding="utf-8-sig", newline="") as fh:
-            labels, values = _parse(path, fh, raw)
+            labels, values = _parse(path, fh, handle)
     if sidecar is not None and reader.at_eof:
         _store_sidecar(sidecar, reader.digest.digest(), labels, values, opened)
     return labels, values

@@ -111,6 +111,17 @@ class TestParseModelFile:
             with pytest.raises(DataError, match=r"line 9: non-finite .*\[lambda_x\]"):
                 parse_model_file(write(tmp_path, text))
 
+    @pytest.mark.parametrize("lines", ["n_x 4\nn_x 5\n", "n_x 5\nn_x 4\n"],
+                             ids=["declared-first", "declared-last"])
+    def test_repeated_dimension_key_rejected(self, tmp_path, lines):
+        # the repeat is refused naming both lines, whether the value that
+        # fits the blocks (n_x 4) comes first or last
+        text = GOOD_MODEL.replace("n_x 4\n", lines)
+        with pytest.raises(DataError) as info:
+            parse_model_file(write(tmp_path, text))
+        assert str(info.value) == (
+            "line 5: n_x repeated in [dimensions], first given on line 4")
+
     def test_unknown_block_rejected(self, tmp_path):
         with pytest.raises(DataError, match="unknown block"):
             parse_model_file(write(tmp_path, GOOD_MODEL + "[extra]\n1.0\n"))
@@ -357,6 +368,8 @@ READER_CONTRACT = [
     ("trailing-comma", "a,b\n1,2\n3,4,\n", "line 3 has 3 cells, expected 2"),
     ("empty-cell", "a,b\n1,2\n3,\n", "non-numeric cell on line 3"),
     ("text-cell", "a,b\n1,2\n\nx,4\n", "non-numeric cell on line 4"),
+    ("after-blank-lines", "a,b\n\n1,2\n \n3,\n", "non-numeric cell on line 5"),
+    ("case-id-crlf", "id,b\r\nq,2\r\nr,y\r\n", "non-numeric cell on line 3"),
     ("header-only", "a,b\n", "no data rows"),
     ("header-then-blanks", "a,b\r\n\r\n  \n", "no data rows"),
     ("empty-file", "", "empty file"),
@@ -403,32 +416,43 @@ def test_bad_row_named_through_a_descriptor(tmp_path):
     assert str(info.value) == f"{fd}: non-numeric cell on line 3"
 
 
+def _read_result(source):
+    """What reading ``source`` gives: its labels and values, or the text of
+    its ``DataError`` after the source's name."""
+    try:
+        labels, values = read_labeled_csv(source)
+    except DataError as exc:
+        name, _, message = str(exc).partition(": ")
+        assert name == str(source)
+        return message
+    assert values.dtype == np.float64
+    return labels, values.tolist()
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
-@pytest.mark.parametrize("text, expected", [
-    (BAD_THIRD_LINE, "non-numeric cell on line 3"),
-    # blank lines are not given to numpy, but they are counted
-    (b"a,b\n\n1,2\n \n3,\n", "non-numeric cell on line 5"),
-    (b"id,b\r\nq,2\r\nr,y\r\n", "non-numeric cell on line 3"),
-    # numpy names no row of a cell it could convert: its message stands
-    (b"a,b\n1,2\n3,4,5\n", "the number of columns changed from 2 to 3"),
-], ids=["text-cell", "after-blank-lines", "case-id-crlf", "ragged"])
+@pytest.mark.parametrize(
+    "text, expected", [pytest.param(t, e, id=name) for name, t, e in READER_CONTRACT]
+)
 def test_bad_row_in_a_fifo_refused_without_reopening(tmp_path, text, expected):
     # a FIFO cannot be read twice, and opening it again would wait for a
-    # writer that never comes: the bulk parse numbers the lines it is
-    # given, and names the line of a cell numpy could not convert
-    path = tmp_path / "d.csv"
+    # writer that never comes: it is copied once, and then read as the
+    # file of the same bytes is, through its path or a descriptor
+    if not isinstance(expected, str):
+        expected = expected[0], np.array(expected[1], dtype=float).tolist()
+    file = tmp_path / "d.csv"
+    file.write_bytes(text.encode())
+    assert _read_result(file) == expected
+    assert _read_result(os.open(file, os.O_RDONLY)) == expected
+    path = tmp_path / "fifo.csv"
     os.mkfifo(path)
-    errors = []
+    results = []
 
     def feed():
         with open(path, "wb") as fh:
-            fh.write(text)
+            fh.write(text.encode())
 
     def read():
-        try:
-            read_labeled_csv(path)
-        except DataError as exc:
-            errors.append(str(exc))
+        results.append(_read_result(path))
 
     threads = [threading.Thread(target=f, daemon=True) for f in (feed, read)]
     for t in threads:
@@ -439,7 +463,7 @@ def test_bad_row_in_a_fifo_refused_without_reopening(tmp_path, text, expected):
     if hung:  # release a reader blocked in open() before failing
         os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
     assert not hung
-    assert len(errors) == 1 and errors[0].startswith(f"{path}: {expected}")
+    assert results == [expected]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
@@ -830,3 +854,23 @@ class TestParsedFileCache:
         assert not feeder.is_alive()
         assert labels == ("a", "b") and values.tolist() == [[1.0, 2.0]]
         assert os.listdir(tmp_path) == ["d.csv"]
+
+    @pytest.mark.parametrize("target", ["descriptor", "file"])
+    def test_symlink_is_read_without_a_sidecar(self, tmp_path, request, target):
+        # a sidecar belongs beside the file itself: a link such as
+        # /dev/stdin, which names a descriptor when stdin is redirected from
+        # a regular file, would get one beside the link, in /dev
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b\n1,2\n")
+        link = tmp_path / "link.csv"
+        if target == "descriptor":
+            if not os.path.isdir("/proc/self/fd"):
+                pytest.skip("no /proc/self/fd")
+            fd = os.open(path, os.O_RDONLY)
+            request.addfinalizer(lambda: os.close(fd))
+            link.symlink_to(f"/proc/self/fd/{fd}")
+        else:
+            link.symlink_to(path.name)
+        labels, values = read_labeled_csv(link)
+        assert labels == ("a", "b") and values.tolist() == [[1.0, 2.0]]
+        assert sorted(os.listdir(tmp_path)) == ["d.csv", "link.csv"]

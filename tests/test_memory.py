@@ -18,6 +18,7 @@ loadings, which are rebuilt when needed.
 
 import gc
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -33,7 +34,7 @@ from cpscores import (
 )
 from cpscores.determinacy import closed_form_regression_determinacy, determinacy
 from cpscores import linalg
-from cpscores.io import write_matrix_csv
+from cpscores.io import read_labeled_csv, write_matrix_csv
 from cpscores.model import combined_factor_corr
 from cpscores.simulate import SimulationSpec, random_model, simulate_dataset
 
@@ -183,3 +184,28 @@ def test_csv_write_peak_does_not_grow_with_rows(traced):
     # a copy of the values would make the two peaks differ by 36 MB
     assert max(peaks) <= WRITE_PEAK_BYTES
     assert abs(peaks[1] - peaks[0]) <= 16_384
+
+
+def test_piped_csv_read_peak_is_a_file_read_peak(traced, tmp_path):
+    # a pipe is copied to a temporary file, not into memory: a copy in
+    # memory would add the CSV's 6 MB of text to the 2.4 MB result
+    rng = np.random.default_rng(13)
+    path = tmp_path / "x.csv"
+    write_matrix_csv(path, tuple(f"x{j}" for j in range(15)),
+                     rng.standard_normal((20_000, 15)))
+    (_, from_file), file_peak = traced_peak(
+        read_labeled_csv, os.open(path, os.O_RDONLY))
+    text = path.read_bytes()  # before the trace starts
+    read_end, write_end = os.pipe()
+
+    def feed():
+        with open(write_end, "wb") as fh:
+            fh.write(text)
+
+    feeder = threading.Thread(target=feed, daemon=True)
+    feeder.start()
+    (_, from_pipe), pipe_peak = traced_peak(read_labeled_csv, read_end)
+    feeder.join(timeout=10)
+    assert not feeder.is_alive()
+    assert from_pipe.tobytes() == from_file.tobytes()
+    assert pipe_peak <= 1.05 * file_peak

@@ -16,6 +16,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -42,6 +43,7 @@ from .simulate import (
 USAGE_ERROR = 2
 
 
+@functools.cache  # parse_args leaves the parser as it found it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cpscores",

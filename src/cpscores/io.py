@@ -22,7 +22,15 @@ numeric rows, organized in blocks::
 
 The gamma block uses the printed layout (one row per exogenous factor) and
 is transposed on load to the internal row-per-endogenous-factor convention.
-Exactly one of ``[psi]`` / ``[eta_corr]`` is required.
+Exactly one of ``[psi]`` / ``[eta_corr]`` is required.  The text is UTF-8,
+with or without a byte-order mark, with LF, CRLF or CR line ends.
+
+A process keeps one model per distinct model-file content: a second read
+of the same bytes, by any path, returns the model the first one parsed and
+validated, with every matrix it has kept since.  The key is the bytes
+alone, so a rewritten file is parsed again whatever its timestamp; the
+eight most recently read contents are kept, and a refused file is never
+kept.
 
 CSV files carry a header row of labels and one row of numbers per case.
 The reader accepts this dialect:
@@ -74,8 +82,8 @@ group, less the group's, so it is readable by no one the CSV is not
 readable by.  The sidecar is written to a temporary file and renamed into
 place; a directory that will not take it, a full disk, a descriptor or a
 path that is not the regular file itself (a FIFO, a symlink such as
-``/dev/stdin``) only means the read is not cached, and a refused CSV
-leaves no sidecar.  Deleting a sidecar is always safe.
+``/dev/stdin``) only means the read is not cached, nor hashed, and a
+refused CSV leaves no sidecar.  Deleting a sidecar is always safe.
 """
 
 from __future__ import annotations
@@ -89,7 +97,8 @@ import os
 import shutil
 import stat
 import tempfile
-from io import BufferedReader, RawIOBase, TextIOWrapper
+import threading
+from io import BufferedReader, BytesIO, RawIOBase, TextIOWrapper
 from typing import NoReturn
 
 import numpy as np
@@ -108,6 +117,11 @@ _WRITE_CHUNK_CELLS = 2048
 # CSV's bytes, so a change of the sidecar layout misses every older sidecar.
 _SIDECAR_TAG = b"cpscores csv sidecar v1: key u1, labels U, values <f8 C\n"
 _HASH_CHUNK = 1 << 16
+# parse_model_file's models, keyed by the bytes of the file each was parsed
+# from, least recently read first
+_MODEL_MEMO_SIZE = 8
+_parsed_models: dict[bytes, SemModel] = {}
+_parsed_models_lock = threading.Lock()
 
 
 def _parse_blocks(lines):
@@ -156,8 +170,39 @@ def _parse_matrix(rows, name):
 
 
 def parse_model_file(path) -> SemModel:
-    """Read and validate a sectioned model file."""
-    with open(path, encoding="utf-8") as fh:
+    """Read and validate a sectioned model file.
+
+    A process keeps one model per distinct file content: the file's bytes
+    are read once and, if they are those of a model parsed and validated
+    before, that same immutable model is returned, with the blocks,
+    weights and roots it has kept.  The key is the bytes alone, not the
+    path, size or timestamp, so two paths with the same bytes share a
+    model and a rewritten file is parsed again.  The ``_MODEL_MEMO_SIZE``
+    most recently read contents are kept.  A file that is refused is never
+    kept: each call on it parses it again and raises its own error.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with _parsed_models_lock:
+        model = _parsed_models.pop(data, None)
+        if model is not None:
+            _parsed_models[data] = model  # now the most recently read
+            return model
+    model = _parse_model_bytes(path, data)
+    with _parsed_models_lock:
+        # threads that raced on the same new bytes all return the model
+        # kept first
+        model = _parsed_models.setdefault(data, model)
+        if len(_parsed_models) > _MODEL_MEMO_SIZE:
+            del _parsed_models[next(iter(_parsed_models))]
+    return model
+
+
+def _parse_model_bytes(path, data: bytes) -> SemModel:
+    # decoded as open() decodes a text file, with universal newlines, so a
+    # CRLF or CR file's errors name the lines an LF file's do; a leading
+    # byte-order mark is dropped
+    with TextIOWrapper(BytesIO(data), encoding="utf-8-sig") as fh:
         blocks = _parse_blocks(fh)
 
     for required in ("dimensions", "lambda_x", "phi", "lambda_y", "gamma"):
@@ -545,7 +590,8 @@ def read_labeled_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
             handle = stack.enter_context(tempfile.TemporaryFile())
             shutil.copyfileobj(raw, handle)
             handle.seek(0)
-        reader = _HashingReader(handle)
+        # hashed only where the key can be kept
+        reader = handle if sidecar is None else _HashingReader(handle)
         with TextIOWrapper(BufferedReader(reader, _HASH_CHUNK),
                            encoding="utf-8-sig", newline="") as fh:
             labels, values = _parse(path, fh, handle)

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cpscores import cli
 from cpscores.cli import main
 from cpscores.io import read_labeled_csv, read_scores_csv, write_matrix_csv
 from cpscores.model import combined_factor_corr
@@ -111,6 +116,29 @@ class TestValidate:
 
     def test_missing_subcommand_exits_two(self):
         assert main([]) == 2
+
+
+def fresh_process(argv):
+    """Exit code, stdout and stderr of ``argv`` run by a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "cpscores.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_parser_built_once_answers_as_a_fresh_process(
+        model_file, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the help text's width
+    cli._build_parser.cache_clear()
+    usage_error = ["scores", model_file, "--x", "x.csv", "--method", "pca",
+                   "--out", "s.csv"]
+    for argv in (usage_error, ["--help"], ["validate", model_file],
+                 usage_error):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out, err) == fresh_process(argv), argv
+    assert cli._build_parser.cache_info().misses == 1
 
 
 class TestSimulate:

@@ -21,12 +21,14 @@ from hypothesis.extra import numpy as hnp
 
 import cpscores.io
 from cpscores import (
+    Block,
     DataError,
     ScoreMatrix,
     StructuralError,
     example_model,
     model_hash,
 )
+from cpscores.containers import _kept
 from cpscores.io import (
     parse_model_file,
     read_data_csv,
@@ -68,6 +70,23 @@ def write(tmp_path, text, name="model.txt"):
     return path
 
 
+@pytest.fixture
+def model_memo(monkeypatch):
+    """An empty model memo for the test; the process's own is put back
+    after it."""
+    memo = {}
+    monkeypatch.setattr(cpscores.io, "_parsed_models", memo)
+    return memo
+
+
+def model_variant(tmp_path, i):
+    """A valid model file whose phi correlation is ``0.3i``, for ``i`` < 10."""
+    return write(tmp_path, GOOD_MODEL.replace("1.0 0.3\n0.3 1.0",
+                                              f"1.0 0.3{i}\n0.3{i} 1.0"),
+                 f"model{i}.txt")
+
+
+@pytest.mark.usefixtures("model_memo")
 class TestParseModelFile:
     def test_good_model_parses(self, tmp_path):
         m = parse_model_file(write(tmp_path, GOOD_MODEL))
@@ -135,6 +154,146 @@ class TestParseModelFile:
         text = GOOD_MODEL.replace("0.8 0.0", "1.4 0.0")
         with pytest.raises(DataError):
             parse_model_file(write(tmp_path, text))
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        plain = parse_model_file(write(tmp_path, GOOD_MODEL))
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + GOOD_MODEL.encode())
+        marked = parse_model_file(path)
+        assert model_hash(marked) == model_hash(plain)
+
+    def test_same_bytes_give_one_model_fitted_once(self, tmp_path, monkeypatch):
+        computed = []
+        original = Block.weights.__wrapped__
+
+        def weights(block):
+            computed.append(block.name)
+            return original(block)
+
+        monkeypatch.setattr(Block, "weights", _kept(weights))
+        path = write(tmp_path, GOOD_MODEL)
+        first = parse_model_file(path)
+        again = parse_model_file(path)
+        assert again is first
+        assert first.joint.weights() is again.joint.weights()
+        assert computed.count("joint") == 1
+
+    def test_same_size_rewrite_with_old_mtime_parses_again(self, tmp_path):
+        path = write(tmp_path, GOOD_MODEL)
+        first = parse_model_file(path)
+        before = os.stat(path)
+        path.write_text(GOOD_MODEL.replace("0.8 0.0", "0.7 0.0"))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(path)
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size,
+                                                      before.st_mtime_ns)
+        second = parse_model_file(path)
+        assert second is not first
+        assert first.lambda_x[0, 0] == 0.8 and second.lambda_x[0, 0] == 0.7
+
+    def test_paths_with_the_same_bytes_share_a_model(self, tmp_path):
+        one = parse_model_file(write(tmp_path, GOOD_MODEL, "one.txt"))
+        two = parse_model_file(write(tmp_path, GOOD_MODEL, "two.txt"))
+        assert one is two
+
+    @pytest.mark.parametrize("edit, message", [
+        (("[phi]\n1.0 0.3\n0.3 1.0\n", ""), "missing block [phi]"),
+        (("0.8 0.0", "1.4 0.0"), "negative implied uniqueness"),
+    ], ids=["parse", "validation"])
+    def test_refused_file_names_its_path_every_time(self, tmp_path, model_memo,
+                                                    edit, message):
+        text = GOOD_MODEL.replace(*edit)
+        for name in ("a.txt", "b.txt", "a.txt", "b.txt"):
+            path = write(tmp_path, text, name)
+            with pytest.raises(DataError) as info:
+                parse_model_file(path)
+            assert str(info.value).startswith(f"{path}: ")
+            assert message in str(info.value)
+        assert model_memo == {}
+
+    @pytest.mark.parametrize("encode", [
+        lambda t: t.replace("\n", "\r\n").encode(),
+        lambda t: t.replace("\n", "\r").encode(),
+        lambda t: b"\xef\xbb\xbf" + t.encode(),
+        lambda t: b"\xef\xbb\xbf" + t.replace("\n", "\r\n").encode(),
+    ], ids=["crlf", "cr", "bom", "bom-crlf"])
+    @pytest.mark.parametrize("edit", [
+        ("0.3 1.0", "0.3 oops"), ("n_x 4\n", "n_x 4\nn_x 4\n"),
+        ("0.0 0.75\n", "0.0 0.75 0.1\n"), ("\n[phi]", "\n[extra]"),
+    ], ids=["token", "repeated-key", "ragged", "unknown-block"])
+    def test_line_ends_and_mark_name_the_lines_an_lf_file_does(
+            self, tmp_path, encode, edit):
+        text = GOOD_MODEL.replace(*edit)
+        with pytest.raises(DataError) as lf:
+            parse_model_file(write(tmp_path, text))
+        assert str(lf.value).startswith("line ")
+        path = tmp_path / "other.txt"
+        path.write_bytes(encode(text))
+        with pytest.raises(DataError) as other:
+            parse_model_file(path)
+        assert str(other.value) == str(lf.value)
+
+    def test_threads_share_one_model_and_the_bound(self, tmp_path, model_memo):
+        # more threads than cores, switching as often as the interpreter
+        # can: racing on one new content they all get the model kept
+        # first, and racing on more contents than the bound none is lost
+        # nor kept beyond it
+        bound = cpscores.io._MODEL_MEMO_SIZE
+        same = write(tmp_path, GOOD_MODEL)
+        paths = [model_variant(tmp_path, i) for i in range(bound + 2)]
+        barrier = threading.Barrier(4)
+        firsts, errors = [None] * 4, []
+
+        def work(i):
+            try:
+                barrier.wait()
+                firsts[i] = parse_model_file(same)
+                barrier.wait()
+                for j in range(len(paths)):
+                    k = (i + j) % len(paths)
+                    model = parse_model_file(paths[k])
+                    assert model.phi.values[0, 1] == float(f"0.3{k}")
+            except Exception as exc:  # reported below, not lost in the thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert len({id(m) for m in firsts}) == 1
+        assert len(model_memo) == bound
+
+    def test_only_line_ends_end_a_line(self, tmp_path):
+        # a form feed, a vertical tab and the file and group separators end
+        # a line for str.splitlines, not for a text file
+        text = GOOD_MODEL.replace(
+            "[dimensions]", "# a \f b \v c \x1c d \x1d e \x1e f\n[dimensions]"
+        ).replace("0.3 1.0", "0.3 oops")
+        with pytest.raises(DataError) as info:
+            parse_model_file(write(tmp_path, text))
+        assert str(info.value) == "line 16: non-numeric token in [phi]"
+
+    def test_memo_keeps_the_most_recently_read(self, tmp_path, model_memo):
+        bound = cpscores.io._MODEL_MEMO_SIZE
+        paths = [model_variant(tmp_path, i) for i in range(bound + 2)]
+        models = [parse_model_file(p) for p in paths]
+        assert len(model_memo) == bound
+        assert len({id(m) for m in models}) == bound + 2
+        # the two oldest were dropped; reading the third again keeps it
+        # from being dropped next
+        assert parse_model_file(paths[2]) is models[2]
+        assert parse_model_file(paths[0]) is not models[0]
+        assert len(model_memo) == bound
+        assert parse_model_file(paths[2]) is models[2]
+        assert parse_model_file(paths[3]) is not models[3]
 
 
 class TestModelHash:
@@ -854,6 +1013,49 @@ class TestParsedFileCache:
         assert not feeder.is_alive()
         assert labels == ("a", "b") and values.tolist() == [[1.0, 2.0]]
         assert os.listdir(tmp_path) == ["d.csv"]
+
+    @pytest.mark.parametrize("source", ["path", "descriptor", "fifo", "symlink"])
+    def test_only_a_read_that_can_keep_a_sidecar_is_hashed(
+            self, tmp_path, monkeypatch, source):
+        hashed = []
+        sha256 = hashlib.sha256
+
+        class Counted:
+            def __init__(self, data=b""):
+                self._h = sha256(data)
+
+            def update(self, data):
+                hashed.append(len(data))
+                self._h.update(data)
+
+            def digest(self):
+                return self._h.digest()
+
+        monkeypatch.setattr(cpscores.io.hashlib, "sha256", Counted)
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b\n1,2\n")
+        if source == "descriptor":
+            result = read_labeled_csv(os.open(path, os.O_RDONLY))
+        elif source == "fifo":
+            if not hasattr(os, "mkfifo"):
+                pytest.skip("no FIFOs here")
+            fifo = tmp_path / "fifo.csv"
+            os.mkfifo(fifo)
+            feeder = threading.Thread(target=fifo.write_bytes,
+                                      args=(path.read_bytes(),), daemon=True)
+            feeder.start()
+            result = read_labeled_csv(fifo)
+            feeder.join(timeout=10)
+            assert not feeder.is_alive()
+        elif source == "symlink":
+            link = tmp_path / "link.csv"
+            link.symlink_to(path.name)
+            result = read_labeled_csv(link)
+        else:
+            result = read_labeled_csv(path)
+        labels, values = result
+        assert labels == ("a", "b") and values.tolist() == [[1.0, 2.0]]
+        assert sum(hashed) == (path.stat().st_size if source == "path" else 0)
 
     @pytest.mark.parametrize("target", ["descriptor", "file"])
     def test_symlink_is_read_without_a_sidecar(self, tmp_path, request, target):

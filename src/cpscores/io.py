@@ -25,11 +25,11 @@ is transposed on load to the internal row-per-endogenous-factor convention.
 Exactly one of ``[psi]`` / ``[eta_corr]`` is required.  The text is UTF-8,
 with or without a byte-order mark, with LF, CRLF or CR line ends.
 
-A process keeps one model per distinct model-file content: a second read
-of the same bytes, by any path, returns the model the first one parsed and
-validated, with every matrix it has kept since.  The key is the bytes
-alone, so a rewritten file is parsed again whatever its timestamp; the
-eight most recently read contents are kept, and a refused file is never
+A process keeps the model of the last model file it read: a read of the
+same bytes again, by any path, returns the model the first read parsed
+and validated, with every matrix it has kept since.  The key is the bytes
+alone, so a rewritten file is parsed again whatever its timestamp; reading
+another model file replaces the kept model, and a refused file is never
 kept.
 
 CSV files carry a header row of labels and one row of numbers per case.
@@ -97,7 +97,6 @@ import os
 import shutil
 import stat
 import tempfile
-import threading
 from io import BufferedReader, BytesIO, RawIOBase, TextIOWrapper
 from typing import NoReturn
 
@@ -117,11 +116,12 @@ _WRITE_CHUNK_CELLS = 2048
 # CSV's bytes, so a change of the sidecar layout misses every older sidecar.
 _SIDECAR_TAG = b"cpscores csv sidecar v1: key u1, labels U, values <f8 C\n"
 _HASH_CHUNK = 1 << 16
-# parse_model_file's models, keyed by the bytes of the file each was parsed
-# from, least recently read first
-_MODEL_MEMO_SIZE = 8
-_parsed_models: dict[bytes, SemModel] = {}
-_parsed_models_lock = threading.Lock()
+# parse_model_file's last model, with the bytes it was parsed from; one
+# tuple, so a thread never sees one's bytes with another's model
+_last_model: tuple[bytes, SemModel] | None = None
+# Bytes of a model file read first: a longer file that does not start as a
+# model file does is refused before the rest is read.
+_MODEL_HEAD = 1 << 16
 
 
 def _parse_blocks(lines):
@@ -172,37 +172,47 @@ def _parse_matrix(rows, name):
 def parse_model_file(path) -> SemModel:
     """Read and validate a sectioned model file.
 
-    A process keeps one model per distinct file content: the file's bytes
-    are read once and, if they are those of a model parsed and validated
-    before, that same immutable model is returned, with the blocks,
-    weights and roots it has kept.  The key is the bytes alone, not the
-    path, size or timestamp, so two paths with the same bytes share a
-    model and a rewritten file is parsed again.  The ``_MODEL_MEMO_SIZE``
-    most recently read contents are kept.  A file that is refused is never
-    kept: each call on it parses it again and raises its own error.
+    A process keeps the model of the last model file it read: the file's
+    bytes are read whole and, if they are those of that model, the same
+    immutable model is returned, with the blocks, weights and roots it has
+    kept.  The key is the bytes alone, not the path, size or timestamp, so
+    two paths with the same bytes share a model and a rewritten file is
+    parsed again.  A file that is refused is never kept: each call on it
+    parses it again and raises its own error.  A file longer than one
+    read whose first lines are no model's, such as a CSV given by mistake,
+    is refused with the error of its whole parse before the rest is read.
     """
+    global _last_model
     with open(path, "rb") as fh:
-        data = fh.read()
-    with _parsed_models_lock:
-        model = _parsed_models.pop(data, None)
-        if model is not None:
-            _parsed_models[data] = model  # now the most recently read
-            return model
+        data = fh.read(_MODEL_HEAD)
+        if len(data) == _MODEL_HEAD:
+            _parse_head(data)
+            data += fh.read()
+    last = _last_model
+    if last is not None and last[0] == data:
+        return last[1]
     model = _parse_model_bytes(path, data)
-    with _parsed_models_lock:
-        # threads that raced on the same new bytes all return the model
-        # kept first
-        model = _parsed_models.setdefault(data, model)
-        if len(_parsed_models) > _MODEL_MEMO_SIZE:
-            del _parsed_models[next(iter(_parsed_models))]
+    _last_model = (data, model)
     return model
 
 
-def _parse_model_bytes(path, data: bytes) -> SemModel:
+def _model_lines(data: bytes):
     # decoded as open() decodes a text file, with universal newlines, so a
     # CRLF or CR file's errors name the lines an LF file's do; a leading
     # byte-order mark is dropped
-    with TextIOWrapper(BytesIO(data), encoding="utf-8-sig") as fh:
+    return TextIOWrapper(BytesIO(data), encoding="utf-8-sig")
+
+
+def _parse_head(head: bytes) -> None:
+    # the complete lines of a file's first read; as _parse_blocks reads a
+    # file in order, an error here is the first error of the whole parse
+    end = max(head.rfind(b"\n"), head.rfind(b"\r")) + 1
+    with _model_lines(head[:end]) as fh:
+        _parse_blocks(fh)
+
+
+def _parse_model_bytes(path, data: bytes) -> SemModel:
+    with _model_lines(data) as fh:
         blocks = _parse_blocks(fh)
 
     for required in ("dimensions", "lambda_x", "phi", "lambda_y", "gamma"):

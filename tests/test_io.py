@@ -72,11 +72,9 @@ def write(tmp_path, text, name="model.txt"):
 
 @pytest.fixture
 def model_memo(monkeypatch):
-    """An empty model memo for the test; the process's own is put back
-    after it."""
-    memo = {}
-    monkeypatch.setattr(cpscores.io, "_parsed_models", memo)
-    return memo
+    """No kept model for the test; the process's own is put back after
+    it."""
+    monkeypatch.setattr(cpscores.io, "_last_model", None)
 
 
 def model_variant(tmp_path, i):
@@ -200,8 +198,8 @@ class TestParseModelFile:
         (("[phi]\n1.0 0.3\n0.3 1.0\n", ""), "missing block [phi]"),
         (("0.8 0.0", "1.4 0.0"), "negative implied uniqueness"),
     ], ids=["parse", "validation"])
-    def test_refused_file_names_its_path_every_time(self, tmp_path, model_memo,
-                                                    edit, message):
+    def test_refused_file_names_its_path_every_time(self, tmp_path, edit,
+                                                    message):
         text = GOOD_MODEL.replace(*edit)
         for name in ("a.txt", "b.txt", "a.txt", "b.txt"):
             path = write(tmp_path, text, name)
@@ -209,7 +207,7 @@ class TestParseModelFile:
                 parse_model_file(path)
             assert str(info.value).startswith(f"{path}: ")
             assert message in str(info.value)
-        assert model_memo == {}
+        assert cpscores.io._last_model is None
 
     @pytest.mark.parametrize("encode", [
         lambda t: t.replace("\n", "\r\n").encode(),
@@ -233,23 +231,19 @@ class TestParseModelFile:
             parse_model_file(path)
         assert str(other.value) == str(lf.value)
 
-    def test_threads_share_one_model_and_the_bound(self, tmp_path, model_memo):
+    def test_threads_get_the_model_of_the_bytes_they_read(self, tmp_path):
         # more threads than cores, switching as often as the interpreter
-        # can: racing on one new content they all get the model kept
-        # first, and racing on more contents than the bound none is lost
-        # nor kept beyond it
-        bound = cpscores.io._MODEL_MEMO_SIZE
-        same = write(tmp_path, GOOD_MODEL)
-        paths = [model_variant(tmp_path, i) for i in range(bound + 2)]
+        # can, each reading three contents in turn: every call returns the
+        # model of the bytes it read, and the model kept is that of the
+        # bytes kept with it
+        paths = [model_variant(tmp_path, i) for i in range(3)]
         barrier = threading.Barrier(4)
-        firsts, errors = [None] * 4, []
+        errors = []
 
         def work(i):
             try:
                 barrier.wait()
-                firsts[i] = parse_model_file(same)
-                barrier.wait()
-                for j in range(len(paths)):
+                for j in range(30):
                     k = (i + j) % len(paths)
                     model = parse_model_file(paths[k])
                     assert model.phi.values[0, 1] == float(f"0.3{k}")
@@ -268,8 +262,9 @@ class TestParseModelFile:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert not errors
-        assert len({id(m) for m in firsts}) == 1
-        assert len(model_memo) == bound
+        data, kept = cpscores.io._last_model
+        fresh = cpscores.io._parse_model_bytes("kept", data)
+        assert model_hash(kept) == model_hash(fresh)
 
     def test_only_line_ends_end_a_line(self, tmp_path):
         # a form feed, a vertical tab and the file and group separators end
@@ -281,19 +276,66 @@ class TestParseModelFile:
             parse_model_file(write(tmp_path, text))
         assert str(info.value) == "line 16: non-numeric token in [phi]"
 
-    def test_memo_keeps_the_most_recently_read(self, tmp_path, model_memo):
-        bound = cpscores.io._MODEL_MEMO_SIZE
-        paths = [model_variant(tmp_path, i) for i in range(bound + 2)]
-        models = [parse_model_file(p) for p in paths]
-        assert len(model_memo) == bound
-        assert len({id(m) for m in models}) == bound + 2
-        # the two oldest were dropped; reading the third again keeps it
-        # from being dropped next
-        assert parse_model_file(paths[2]) is models[2]
-        assert parse_model_file(paths[0]) is not models[0]
-        assert len(model_memo) == bound
-        assert parse_model_file(paths[2]) is models[2]
-        assert parse_model_file(paths[3]) is not models[3]
+    def test_only_the_last_content_is_kept(self, tmp_path):
+        one, two = model_variant(tmp_path, 1), model_variant(tmp_path, 2)
+        first = parse_model_file(one)
+        assert parse_model_file(two) is not first
+        again = parse_model_file(one)
+        assert again is not first
+        assert parse_model_file(one) is again
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"],
+                             ids=["lf", "crlf", "cr"])
+    def test_model_longer_than_the_first_read(self, tmp_path, end):
+        # padded with comments so that the first read ends at each byte of
+        # a line, a two-byte character included
+        plain = model_hash(parse_model_file(write(tmp_path, GOOD_MODEL)))
+        pad = "# p\u00e4dding\n" * (cpscores.io._MODEL_HEAD // 10)
+        path = tmp_path / "long.txt"
+        for k in range(12):
+            text = "#" * k + "\n" + pad + GOOD_MODEL
+            path.write_bytes(text.replace("\n", end).encode())
+            assert model_hash(parse_model_file(path)) == plain
+            bad = text.replace("0.3 1.0", "0.3 oops")
+            path.write_bytes(bad.replace("\n", end).encode())
+            lineno = bad[:bad.index("oops")].count("\n") + 1
+            with pytest.raises(DataError) as info:
+                parse_model_file(path)
+            assert str(info.value) == f"line {lineno}: non-numeric token in [phi]"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"],
+                             ids=["lf", "crlf", "cr"])
+    def test_long_non_model_file_refused_before_the_rest_is_read(
+            self, tmp_path, end):
+        # a CSV given by mistake is refused at line 1 after the first read:
+        # fed through a FIFO, its writer finds the reader gone
+        text = ("a,b\n" + "0.5,0.25\n" * 100_000).replace("\n", end).encode()
+        message = "line 1: content before any block header"
+        file = tmp_path / "data.csv"
+        file.write_bytes(text)
+        with pytest.raises(DataError) as info:
+            parse_model_file(file)
+        assert str(info.value) == message
+        path = tmp_path / "fifo.csv"
+        os.mkfifo(path)
+        broken = []
+
+        def feed():
+            try:
+                with open(path, "wb") as fh:
+                    fh.write(text)
+            except BrokenPipeError:
+                broken.append(True)
+
+        feeder = threading.Thread(target=feed, daemon=True)
+        feeder.start()
+        with pytest.raises(DataError) as info:
+            parse_model_file(path)
+        feeder.join(timeout=10)
+        assert not feeder.is_alive()
+        assert str(info.value) == message
+        assert broken
 
 
 class TestModelHash:

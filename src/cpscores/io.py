@@ -23,7 +23,12 @@ numeric rows, organized in blocks::
 The gamma block uses the printed layout (one row per exogenous factor) and
 is transposed on load to the internal row-per-endogenous-factor convention.
 Exactly one of ``[psi]`` / ``[eta_corr]`` is required.  The text is UTF-8,
-with or without a byte-order mark, with LF, CRLF or CR line ends.
+with or without a byte-order mark, with LF, CRLF or CR line ends.  A model
+file or CSV holding bytes that are not UTF-8 is refused with a DataError
+naming the file and the line of the first of them.  The check runs line by
+line with a model's block-header checks and a CSV's row checks, so an
+error on an earlier line of those is named instead, and a CSV counts its
+lines as records, as its other errors do.
 
 A process keeps the model of the last model file it read: a read of the
 same bytes again, by any path, returns the model the first read parsed
@@ -124,10 +129,28 @@ _last_model: tuple[bytes, SemModel] | None = None
 _MODEL_HEAD = 1 << 16
 
 
-def _parse_blocks(lines):
+def _escaped(text: str) -> bool:
+    """Whether ``text``, decoded with ``errors="surrogateescape"``, holds
+    bytes that are not UTF-8."""
+    if text.isascii():
+        return False
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
+def _not_utf8(path, lineno: int) -> DataError:
+    return DataError(f"{path}: line {lineno}: bytes that are not UTF-8 text")
+
+
+def _parse_blocks(path, lines):
     blocks: dict[str, list[tuple[int, str]]] = {}
     current = None
     for lineno, raw in enumerate(lines, start=1):
+        if _escaped(raw):
+            raise _not_utf8(path, lineno)
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -186,7 +209,7 @@ def parse_model_file(path) -> SemModel:
     with open(path, "rb") as fh:
         data = fh.read(_MODEL_HEAD)
         if len(data) == _MODEL_HEAD:
-            _parse_head(data)
+            _parse_head(path, data)
             data += fh.read()
     last = _last_model
     if last is not None and last[0] == data:
@@ -196,24 +219,26 @@ def parse_model_file(path) -> SemModel:
     return model
 
 
-def _model_lines(data: bytes):
-    # decoded as open() decodes a text file, with universal newlines, so a
-    # CRLF or CR file's errors name the lines an LF file's do; a leading
-    # byte-order mark is dropped
-    return TextIOWrapper(BytesIO(data), encoding="utf-8-sig")
+def _model_blocks(path, data: bytes):
+    """:func:`_parse_blocks` of a model file's bytes, decoded as open()
+    decodes a text file, with universal newlines, so a CRLF or CR file's
+    errors name the lines an LF file's do; a leading byte-order mark is
+    dropped.  Bytes that are not UTF-8 are escaped, so the line holding
+    the first of them is refused in its turn, after any earlier error."""
+    with TextIOWrapper(BytesIO(data), encoding="utf-8-sig",
+                       errors="surrogateescape") as fh:
+        return _parse_blocks(path, fh)
 
 
-def _parse_head(head: bytes) -> None:
+def _parse_head(path, head: bytes) -> None:
     # the complete lines of a file's first read; as _parse_blocks reads a
     # file in order, an error here is the first error of the whole parse
     end = max(head.rfind(b"\n"), head.rfind(b"\r")) + 1
-    with _model_lines(head[:end]) as fh:
-        _parse_blocks(fh)
+    _model_blocks(path, head[:end])
 
 
 def _parse_model_bytes(path, data: bytes) -> SemModel:
-    with _model_lines(data) as fh:
-        blocks = _parse_blocks(fh)
+    blocks = _model_blocks(path, data)
 
     for required in ("dimensions", "lambda_x", "phi", "lambda_y", "gamma"):
         if required not in blocks:
@@ -402,19 +427,28 @@ def _reject(path, raw, cause: Exception) -> NoReturn:
     may be the temporary copy of a stream that cannot be read twice.
     """
     raw.seek(0)  # the handle's owner closes it, not this text view of it
-    with open(raw.fileno(), encoding="utf-8-sig", newline="", closefd=False) as fh:
-        header, drop_first = _read_header(path, fh)
-        last_line = ""
+    with open(raw.fileno(), encoding="utf-8-sig", errors="surrogateescape",
+              newline="", closefd=False) as fh:
+        last_line, escaped = "", False
 
         def tap():
-            nonlocal last_line
+            # the csv reader takes the lines of one record at a time
+            nonlocal last_line, escaped
             for last_line in fh:
+                escaped = escaped or _escaped(last_line)
                 yield last_line
 
+        lines = tap()
+        header, drop_first = _read_header(path, lines)
+        if escaped:
+            raise _not_utf8(path, 1)
         # Line numbers count CSV records, so a quoted cell that spans lines
         # counts once. As in the bulk parse, a line holding only whitespace
-        # is skipped; a quoted blank cell is not.
-        for lineno, row in enumerate(csv.reader(tap()), start=2):
+        # is skipped; a quoted blank cell is not.  Bytes that are not UTF-8
+        # are escaped, and their record is refused in its turn.
+        for lineno, row in enumerate(csv.reader(lines), start=2):
+            if escaped:
+                raise _not_utf8(path, lineno)
             if last_line.isspace() and not any(cell.strip() for cell in row):
                 continue
             if drop_first:
@@ -604,7 +638,10 @@ def read_labeled_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
         reader = handle if sidecar is None else _HashingReader(handle)
         with TextIOWrapper(BufferedReader(reader, _HASH_CHUNK),
                            encoding="utf-8-sig", newline="") as fh:
-            labels, values = _parse(path, fh, handle)
+            try:
+                labels, values = _parse(path, fh, handle)
+            except UnicodeDecodeError as exc:  # outside the bulk parse
+                _reject(path, handle, exc)
     if sidecar is not None and reader.at_eof:
         _store_sidecar(sidecar, reader.digest.digest(), labels, values, opened)
     return labels, values

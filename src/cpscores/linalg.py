@@ -24,6 +24,12 @@ Conventions used throughout the package:
   which gives every covariance the package estimates, the determinacy
   cross moment between scores and indicators included.  No whole centred
   or stacked copy of the data is made;
+* :func:`_in_threads` shares independent pieces of work, the simulator's
+  row blocks, over W threads: W is the number of CPUs the process may
+  use, at most ``_MAX_THREADS`` and at most the number of pieces.  The
+  W - 1 threads beside the caller's are started for the call and joined
+  before it returns; no option sets W.  Every other kernel runs on the
+  caller's thread;
 * symmetric matrix functions go through a full eigendecomposition, so only
   spectral functions of the input are ever exposed, and refuse an input
   asymmetric beyond ``SYMMETRY_RTOL``;
@@ -35,6 +41,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -93,6 +101,54 @@ def row_blocks(n: int) -> list[slice]:
     count = max(1, -(-n // ROW_BLOCK))
     bounds = [n * i // count for i in range(count + 1)]
     return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
+
+
+# The most threads :func:`_in_threads` starts: the thread count whose gain
+# has been measured (on two CPUs).  More threads than that are untried,
+# and each also calls a BLAS that may run threads of its own.
+_MAX_THREADS = 2
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _workers(count: int) -> int:
+    """Threads for ``count`` pieces of work: the CPUs this process may
+    use, at most ``_MAX_THREADS``, at most ``count`` and at least 1."""
+    return max(1, min(_cpus(), _MAX_THREADS, count))
+
+
+def _in_threads(fn, items) -> None:
+    """``fn(item)`` for every item, spread over W = ``_workers(len(items))``
+    threads: thread j takes items j, j + W, j + 2W, ..., and thread 0 is
+    the caller's.  The W - 1 others are started for this call and joined
+    before it returns; the first error, in thread order, is raised again.
+    ``fn`` must write only what its own items own."""
+    items = list(items)
+    count = _workers(len(items))
+    errors = [None] * count
+
+    def run(j):
+        try:
+            for item in items[j::count]:
+                fn(item)
+        except BaseException as e:  # raised again in the caller below
+            errors[j] = e
+
+    threads = [threading.Thread(target=run, args=(j,)) for j in range(1, count)]
+    for t in threads:
+        t.start()
+    run(0)
+    for t in threads:
+        t.join()
+    for e in errors:
+        if e is not None:
+            raise e
 
 
 def _column_reduce(ufunc, a: np.ndarray) -> np.ndarray:

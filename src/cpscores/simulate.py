@@ -5,7 +5,18 @@ Factor draws mix i.i.d. standard normals with the symmetric square root of
 the combined factor correlation matrix, which the model keeps (the choice
 between a symmetric and a triangular factor only affects which rotation of
 the latent space is drawn, not its correlation structure; the symmetric
-root is fixed here for reproducibility).  The generator is numpy's default PCG64, seeded.
+root is fixed here for reproducibility).
+
+The generator is numpy's PCG64, one stream per block of ``SIM_BLOCK``
+rows: stream 0 is ``default_rng(seed)``, stream k >= 1 is
+``default_rng(SeedSequence(seed, spawn_key=(k - 1,)))``, the k-th child of
+numpy's ``SeedSequence(seed).spawn``.  Block k draws its factor normals,
+then its x unique variates, then its y unique variates from its stream,
+the variates in the :func:`cpscores.linalg.row_blocks` of the block.  A
+value depends only on its block's stream, so the blocks are shared over
+the threads of :func:`cpscores.linalg._in_threads` with the same result
+for any thread count, and a dataset of at most ``SIM_BLOCK`` rows is the
+one stream of ``default_rng(seed)``.
 """
 
 from __future__ import annotations
@@ -19,12 +30,16 @@ from .containers import DataMatrix, ScoreMatrix
 from .determinacy import determinacy
 from .errors import DataError
 from .io import model_hash, parse_model_file
-from .linalg import corr_from_cov, corr_sqrt, moments, row_blocks
+from .linalg import _in_threads, corr_from_cov, corr_sqrt, moments, row_blocks
 from .model import SemModel, combined_factor_corr
 from .regression import standardized_betas
 from .scores import cp_scores_from_orthogonal, cp_transform, regression_scores
 
-RNG_NAME = "numpy default_rng (PCG64)"
+# Rows per random stream: the smallest power of two at or above the
+# verification run's default case count, so that run draws one stream.
+SIM_BLOCK = 16384
+
+RNG_NAME = f"numpy default_rng (PCG64), one stream per {SIM_BLOCK} rows"
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,6 +54,13 @@ class SimulationSpec:
             raise DataError("n_cases must be at least 2")
 
 
+def _stream(seed: int, k: int) -> np.random.Generator:
+    """The generator of block ``k`` (see the module docstring)."""
+    if k == 0:
+        return np.random.default_rng(seed)
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k - 1,)))
+
+
 def simulate_dataset(
     spec: SimulationSpec,
 ) -> tuple[DataMatrix, DataMatrix, ScoreMatrix | None]:
@@ -46,34 +68,53 @@ def simulate_dataset(
 
     Factors are jointly multivariate normal with the model-implied factor
     correlation; indicators add independent normal unique variates so every
-    marginal variance is 1 in expectation.
+    marginal variance is 1 in expectation.  Without true factors, no more
+    than one block of factors per thread is held.
     """
     model = spec.model
     c_sqrt = corr_sqrt(combined_factor_corr(model))
     n = spec.n_cases
-    rng = np.random.default_rng(spec.seed)
-    factors = rng.standard_normal((n, model.n_xi + model.n_eta)) @ c_sqrt
-    # x, then y, built a row block at a time in place on the unique-variate
-    # draw; the draw order and every value are those of the whole-array
-    # ``factors @ loadings' + draw * sqrt(uniqueness)``
-    data = []
-    for common, block in ((factors[:, : model.n_xi], model.exo),
-                          (factors[:, model.n_xi:], model.endo)):
-        out = np.empty((n, len(block.indicator_labels)))
-        sd = np.sqrt(block.uniqueness())
-        for rows in row_blocks(n):
-            part = out[rows]
-            rng.standard_normal(out=part)
-            part *= sd
-            part += common[rows] @ block.loadings.T
-        out.setflags(write=False)
-        data.append(DataMatrix(out, block.indicator_labels))
-    factors.setflags(write=False)
-    x_data, y_data = data
+    factors = np.empty((n, len(c_sqrt))) if spec.emit_true_factors else None
+    # x, then y: factor columns, loadings', unique sds (read here: a block
+    # keeps its uniqueness on first use) and the values
+    indicators = [
+        (cols, block.loadings.T, np.sqrt(block.uniqueness()),
+         np.empty((n, len(block.indicator_labels))))
+        for block, cols in ((model.exo, np.s_[:, : model.n_xi]),
+                            (model.endo, np.s_[:, model.n_xi:]))
+    ]
+    count = -(-n // SIM_BLOCK)
+
+    def draw(k):
+        # the values of the whole-block ``normals @ c_sqrt`` and
+        # ``f @ loadings' + draw * sd``, a row block at a time in place
+        rows = slice(k * SIM_BLOCK, min(n, (k + 1) * SIM_BLOCK))
+        rng = _stream(spec.seed, k)
+        if factors is None:
+            f = np.empty((rows.stop - rows.start, len(c_sqrt)))
+        else:
+            f = factors[rows]
+        rng.standard_normal(out=f)
+        for sub in row_blocks(len(f)):
+            f[sub] = f[sub] @ c_sqrt
+        for cols, loadings_t, sd, values in indicators:
+            common, out = f[cols], values[rows]
+            for sub in row_blocks(len(out)):
+                part = out[sub]
+                rng.standard_normal(out=part)
+                part *= sd
+                part += common[sub] @ loadings_t
+
+    _in_threads(draw, range(count))
+    (*_, x), (*_, y) = indicators
     true_scores = None
-    if spec.emit_true_factors:
+    if factors is not None:
+        factors.setflags(write=False)
         true_scores = ScoreMatrix(factors, model.factor_labels, "simulated-true")
-    return x_data, y_data, true_scores
+    x.setflags(write=False)
+    y.setflags(write=False)
+    return (DataMatrix(x, model.exo.indicator_labels),
+            DataMatrix(y, model.endo.indicator_labels), true_scores)
 
 
 # ---------------------------------------------------------------------------

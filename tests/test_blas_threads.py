@@ -1,10 +1,11 @@
-"""Results do not depend on the BLAS thread count.
+"""Results do not depend on the BLAS thread count or on the CPUs.
 
 The package sets no BLAS thread count, so OpenBLAS may split a product
-over its threads once it is large enough.  The in-memory chain runs in a
-fresh interpreter with 1 and with 2 BLAS threads, on the example at
-n = 20 000 (3 row blocks) and on one 6-4-6 random model at n = 20 000
-and n = 1000, and every output must hash the same.
+over its threads once it is large enough; and it shares the simulator's
+row blocks over the CPUs the process may use.  The in-memory chain runs in a fresh interpreter with 1 and with 2
+BLAS threads, and in one pinned to a single CPU, on the example at
+n = 20 000 (3 row blocks, 2 simulator blocks) and on one 6-4-6 random
+model at n = 20 000 and n = 1000, and every output must hash the same.
 """
 
 import json
@@ -13,10 +14,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cpscores
 
 CHAIN = r"""
-import hashlib, json, sys
+import hashlib, json, os, sys
+if len(sys.argv) > 1:  # before numpy starts its threads
+    os.sched_setaffinity(0, {int(sys.argv[1])})
 import numpy as np
 from cpscores import (
     SimulationSpec, cp_scores_from_params, cp_transform, example_model,
@@ -50,11 +55,14 @@ json.dump(out, sys.stdout)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def chain_hashes(threads):
+def chain_hashes(threads, cpu=None):
+    """The chain's hashes with ``threads`` BLAS threads, on one ``cpu``
+    or on every CPU this process may use."""
     src = str(Path(cpscores.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     env.update({var: str(threads) for var in THREAD_VARS})
-    done = subprocess.run([sys.executable, "-c", CHAIN], env=env,
+    args = [] if cpu is None else [str(cpu)]
+    done = subprocess.run([sys.executable, "-c", CHAIN, *args], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
@@ -64,3 +72,12 @@ def test_outputs_identical_at_one_and_two_blas_threads():
     one, two = chain_hashes(1), chain_hashes(2)
     assert len(one) == 27
     assert [key for key in one if one[key] != two.get(key)] == []
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no CPU affinity call on this platform")
+def test_outputs_identical_on_one_cpu():
+    pinned = chain_hashes(2, cpu=min(os.sched_getaffinity(0)))
+    every = chain_hashes(2)
+    assert len(pinned) == 27
+    assert [key for key in every if every[key] != pinned.get(key)] == []

@@ -118,12 +118,14 @@ class TestValidate:
         assert main([]) == 2
 
 
-def fresh_process(argv):
-    """Exit code, stdout and stderr of ``argv`` run by a new interpreter."""
+def fresh_process(argv, stdin=None):
+    """Exit code, stdout and stderr of ``argv`` run by a new interpreter,
+    as text; as bytes when ``stdin`` is bytes to pipe to it."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-m", "cpscores.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          input=stdin, capture_output=True, text=stdin is None,
+                          env=env, timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -472,3 +474,24 @@ class TestVerify:
         assert main(["verify", "--seed", "3", "--n", "50"]) == 1
         out = capsys.readouterr().out
         assert "overall: FAIL" in out
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_bytes_not_utf8_exit_two_naming_file_and_line(tmp_path):
+    # a model file and a CSV, by path and through a pipe
+    example = resources.files("cpscores") / "data" / "example.model"
+    text = example.read_bytes()
+    model = tmp_path / "latin1.model"
+    model.write_bytes(text.replace(b" 0.750 ", b" 0.75\xe9 ", 1))
+    lineno = text[:text.index(b" 0.750 ")].count(b"\n") + 1
+    csv = tmp_path / "latin1.csv"
+    csv.write_bytes(b"a,b\r\n1,2\r\n\xe9,4\r\n")
+    scores = ["scores", str(example), "--method", "regression",
+              "--out", str(tmp_path / "s.csv"), "--x"]
+    for argv, stdin, want in (
+            (["validate", str(model)], b"", f"{model}: line {lineno}"),
+            (scores + [str(csv)], b"", f"{csv}: line 3"),
+            (scores + ["/dev/stdin"], csv.read_bytes(), "/dev/stdin: line 3")):
+        code, _, err = fresh_process(argv, stdin)
+        assert code == 2, err
+        assert err.decode() == f"error: {want}: bytes that are not UTF-8 text\n"

@@ -303,6 +303,30 @@ class TestParseModelFile:
                 parse_model_file(path)
             assert str(info.value) == f"line {lineno}: non-numeric token in [phi]"
 
+    @pytest.mark.parametrize("long", [False, True], ids=["short", "long"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"],
+                             ids=["lf", "crlf", "cr"])
+    def test_bytes_not_utf8_name_the_file_and_line(self, tmp_path, end, long):
+        # a long file's bad byte comes after its first read
+        pad = "# padding\n" * (cpscores.io._MODEL_HEAD // 10) if long else ""
+        text = pad + GOOD_MODEL.replace("0.3 1.0", "0.3 1.\0")
+        lineno = text[:text.index("\0")].count("\n") + 1
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(text.replace("\n", end).encode().replace(b"\0", b"\xe9"))
+        with pytest.raises(DataError) as info:
+            parse_model_file(path)
+        assert str(info.value) == f"{path}: line {lineno}: bytes that are not UTF-8 text"
+
+    def test_bytes_not_utf8_after_an_earlier_error_are_not_named(self, tmp_path):
+        # both lines are read in one decoded chunk; the first error wins
+        text = GOOD_MODEL.replace("[phi]", "[fi]").replace("0.3 1.0", "0.3 1.\0")
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(text.encode().replace(b"\0", b"\xe9"))
+        lineno = text.splitlines().index("[fi]") + 1
+        with pytest.raises(DataError) as info:
+            parse_model_file(path)
+        assert str(info.value) == f"line {lineno}: unknown block [fi]"
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"],
                              ids=["lf", "crlf", "cr"])
@@ -682,6 +706,45 @@ def test_bad_row_on_piped_stdin_names_the_path(tmp_path):
     err = proc.stderr.decode()
     assert proc.returncode == 2, err
     assert err == "error: /dev/stdin: non-numeric cell on line 3\n"
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_csv_bytes_not_utf8_name_the_line(tmp_path, end):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(end.join([b"a,b", b"1,2", b"3,\xe94", b"5,6", b""]))
+    message = "line 3: bytes that are not UTF-8 text"
+    assert _read_result(path) == message
+    assert _read_result(os.open(path, os.O_RDONLY)) == message
+
+
+def test_csv_bytes_not_utf8_count_records(tmp_path):
+    # a quoted label spanning two lines is one record, as for other errors
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b'"a\nlong",b\n1,2\n3,\xe94\n')
+    assert _read_result(path) == "line 3: bytes that are not UTF-8 text"
+
+
+def test_csv_bytes_not_utf8_after_an_earlier_error_are_not_named(tmp_path):
+    # both rows are read in one decoded chunk; the first error wins
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"a,b\n1,2,3\n3,\xe94\n")
+    assert _read_result(path) == "line 2 has 3 cells, expected 2"
+
+
+def test_header_bytes_not_utf8_name_line_one(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"a,\xe9\n1,2\n")
+    assert _read_result(path) == "line 1: bytes that are not UTF-8 text"
+
+
+def test_csv_bytes_not_utf8_count_a_crlf_split_between_reads(tmp_path):
+    # the line is found reading 64 KiB at a time: here the CR of line 2
+    # ends one read and its LF starts the next
+    head = b"a,b\r\n"
+    blank = b" " * (cpscores.io._HASH_CHUNK - 1 - len(head)) + b"\r\n"
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(head + blank + b"1,2\r\n3,\xe94\r\n")
+    assert _read_result(path) == "line 4: bytes that are not UTF-8 text"
 
 
 def _per_cell_csv(labels, values) -> bytes:

@@ -8,8 +8,9 @@ and simulated indicators are computed a block of ``linalg.ROW_BLOCK`` rows
 at a time; at n = 10 blocks + 17 rows, one block's centred indicators are
 about half the joint result, while a whole centred copy of x, or of the
 stacked (x, y), is five times the result and a container copy of the
-result adds one.  The simulator holds the factors (a fifth of x and y)
-besides x and y, and betas hold one centred block of their input.
+result adds one.  The simulator holds one block of ``SIM_BLOCK`` factor
+rows per thread besides x and y, and its peak is also taken with two
+threads on any machine.  Betas hold one centred block of their input.
 ``ScoreMatrix.select`` of consecutive columns, such as the ξ block, is a
 view that its container adopts.  A warm model keeps its weight matrices and short
 vectors, and none of the p x p implied covariances or the stacked joint
@@ -66,9 +67,20 @@ def example_data(traced, model):
     return x, y, peak
 
 
-def test_simulate_peak_within_bound(example_data):
-    x, y, peak = example_data
+def check_simulate_peak(x, y, peak):
     assert peak / (x.values.nbytes + y.values.nbytes) <= 1.4
+
+
+def test_simulate_peak_within_bound(example_data):
+    check_simulate_peak(*example_data)
+
+
+def test_simulate_peak_within_bound_on_two_threads(traced, model, monkeypatch):
+    # the thread cap, reached whatever the CPUs
+    monkeypatch.setattr(linalg, "_cpus", lambda: 16)
+    spec = SimulationSpec(model, N_CASES, 3, emit_true_factors=False)
+    (x, y, _), peak = traced_peak(simulate_dataset, spec)
+    check_simulate_peak(x, y, peak)
 
 
 @pytest.mark.parametrize("family", ["joint", "exo", "orthogonal", "cp-params"])

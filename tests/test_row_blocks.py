@@ -8,7 +8,8 @@ built here with numpy alone.  The kernels are also run at both block sizes
 on case counts around multiples of ``linalg.LANES`` (the accumulators per
 column of a row-major column sum), with row-major, column-major and
 strided inputs, alone and beside one another, against numpy; and the
-simulator must draw the values of its whole-array formula, bit for bit.
+simulator must draw the values of its whole-array formula, bit for bit,
+up to ``SIM_BLOCK`` cases, which it draws from one stream.
 """
 
 import numpy as np
@@ -25,7 +26,7 @@ from cpscores.determinacy import determinacy
 from cpscores import linalg
 from cpscores.linalg import _sym_power
 from cpscores.model import combined_factor_corr
-from cpscores.simulate import SimulationSpec, random_model, simulate_dataset
+from cpscores.simulate import SIM_BLOCK, SimulationSpec, random_model, simulate_dataset
 
 SHAPES = [(3, 2, 3), (2, 1, 4), (4, 3, 3)]
 CASES = [2, 6, 7, 8, 15]
@@ -250,7 +251,7 @@ def test_determinacy_of_mixed_layouts_equals_numpy(layouts, n):
     check_determinacy(layouts[::-1], n)
 
 
-@pytest.mark.parametrize("n", [2, 8, 15, 2 * LANES + 1])
+@pytest.mark.parametrize("n", [2, 8, 15, 2 * LANES + 1, 8193, SIM_BLOCK])
 @pytest.mark.parametrize("seed, shape", enumerate(SHAPES))
 def test_simulator_keeps_whole_array_draw_order(seed, shape, n):
     model = random_model(np.random.default_rng(seed), *shape)

@@ -23,7 +23,10 @@ An immutable object that holds arrays compares and hashes by identity
 (``eq=False``): ``==`` between arrays has no single truth value.  Such an
 object keeps what is derived from it, computed on first use
 (:func:`_kept`); a :class:`FactorCorr` keeps its square root
-(:func:`cpscores.linalg.corr_sqrt`).
+(:func:`cpscores.linalg.corr_sqrt`), and a :class:`DataMatrix` or
+:class:`ScoreMatrix` its k column means
+(:func:`cpscores.linalg._kept_means`), so each matrix's columns are summed
+for their means once.
 """
 
 from __future__ import annotations
@@ -176,18 +179,26 @@ class FactorCorr:
         return self.values.shape[0]
 
 
+def _refuse_no_columns(values: np.ndarray, name: str) -> None:
+    # every kernel centres columns; with none, numpy fails without a name
+    if values.shape[1] == 0:
+        raise DataError(f"{name} has no columns")
+
+
 @dataclass(frozen=True, eq=False)
 class DataMatrix:
     """Cases-by-indicators numeric matrix with indicator labels; at least
-    one case."""
+    one case and one indicator."""
 
     values: np.ndarray
     labels: tuple[str, ...]
+    _derived: dict = _derived_field()
 
     def __post_init__(self):
         values, labels = _as_matrix(self.values, "data matrix", self.labels)
         if values.shape[0] == 0:
             raise DataError("data matrix has no cases")
+        _refuse_no_columns(values, "data matrix")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "labels", labels)
 
@@ -203,14 +214,17 @@ class DataMatrix:
 @dataclass(frozen=True, eq=False)
 class ScoreMatrix:
     """Cases-by-factors score matrix, one column per factor label; the
-    whole matrix records how the scores were produced (``provenance``)."""
+    whole matrix records how the scores were produced (``provenance``); at
+    least one factor."""
 
     values: np.ndarray
     labels: tuple[str, ...]
     provenance: str = "unspecified"
+    _derived: dict = _derived_field()
 
     def __post_init__(self):
         values, labels = _as_matrix(self.values, "score matrix", self.labels)
+        _refuse_no_columns(values, "score matrix")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "labels", labels)
 

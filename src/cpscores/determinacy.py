@@ -35,7 +35,7 @@ import numpy as np
 
 from .containers import DataMatrix, ScoreMatrix
 from .errors import DataError, StructuralError
-from .linalg import moments
+from .linalg import _kept_means, moments
 from .model import ENDOGENOUS, EXOGENOUS, Block, SemModel, _indicator_values
 
 NORMALIZER_SD = "sd"
@@ -91,7 +91,9 @@ def determinacy(
             f"scores are ordered {scores.labels}, expected {labels}"
         )
     k = len(labels)
-    cov = moments([scores.values, *values], labels + block.indicator_labels)[1]
+    means = [_kept_means(m) for m in (scores, *data)]
+    cov = moments([scores.values, *values], labels + block.indicator_labels,
+                  means)[1]
     var, cross = np.diag(cov)[:k], cov[:k, k:]
     scale = var if normalizer == NORMALIZER_VARIANCE else np.sqrt(var)
     coeffs = np.einsum("ij,ij->i", cross / scale[:, None], block.weights())

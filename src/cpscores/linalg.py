@@ -15,21 +15,27 @@ Conventions used throughout the package:
   ``LANES``; an array with contiguous columns is reduced along them.  No
   sum goes through BLAS, so none depends on the BLAS thread count;
 * the two kernels that touch all n rows of centred data,
-  :func:`centred_product` and :func:`moments`, go a block of
-  ``ROW_BLOCK`` rows at a time: the block of each array, whatever its
-  layout, is copied into that array's columns of one reused row-major
-  buffer, and the joined column means are subtracted in place, ``LANES``
-  rows at a time.  :func:`centred_product` writes each block times the
-  weights into its rows of the result, and :func:`moments` sums ``z' z``,
-  which gives every covariance the package estimates, the determinacy
-  cross moment between scores and indicators included.  No whole centred
-  or stacked copy of the data is made;
+  :func:`centred_product` and :func:`moments`, go a block of rows at a
+  time: the block of each array, whatever its layout, is copied into that
+  array's columns of a reused row-major buffer, and the joined column
+  means are subtracted in place, ``LANES`` rows at a time.
+  :func:`centred_product` writes each block of ``_product_rows()`` rows
+  times the weights into its rows of the result, and :func:`moments`
+  takes each block of ``ROW_BLOCK`` rows' ``z' z`` and sums them in block
+  order, which gives every covariance the package estimates, the
+  determinacy cross moment between scores and indicators included.  No
+  whole centred or stacked copy of the data is made.  Both take the
+  column means their callers hold: a DataMatrix or ScoreMatrix keeps its
+  own (:func:`_kept_means`), so each matrix is summed for its means once;
 * :func:`_in_threads` shares independent pieces of work, the simulator's
-  row blocks, over W threads: W is the number of CPUs the process may
-  use, at most ``_MAX_THREADS`` and at most the number of pieces.  The
-  W - 1 threads beside the caller's are started for the call and joined
-  before it returns; no option sets W.  Every other kernel runs on the
-  caller's thread;
+  row blocks and the blocks of the two kernels above, over W threads: W
+  is the number of CPUs the process may use, at most ``_MAX_THREADS`` and
+  at most the number of pieces, and a kernel takes a thread only for
+  ``_BLOCKS_PER_THREAD`` blocks or more.  Each thread centres into a
+  buffer of its own.  The W - 1 threads beside the caller's are started
+  for the call and joined before it returns; no option sets W.  The block
+  geometry does not depend on W, product rows are independent and the
+  blocks' ``z' z`` are summed in one order, so no result depends on W;
 * symmetric matrix functions go through a full eigendecomposition, so only
   spectral functions of the input are ever exposed, and refuse an input
   asymmetric beyond ``SYMMETRY_RTOL``;
@@ -93,12 +99,14 @@ ROW_BLOCK = 8192
 LANES = 64
 
 
-def row_blocks(n: int) -> list[slice]:
+def row_blocks(n: int, rows: int | None = None) -> list[slice]:
     """Consecutive row slices covering ``range(n)``, of near-equal sizes of
-    at most ``ROW_BLOCK`` rows, so no block is a lone row unless ``n`` is 1:
+    at most ``rows`` (``ROW_BLOCK`` if None) rows, or of 2 or 3 rows where
+    ``rows`` is below 3, so no block is a lone row unless ``n`` is 1:
     numpy multiplies a single row through another BLAS routine, whose sums
     can differ in the last bit from those of a many-row product."""
-    count = max(1, -(-n // ROW_BLOCK))
+    count = -(-n // (ROW_BLOCK if rows is None else rows))
+    count = max(1, min(count, n // 2))
     bounds = [n * i // count for i in range(count + 1)]
     return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
 
@@ -107,6 +115,21 @@ def row_blocks(n: int) -> list[slice]:
 # has been measured (on two CPUs).  More threads than that are untried,
 # and each also calls a BLAS that may run threads of its own.
 _MAX_THREADS = 2
+
+# Row blocks a thread must take before a row-block kernel leaves the
+# caller's thread: a call that starts and joins one thread costs 40 to
+# 100 us, more than a block or two of work, so a moments pass of 2 blocks
+# (10^4 rows) or a product of 5 (10^4 rows) stays on the calling thread.
+_BLOCKS_PER_THREAD = 4
+
+
+def _product_rows() -> int:
+    """Rows per block of :func:`centred_product`, the same for any thread
+    count: ``ROW_BLOCK // (2 * _MAX_THREADS)``, at least 2.  The buffers
+    of ``_MAX_THREADS`` threads then hold half the rows of one
+    ``ROW_BLOCK`` block, which leaves room for the 64 KiB ufunc buffer
+    that each thread's broadcast subtraction allocates."""
+    return max(2, ROW_BLOCK // (2 * _MAX_THREADS))
 
 
 def _cpus() -> int:
@@ -120,7 +143,9 @@ def _cpus() -> int:
 def _workers(count: int) -> int:
     """Threads for ``count`` pieces of work: the CPUs this process may
     use, at most ``_MAX_THREADS``, at most ``count`` and at least 1."""
-    return max(1, min(_cpus(), _MAX_THREADS, count))
+    if count <= 1:  # one thread whatever the CPUs: skip the affinity call
+        return 1
+    return min(_cpus(), _MAX_THREADS, count)
 
 
 def _in_threads(fn, items) -> None:
@@ -172,44 +197,80 @@ def column_means(a: np.ndarray) -> np.ndarray:
     return _column_reduce(np.add, a) / a.shape[0]
 
 
+@_kept
+def _kept_means(matrix) -> np.ndarray:
+    """Column means of a DataMatrix or ScoreMatrix, kept by it, so the
+    kernels below read each matrix's columns for their means once."""
+    return column_means(matrix.values)
+
+
 def _floats(arrays) -> list[np.ndarray]:
     return [np.asarray(a, dtype=float) for a in arrays]
 
 
-def _centred(arrays, mean):
-    """Yield ``(rows, z)`` for the consecutive :func:`row_blocks` of the
-    same-length 2-d float ``arrays``: ``z`` is their ``rows`` side by side,
-    less their joined column ``mean`` over all n rows.
+def _joined_means(arrays, means) -> np.ndarray:
+    """The column means of ``arrays`` side by side: ``means``, one per
+    array, or computed if None.  Raises DataError if there are none."""
+    if means is None:
+        means = [column_means(a) for a in arrays]
+    mean = np.concatenate(means)
+    if not mean.size:
+        raise DataError("no columns to centre")
+    return mean
 
-    ``z`` is one reused row-major buffer, overwritten by the next block;
-    use it before advancing the iterator.  It is centred ``LANES`` rows at
-    a time, so numpy's inner loop runs over ``LANES`` times its width.
+
+def _centred(arrays, mean, blocks, fn) -> None:
+    """``fn(k, z)`` for each ``blocks[k]`` of rows of the same-length 2-d
+    float ``arrays``: ``z`` is their rows side by side, less their joined
+    column ``mean`` over all n rows.
+
+    The blocks are dealt to W = ``_workers(len(blocks) //
+    _BLOCKS_PER_THREAD)`` shares, share j taking blocks j, j + W, ..., and
+    the shares to the threads of :func:`_in_threads`.  ``z`` is a reused
+    row-major buffer of its share, overwritten by the share's next block.
+    It is centred ``LANES`` rows at a time, so numpy's inner loop runs
+    over ``LANES`` times its width.
     """
-    n = arrays[0].shape[0]
-    blocks = row_blocks(n)
     cols = list(itertools.accumulate((a.shape[1] for a in arrays), initial=0))
-    buf = np.empty((-(-n // len(blocks)), cols[-1]))
+    rows_max = max(rows.stop - rows.start for rows in blocks)
     tiled = np.tile(mean, LANES)
-    for rows in blocks:
-        z = buf[: rows.stop - rows.start]
-        for a, lo, hi in zip(arrays, cols, cols[1:]):
-            z[:, lo:hi] = a[rows]
-        m = len(z) - len(z) % LANES
-        lanes = z[:m].reshape(-1, tiled.size)
-        lanes -= tiled
-        z[m:] -= mean
-        yield rows, z
+    shares = _workers(len(blocks) // _BLOCKS_PER_THREAD)
+
+    def centre(j):
+        buf = np.empty((rows_max, cols[-1]))
+        for k in range(j, len(blocks), shares):
+            rows = blocks[k]
+            z = buf[: rows.stop - rows.start]
+            for a, lo, hi in zip(arrays, cols, cols[1:]):
+                z[:, lo:hi] = a[rows]
+            m = len(z) - len(z) % LANES
+            lanes = z[:m].reshape(-1, tiled.size)
+            lanes -= tiled
+            z[m:] -= mean
+            fn(k, z)
+
+    if shares == 1:  # one share: run it here, without a thread to start
+        centre(0)
+    else:
+        _in_threads(centre, range(shares))
 
 
-def centred_product(arrays, w: np.ndarray) -> np.ndarray:
+def centred_product(arrays, w: np.ndarray, means=None) -> np.ndarray:
     """``hstack([a - a.mean(axis=0) for a in arrays]) @ w.T``, written into
-    a preallocated result a row block at a time; the result is frozen."""
+    a preallocated result a row block of ``_product_rows()`` rows at a
+    time; the result is frozen.  ``means`` are the arrays' column means,
+    one per array, computed if None.  Rows are independent, so the result
+    does not depend on the blocks or the threads that share them."""
     arrays = _floats(arrays)
     w = np.asarray(w, dtype=float)
+    mean = _joined_means(arrays, means)
     out = np.empty((len(arrays[0]), w.shape[0]))
-    mean = np.concatenate([column_means(a) for a in arrays])
-    for rows, z in _centred(arrays, mean):
-        np.matmul(z, w.T, out=out[rows])
+    blocks = row_blocks(len(out), _product_rows())
+
+    def product(k, z):
+        np.matmul(z, w.T, out=out[blocks[k]])
+
+    _centred(arrays, mean, blocks, product)
     out.setflags(write=False)
     return out
 
@@ -226,24 +287,34 @@ def centred_product(arrays, w: np.ndarray) -> np.ndarray:
 CONSTANT_RTOL = 1e-8
 
 
-def moments(arrays, labels=None) -> tuple[np.ndarray, np.ndarray]:
+def moments(arrays, labels=None, means=None) -> tuple[np.ndarray, np.ndarray]:
     """Column means and sample covariance, divisor (n - 1), of the columns
-    of the same-length 2-d ``arrays`` taken side by side.
+    of the same-length 2-d ``arrays`` taken side by side; ``means`` are
+    the arrays' column means, one per array, computed if None.
 
-    The covariance is summed a row block at a time, each block of the
-    arrays centred side by side into one reused buffer, so no whole
-    centred or stacked copy of the arrays is made.  Raises DataError
-    for fewer than 2 rows, or for a constant column (see ``CONSTANT_RTOL``),
-    naming its label, or its index without ``labels``.
+    The covariance is summed over the :func:`row_blocks`, each block of
+    the arrays centred side by side into a reused buffer, so no whole
+    centred or stacked copy of the arrays is made.  The blocks' ``z' z``
+    may come from several threads, and are summed in block order, so the
+    covariance does not depend on the thread count.  Raises DataError
+    for fewer than 2 rows, no columns, or a constant column (see
+    ``CONSTANT_RTOL``), naming its label, or its index without ``labels``.
     """
     arrays = _floats(arrays)
     n = arrays[0].shape[0]
     if n < 2:
         raise DataError(f"at least 2 cases required for sample moments, got {n}")
-    mean = np.concatenate([column_means(a) for a in arrays])
+    mean = _joined_means(arrays, means)
+    blocks = row_blocks(n)
+    products = [None] * len(blocks)
+
+    def product(k, z):
+        products[k] = z.T @ z
+
+    _centred(arrays, mean, blocks, product)
     cov = np.zeros((len(mean), len(mean)))
-    for _, z in _centred(arrays, mean):
-        cov += z.T @ z
+    for p in products:
+        cov += p
     cov /= n - 1
     sd = np.sqrt(np.diag(cov))
     # max |a| <= |mean| + sqrt(n - 1) * sd, so only a column that fails the

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from .containers import FactorCorr, ScoreMatrix, DataMatrix
 from .errors import StructuralError
-from .linalg import centred_product, corr_sqrt, cp_multiplier, moments
+from .linalg import _kept_means, centred_product, corr_sqrt, cp_multiplier, moments
 from .model import Block, SemModel, _indicator_values
 
 PROV_REGRESSION = "regression"
@@ -41,7 +41,9 @@ def _scores(block: Block, data, w, provenance) -> ScoreMatrix:
     of ``block``, with one DataMatrix per entry of its loading blocks
     (:func:`cpscores.model._indicator_values`)."""
     values = _indicator_values(block, data, None, f"{provenance} scores")
-    return ScoreMatrix(centred_product(values, w), block.factor_labels, provenance)
+    means = [_kept_means(d) for d in data]
+    return ScoreMatrix(centred_product(values, w, means), block.factor_labels,
+                       provenance)
 
 
 def regression_scores(block: Block, *data: DataMatrix) -> ScoreMatrix:
@@ -69,19 +71,19 @@ def cp_transform(p: ScoreMatrix, c_target: FactorCorr) -> ScoreMatrix:
     up to floating point (the data route).
 
     Two passes over the scores: the first sums their sample covariance,
-    the second centres them and applies its correlation-preserving
-    multiplier, a row block at a time.  A constant score column raises
-    DataError naming it.
+    the second centres them on the same column means and applies its
+    correlation-preserving multiplier, a row block at a time.  A constant
+    score column raises DataError naming it.
     """
     if c_target.labels != p.labels:
         raise StructuralError(
             f"target correlation is ordered {c_target.labels}, "
             f"scores are ordered {p.labels}"
         )
-    cov = moments([p.values], p.labels)[1]
+    mean, cov = moments([p.values], p.labels, [_kept_means(p)])
     what = f"sample correlation of the scores ({', '.join(p.labels)})"
     values = centred_product(
-        [p.values], cp_multiplier(corr_sqrt(c_target), cov, what))
+        [p.values], cp_multiplier(corr_sqrt(c_target), cov, what), [mean])
     return p.replace_values(values, PROV_CP)
 
 

@@ -2,10 +2,13 @@
 
 The package sets no BLAS thread count, so OpenBLAS may split a product
 over its threads once it is large enough; and it shares the simulator's
-row blocks over the CPUs the process may use.  The in-memory chain runs in a fresh interpreter with 1 and with 2
-BLAS threads, and in one pinned to a single CPU, on the example at
-n = 20 000 (3 row blocks, 2 simulator blocks) and on one 6-4-6 random
-model at n = 20 000 and n = 1000, and every output must hash the same.
+row blocks, and the blocks of the score chain's kernels, over the CPUs
+the process may use.  The in-memory chain runs in a fresh interpreter
+with 1 and with 2 BLAS threads, and in one pinned to a single CPU, on the
+example at n = 20 000 (3 row blocks, 2 simulator blocks) and
+n = 100 000 (13 row blocks and 49 product blocks, so both kernels run
+threaded), and on one 6-4-6 random model at n = 20 000 and n = 1000, and
+every output must hash the same.
 """
 
 import json
@@ -33,6 +36,7 @@ from cpscores.determinacy import determinacy
 rand = random_model(np.random.default_rng(3), 6, 4, 6)
 out = {}
 for name, model, n in (("example", example_model(), 20_000),
+                       ("example", example_model(), 100_000),
                        ("random", rand, 20_000), ("random", rand, 1_000)):
     x, y, _ = simulate_dataset(SimulationSpec(model, n, 1, False))
     joint = regression_scores(model.joint, x, y)
@@ -70,7 +74,7 @@ def chain_hashes(threads, cpu=None):
 
 def test_outputs_identical_at_one_and_two_blas_threads():
     one, two = chain_hashes(1), chain_hashes(2)
-    assert len(one) == 27
+    assert len(one) == 36
     assert [key for key in one if one[key] != two.get(key)] == []
 
 
@@ -79,5 +83,5 @@ def test_outputs_identical_at_one_and_two_blas_threads():
 def test_outputs_identical_on_one_cpu():
     pinned = chain_hashes(2, cpu=min(os.sched_getaffinity(0)))
     every = chain_hashes(2)
-    assert len(pinned) == 27
+    assert len(pinned) == 36
     assert [key for key in every if every[key] != pinned.get(key)] == []

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cpscores
-from cpscores import DataError, DataMatrix, ScoreMatrix, StructuralError
+from cpscores import DataError, DataMatrix, ScoreMatrix, StructuralError, linalg
 from cpscores.determinacy import DeterminacyReport
 from cpscores.simulate import ExampleReport
 
@@ -225,6 +225,26 @@ def test_data_matrix_refuses_zero_cases(values):
     # warns about instead of refusing
     with pytest.raises(DataError, match="no cases"):
         data(values)
+
+
+@pytest.mark.parametrize("cls, name", [(DataMatrix, "data matrix"),
+                                       (ScoreMatrix, "score matrix")])
+@pytest.mark.parametrize("values", [np.empty((5, 0)), frozen(np.empty((5, 0)))],
+                         ids=["copied", "adopted"])
+def test_matrices_refuse_no_columns(cls, name, values):
+    # every kernel centres columns; with none, numpy failed without a name
+    with pytest.raises(DataError) as info:
+        cls(values, ())
+    assert str(info.value) == f"{name} has no columns"
+
+
+def test_betas_and_moments_refuse_no_columns():
+    eta = ScoreMatrix(np.arange(10.0).reshape(5, 2) ** 2, ("eta1", "eta2"))
+    with pytest.raises(DataError, match="score matrix has no columns"):
+        cpscores.standardized_betas(ScoreMatrix(np.empty((5, 0)), ()), eta)
+    for kernel in (linalg.moments, lambda a: linalg.centred_product(a, np.eye(0))):
+        with pytest.raises(DataError, match="no columns"):
+            kernel([np.empty((5, 0))])
 
 
 @pytest.mark.parametrize("cls", [

@@ -9,8 +9,10 @@ at a time; at n = 10 blocks + 17 rows, one block's centred indicators are
 about half the joint result, while a whole centred copy of x, or of the
 stacked (x, y), is five times the result and a container copy of the
 result adds one.  The simulator holds one block of ``SIM_BLOCK`` factor
-rows per thread besides x and y, and its peak is also taken with two
-threads on any machine.  Betas hold one centred block of their input.
+rows per thread besides x and y.  The score families, the transform and
+betas share their blocks over the same threads, each thread centring into
+a buffer of its own; every peak is also taken with two threads on any
+machine.  Betas hold one centred block of their input per thread.
 ``ScoreMatrix.select`` of consecutive columns, such as the ξ block, is a
 view that its container adopts.  A warm model keeps its weight matrices and short
 vectors, and none of the p x p implied covariances or the stacked joint
@@ -67,6 +69,14 @@ def example_data(traced, model):
     return x, y, peak
 
 
+@pytest.fixture(params=["machine", "two-threads"])
+def cpus(request, monkeypatch):
+    """The CPUs of this machine, or the thread cap, reached whatever the
+    CPUs."""
+    if request.param == "two-threads":
+        monkeypatch.setattr(linalg, "_cpus", lambda: 16)
+
+
 def check_simulate_peak(x, y, peak):
     assert peak / (x.values.nbytes + y.values.nbytes) <= 1.4
 
@@ -84,7 +94,7 @@ def test_simulate_peak_within_bound_on_two_threads(traced, model, monkeypatch):
 
 
 @pytest.mark.parametrize("family", ["joint", "exo", "orthogonal", "cp-params"])
-def test_score_peak_within_twice_the_result(model, example_data, family):
+def test_score_peak_within_twice_the_result(model, example_data, cpus, family):
     x, y, _ = example_data
     call = {
         "joint": (regression_scores, model.joint, x, y),
@@ -107,16 +117,17 @@ def test_select_peak_within_bound(model, example_data):
     assert peak / xi.values.nbytes <= 0.01
 
 
-def test_cp_transform_peak_within_bound(model, example_data):
+def test_cp_transform_peak_within_bound(model, example_data, cpus):
     x, y, _ = example_data
     joint = regression_scores(model.joint, x, y)
     cp, peak = traced_peak(cp_transform, joint, combined_factor_corr(model))
     # the result, one row block of centred scores (ROW_BLOCK / N_CASES of
-    # it) and the moments' accumulators; a finiteness mask adds 0.125
+    # it) in all, the moments' accumulators, and one ufunc buffer per
+    # thread; a finiteness mask adds 0.125
     assert peak / cp.values.nbytes <= 1.0 + linalg.ROW_BLOCK / N_CASES + 0.02
 
 
-def test_betas_peak_within_bound(model, example_data):
+def test_betas_peak_within_bound(model, example_data, cpus):
     x, y, _ = example_data
     joint = regression_scores(model.joint, x, y)
     xi, eta = joint.select(model.xi_labels), joint.select(model.eta_labels)

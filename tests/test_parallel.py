@@ -1,4 +1,4 @@
-"""Simulated data do not depend on how many threads share its row blocks.
+"""Results do not depend on how many threads share the row blocks.
 
 ``linalg._cpus`` is forced to 1, 2 and 16, so a runner with one CPU also
 runs the threaded path, with a switch interval short enough that the
@@ -7,6 +7,11 @@ many.  The simulator's blocks of ``SIM_BLOCK`` rows must give the same
 bytes for every count, at the default ``linalg.ROW_BLOCK`` and at 7 rows;
 the simulator must draw the stream its definition names, written here
 with numpy alone; and an error in a worker thread must reach the caller.
+At case counts where each kernel leaves the calling thread,
+``centred_product``, ``moments`` and a container's kept column means
+must equal the serial loop written here byte for byte, at both block
+sizes and for every count; a container sums its columns for their means
+once, and keeps only those k floats.
 """
 
 import sys
@@ -14,7 +19,17 @@ import sys
 import numpy as np
 import pytest
 
+from cpscores import (
+    DataMatrix,
+    ScoreMatrix,
+    cp_scores_from_params,
+    cp_transform,
+    orthogonal_scores,
+    regression_scores,
+    standardized_betas,
+)
 from cpscores import linalg
+from cpscores.determinacy import determinacy
 from cpscores.linalg import _sym_power
 from cpscores.model import combined_factor_corr
 from cpscores.simulate import SIM_BLOCK, SimulationSpec, simulate_dataset
@@ -111,3 +126,150 @@ def test_worker_error_reaches_the_caller(force_workers):
     # the caller's items all ran; thread 1 stopped at its first item
     assert sorted(done) == [0, 2]
 
+
+# ---------------------------------------------------------------------------
+# the row-block kernels of the score chain
+
+def serial_blocks(n):
+    """Near-equal row slices of at most ``ROW_BLOCK`` rows, as the kernels
+    took them on the calling thread alone."""
+    count = max(1, -(-n // linalg.ROW_BLOCK))
+    bounds = [n * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def serial_centred(arrays):
+    """``(rows, z)`` for each serial block: the arrays' rows side by side
+    in one reused row-major buffer, less their joined column means,
+    ``LANES`` rows at a time."""
+    mean = np.concatenate([linalg.column_means(a) for a in arrays])
+    blocks = serial_blocks(len(arrays[0]))
+    buf = np.empty((max(b.stop - b.start for b in blocks), len(mean)))
+    tiled = np.tile(mean, linalg.LANES)
+    for rows in blocks:
+        z = buf[: rows.stop - rows.start]
+        lo = 0
+        for a in arrays:
+            z[:, lo:lo + a.shape[1]] = a[rows]
+            lo += a.shape[1]
+        m = len(z) - len(z) % linalg.LANES
+        lanes = z[:m].reshape(-1, tiled.size)
+        lanes -= tiled
+        z[m:] -= mean
+        yield rows, z
+
+
+def serial_product(arrays, w):
+    out = np.empty((len(arrays[0]), w.shape[0]))
+    for rows, z in serial_centred(arrays):
+        np.matmul(z, w.T, out=out[rows])
+    return out
+
+
+def serial_cov(arrays):
+    cov = np.zeros((sum(a.shape[1] for a in arrays),) * 2)
+    for _, z in serial_centred(arrays):
+        cov += z.T @ z
+    return cov / (len(arrays[0]) - 1)
+
+
+def threaded_rows(row_block):
+    """Cases at which both kernels take at least 2 threads' worth of
+    blocks: 8 moments blocks, so 8 product blocks or more, plus a tail."""
+    return 2 * linalg._BLOCKS_PER_THREAD * row_block + 5
+
+
+def kernel_inputs(n):
+    """A row-major, a column-major and a strided array, with means far
+    from zero, frozen."""
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, 4)) + rng.uniform(-50.0, 50.0, 4)
+    b = np.asfortranarray(rng.standard_normal((n, 3)) * 3.0 + 7.0)
+    wide = rng.standard_normal((n, 5)) - 20.0
+    c = wide[:, 1:3]
+    for arr in (a, b, wide):
+        arr.setflags(write=False)
+    return [a, b, c]
+
+
+@pytest.mark.parametrize("row_block", [7, linalg.ROW_BLOCK])
+def test_kernels_equal_the_serial_loop_for_any_thread_count(
+        force_workers, monkeypatch, row_block):
+    monkeypatch.setattr(linalg, "ROW_BLOCK", row_block)
+    n = threaded_rows(row_block)
+    assert len(linalg.row_blocks(n)) >= 2 * linalg._BLOCKS_PER_THREAD
+    arrays = kernel_inputs(n)
+    w = np.random.default_rng(1).standard_normal((6, 9))
+    want_product = serial_product(arrays, w)
+    want_cov = serial_cov(arrays)
+    want_means = [linalg.column_means(a) for a in arrays]
+
+    def run():
+        mean, cov = linalg.moments(arrays)
+        product = linalg.centred_product(arrays, w)
+        given = linalg.centred_product(arrays, w, want_means)
+        kept = [linalg._kept_means(DataMatrix(a, tuple("abcdefg"[:a.shape[1]])))
+                for a in arrays]
+        return [product, given, mean, cov, *kept]
+
+    for got in by_workers(force_workers, run):
+        product, given, mean, cov, *kept = got
+        assert product.tobytes() == want_product.tobytes()
+        assert given.tobytes() == want_product.tobytes()
+        assert mean.tobytes() == np.concatenate(want_means).tobytes()
+        assert cov.tobytes() == want_cov.tobytes()
+        assert [m.tobytes() for m in kept] == [m.tobytes() for m in want_means]
+
+
+def test_kernels_take_threads_only_with_enough_blocks(monkeypatch):
+    # a moments pass of 10^4 rows (2 blocks) and a product of 5 blocks stay
+    # on the calling thread; at 8 blocks and more both kernels split
+    monkeypatch.setattr(linalg, "_cpus", lambda: 16)
+    shared = []
+    real = linalg._in_threads
+    monkeypatch.setattr(linalg, "_in_threads",
+                        lambda fn, items: shared.append(len(items)) or real(fn, items))
+    arrays = kernel_inputs(10_000)
+    linalg.moments(arrays)
+    linalg.centred_product(arrays, np.eye(9))
+    assert shared == []
+    arrays = kernel_inputs(threaded_rows(linalg.ROW_BLOCK))
+    linalg.moments(arrays)
+    linalg.centred_product(arrays, np.eye(9))
+    assert shared == [2, 2]
+
+
+def test_each_container_sums_its_columns_for_means_once(monkeypatch, model):
+    x, y, _ = simulate_dataset(SimulationSpec(model, 500, 2, False))
+    summed = []
+    real = linalg.column_means
+    monkeypatch.setattr(linalg, "column_means",
+                        lambda a: summed.append(a.shape) or real(a))
+    joint = regression_scores(model.joint, x, y)
+    cp = cp_transform(joint, combined_factor_corr(model))
+    cp_scores_from_params(model, x)
+    orthogonal_scores(model, x)
+    xi, eta = cp.select(model.xi_labels), cp.select(model.eta_labels)
+    determinacy(model.exo, xi, x)
+    determinacy(model.endo, eta, y)
+    standardized_betas(xi, eta)
+    regression_scores(model.joint, x, y)
+    # x, y, the joint scores, and the xi and eta blocks of the transform
+    assert sorted(summed) == sorted([x.values.shape, y.values.shape,
+                                     joint.values.shape, xi.values.shape,
+                                     eta.values.shape])
+    for m in (x, y, joint, xi, eta):
+        assert list(m._derived) == ["_kept_means"]
+        mean = m._derived["_kept_means"]
+        assert mean.shape == (m.values.shape[1],)
+        assert not mean.flags.writeable
+        assert mean.tobytes() == real(m.values).tobytes()
+
+
+def test_a_fresh_container_sums_its_own_columns():
+    # replace_values and select make new matrices, which keep nothing of
+    # the matrix they came from
+    scores = ScoreMatrix(np.arange(12.0).reshape(6, 2) ** 2, ("a", "b"))
+    linalg._kept_means(scores)
+    assert scores.replace_values(scores.values + 1.0)._derived == {}
+    assert scores.select(("b",))._derived == {}

@@ -31,11 +31,14 @@ Conventions used throughout the package:
   row blocks and the blocks of the two kernels above, over W threads: W
   is the number of CPUs the process may use, at most ``_MAX_THREADS`` and
   at most the number of pieces, and a kernel takes a thread only for
-  ``_BLOCKS_PER_THREAD`` blocks or more.  Each thread centres into a
-  buffer of its own.  The W - 1 threads beside the caller's are started
-  for the call and joined before it returns; no option sets W.  The block
-  geometry does not depend on W, product rows are independent and the
-  blocks' ``z' z`` are summed in one order, so no result depends on W;
+  ``_BLOCKS_PER_THREAD`` blocks or more.  Each thread takes the next
+  piece no thread has taken, so a thread that starts late or runs on a
+  slower CPU takes fewer, and each centres into a buffer of its own.  The
+  W - 1 threads beside the caller's are started for the call, which
+  returns once they have finished their pieces; no option sets W.  The
+  block geometry does not depend on W, product rows are independent and
+  the blocks' ``z' z`` are summed in one order, so no result depends on
+  W or on which thread took which block;
 * symmetric matrix functions go through a full eigendecomposition, so only
   spectral functions of the input are ever exposed, and refuse an input
   asymmetric beyond ``SYMMETRY_RTOL``;
@@ -45,10 +48,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import _thread
 import itertools
 import math
 import os
-import threading
 
 import numpy as np
 
@@ -148,29 +151,53 @@ def _workers(count: int) -> int:
     return min(_cpus(), _MAX_THREADS, count)
 
 
+def _taker(items):
+    """A function that returns the next of ``items`` that no call has
+    returned yet, or None once none is left, from any thread."""
+    todo = iter(items)
+    lock = _thread.allocate_lock()
+
+    def take():
+        with lock:
+            return next(todo, None)
+
+    return take
+
+
 def _in_threads(fn, items) -> None:
-    """``fn(item)`` for every item, spread over W = ``_workers(len(items))``
-    threads: thread j takes items j, j + W, j + 2W, ..., and thread 0 is
-    the caller's.  The W - 1 others are started for this call and joined
-    before it returns; the first error, in thread order, is raised again.
+    """``fn(item)`` for every item (none of them None), spread over W =
+    ``_workers(len(items))`` threads, thread 0 the caller's: each thread
+    takes the next item that no thread has taken, until none is left, so
+    the split follows how fast each thread runs, not a fixed share.  The
+    W - 1 others are started for this call, and the caller starts on its
+    items without waiting for them to run; it returns once each has
+    finished the last item it took.  A thread whose ``fn`` raises takes no
+    more items, and the first error, in thread order, is raised again.
     ``fn`` must write only what its own items own."""
     items = list(items)
     count = _workers(len(items))
     errors = [None] * count
+    take = _taker(items)
 
     def run(j):
         try:
-            for item in items[j::count]:
+            while (item := take()) is not None:
                 fn(item)
         except BaseException as e:  # raised again in the caller below
             errors[j] = e
 
-    threads = [threading.Thread(target=run, args=(j,)) for j in range(1, count)]
-    for t in threads:
-        t.start()
+    def worker(j, finished):
+        run(j)
+        finished.release()
+
+    # threading.Thread.start would wait until the new thread runs
+    finished = [_thread.allocate_lock() for _ in range(1, count)]
+    for j, lock in enumerate(finished, 1):
+        lock.acquire()
+        _thread.start_new_thread(worker, (j, lock))
     run(0)
-    for t in threads:
-        t.join()
+    for lock in finished:
+        lock.acquire()
     for e in errors:
         if e is not None:
             raise e
@@ -224,21 +251,24 @@ def _centred(arrays, mean, blocks, fn) -> None:
     float ``arrays``: ``z`` is their rows side by side, less their joined
     column ``mean`` over all n rows.
 
-    The blocks are dealt to W = ``_workers(len(blocks) //
-    _BLOCKS_PER_THREAD)`` shares, share j taking blocks j, j + W, ..., and
-    the shares to the threads of :func:`_in_threads`.  ``z`` is a reused
-    row-major buffer of its share, overwritten by the share's next block.
-    It is centred ``LANES`` rows at a time, so numpy's inner loop runs
-    over ``LANES`` times its width.
+    W = ``_workers(len(blocks) // _BLOCKS_PER_THREAD)`` shares run on the
+    threads of :func:`_in_threads`, each taking the next block no share
+    has taken, so a share on a thread that starts late or runs slower
+    takes fewer.  ``z`` is a reused row-major buffer of its share,
+    overwritten by the share's next block.  It is centred ``LANES`` rows
+    at a time, so numpy's inner loop runs over ``LANES`` times its width.
     """
     cols = list(itertools.accumulate((a.shape[1] for a in arrays), initial=0))
     rows_max = max(rows.stop - rows.start for rows in blocks)
     tiled = np.tile(mean, LANES)
     shares = _workers(len(blocks) // _BLOCKS_PER_THREAD)
+    take = _taker(range(len(blocks)))
 
-    def centre(j):
-        buf = np.empty((rows_max, cols[-1]))
-        for k in range(j, len(blocks), shares):
+    def centre(_):
+        buf = None  # allocated at the share's first block
+        while (k := take()) is not None:
+            if buf is None:
+                buf = np.empty((rows_max, cols[-1]))
             rows = blocks[k]
             z = buf[: rows.stop - rows.start]
             for a, lo, hi in zip(arrays, cols, cols[1:]):

@@ -15,8 +15,8 @@ then its x unique variates, then its y unique variates from its stream,
 the variates in the :func:`cpscores.linalg.row_blocks` of the block.  A
 value depends only on its block's stream, so the blocks are shared over
 the threads of :func:`cpscores.linalg._in_threads` with the same result
-for any thread count, and a dataset of at most ``SIM_BLOCK`` rows is the
-one stream of ``default_rng(seed)``.
+for any thread count and whichever thread draws a block, and a dataset
+of at most ``SIM_BLOCK`` rows is the one stream of ``default_rng(seed)``.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ threads interleave often, and a runner with two CPUs the capped count of
 many.  The simulator's blocks of ``SIM_BLOCK`` rows must give the same
 bytes for every count, at the default ``linalg.ROW_BLOCK`` and at 7 rows;
 the simulator must draw the stream its definition names, written here
-with numpy alone; and an error in a worker thread must reach the caller.
+with numpy alone; an error in a worker thread must reach the caller;
+and a thread that is held up must leave the items it has not taken to
+the others.
 At case counts where each kernel leaves the calling thread,
 ``centred_product``, ``moments`` and a container's kept column means
 must equal the serial loop written here byte for byte, at both block
@@ -15,6 +17,8 @@ once, and keeps only those k floats.
 """
 
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -115,16 +119,45 @@ class WorkerError(Exception):
 def test_worker_error_reaches_the_caller(force_workers):
     force_workers(2)
     done = []
+    raised = threading.Event()
+    caller = threading.get_ident()
 
     def fn(item):
-        if item == 1:  # thread 1's item, not the caller's
+        if threading.get_ident() != caller:
+            raised.set()
             raise WorkerError(item)
+        # the caller holds its first item until the other thread has
+        # raised, so that thread takes an item
+        assert raised.wait(timeout=60)
         done.append(item)
 
     with pytest.raises(WorkerError):
         linalg._in_threads(fn, range(4))
-    # the caller's items all ran; thread 1 stopped at its first item
-    assert sorted(done) == [0, 2]
+    # the failing thread took one item and no more; the caller took the rest
+    assert len(done) == 3
+
+
+def test_a_slow_thread_takes_fewer_items(force_workers):
+    force_workers(2)
+    ran = {"caller": [], "other": []}
+    held = threading.Event()
+    caller = threading.get_ident()
+
+    def fn(item):
+        if threading.get_ident() == caller:
+            assert held.wait(timeout=60)
+            ran["caller"].append(item)
+            return
+        # the other thread holds its first item until the caller has run
+        # every other one, as a thread on a stalled CPU would
+        held.set()
+        deadline = time.monotonic() + 60
+        while len(ran["caller"]) < 5 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        ran["other"].append(item)
+
+    linalg._in_threads(fn, range(6))
+    assert (len(ran["caller"]), len(ran["other"])) == (5, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -27,18 +27,16 @@ Conventions used throughout the package:
   whole centred or stacked copy of the data is made.  Both take the
   column means their callers hold: a DataMatrix or ScoreMatrix keeps its
   own (:func:`_kept_means`), so each matrix is summed for its means once;
-* :func:`_in_threads` shares independent pieces of work, the simulator's
-  row blocks and the blocks of the two kernels above, over W threads: W
-  is the number of CPUs the process may use, at most ``_MAX_THREADS`` and
-  at most the number of pieces, and a kernel takes a thread only for
-  ``_BLOCKS_PER_THREAD`` blocks or more.  Each thread takes the next
-  piece no thread has taken, so a thread that starts late or runs on a
-  slower CPU takes fewer, and each centres into a buffer of its own.  The
-  W - 1 threads beside the caller's are started for the call, which
-  returns once they have finished their pieces; no option sets W.  The
-  block geometry does not depend on W, product rows are independent and
-  the blocks' ``z' z`` are summed in one order, so no result depends on
-  W or on which thread took which block;
+* :func:`_in_threads` hands out independent pieces of work, the
+  simulator's row blocks and the blocks of the two kernels above, to W
+  threads: W is the number of CPUs the process may use, at most
+  ``_MAX_THREADS`` and at most the number of pieces, and a kernel takes a
+  thread only for ``_BLOCKS_PER_THREAD`` blocks or more.  Each thread
+  takes the next piece no thread has taken, and each centres into a
+  buffer of its own; no option sets W.  The block geometry does not
+  depend on W, product rows are independent and the blocks' ``z' z`` are
+  summed in one order, so no result depends on W or on which thread took
+  which block;
 * symmetric matrix functions go through a full eigendecomposition, so only
   spectral functions of the input are ever exposed, and refuse an input
   asymmetric beyond ``SYMMETRY_RTOL``;
@@ -151,50 +149,41 @@ def _workers(count: int) -> int:
     return min(_cpus(), _MAX_THREADS, count)
 
 
-def _taker(items):
-    """A function that returns the next of ``items`` that no call has
-    returned yet, or None once none is left, from any thread."""
-    todo = iter(items)
-    lock = _thread.allocate_lock()
+def _in_threads(fn, count: int, per_thread: int = 1) -> None:
+    """``fn(j, k)`` once for each item k of ``range(count)``, j the index
+    of the thread that took k, 0 the caller's, over W = ``_workers(count
+    // per_thread)`` threads.  Each thread takes the next item that no
+    thread has taken, until none is left, so the split follows how fast
+    each thread runs.  The W - 1 others are started for this call, and the
+    caller starts on its items without waiting for them to run; it returns
+    once each has finished the last item it took.  A thread whose ``fn``
+    raises takes no more items, and the first error, in thread order, is
+    raised again.  ``fn`` must write only what item k or thread j owns."""
+    threads = _workers(count // per_thread)
+    errors = [None] * threads
+    todo = iter(range(count))
+    taking = _thread.allocate_lock()
 
-    def take():
-        with lock:
-            return next(todo, None)
-
-    return take
-
-
-def _in_threads(fn, items) -> None:
-    """``fn(item)`` for every item (none of them None), spread over W =
-    ``_workers(len(items))`` threads, thread 0 the caller's: each thread
-    takes the next item that no thread has taken, until none is left, so
-    the split follows how fast each thread runs, not a fixed share.  The
-    W - 1 others are started for this call, and the caller starts on its
-    items without waiting for them to run; it returns once each has
-    finished the last item it took.  A thread whose ``fn`` raises takes no
-    more items, and the first error, in thread order, is raised again.
-    ``fn`` must write only what its own items own."""
-    items = list(items)
-    count = _workers(len(items))
-    errors = [None] * count
-    take = _taker(items)
-
-    def run(j):
+    def run(j, finished=None):
         try:
-            while (item := take()) is not None:
-                fn(item)
+            while True:
+                with taking:
+                    k = next(todo, None)
+                if k is None:
+                    break
+                fn(j, k)
         except BaseException as e:  # raised again in the caller below
             errors[j] = e
-
-    def worker(j, finished):
-        run(j)
-        finished.release()
+        if finished is not None:  # a worker thread's: the caller waits on it
+            finished.release()
 
     # threading.Thread.start would wait until the new thread runs
-    finished = [_thread.allocate_lock() for _ in range(1, count)]
-    for j, lock in enumerate(finished, 1):
+    finished = []
+    for j in range(1, threads):
+        lock = _thread.allocate_lock()
         lock.acquire()
-        _thread.start_new_thread(worker, (j, lock))
+        _thread.start_new_thread(run, (j, lock))
+        finished.append(lock)
     run(0)
     for lock in finished:
         lock.acquire()
@@ -251,38 +240,31 @@ def _centred(arrays, mean, blocks, fn) -> None:
     float ``arrays``: ``z`` is their rows side by side, less their joined
     column ``mean`` over all n rows.
 
-    W = ``_workers(len(blocks) // _BLOCKS_PER_THREAD)`` shares run on the
-    threads of :func:`_in_threads`, each taking the next block no share
-    has taken, so a share on a thread that starts late or runs slower
-    takes fewer.  ``z`` is a reused row-major buffer of its share,
-    overwritten by the share's next block.  It is centred ``LANES`` rows
-    at a time, so numpy's inner loop runs over ``LANES`` times its width.
+    The blocks go to the threads of :func:`_in_threads`, one for each
+    ``_BLOCKS_PER_THREAD`` blocks.  ``z`` is a reused row-major buffer of
+    the thread that took the block, overwritten by its next block.  It is
+    centred ``LANES`` rows at a time, so numpy's inner loop runs over
+    ``LANES`` times its width.
     """
     cols = list(itertools.accumulate((a.shape[1] for a in arrays), initial=0))
     rows_max = max(rows.stop - rows.start for rows in blocks)
     tiled = np.tile(mean, LANES)
-    shares = _workers(len(blocks) // _BLOCKS_PER_THREAD)
-    take = _taker(range(len(blocks)))
+    bufs = {}  # thread index -> its buffer, allocated at its first block
 
-    def centre(_):
-        buf = None  # allocated at the share's first block
-        while (k := take()) is not None:
-            if buf is None:
-                buf = np.empty((rows_max, cols[-1]))
-            rows = blocks[k]
-            z = buf[: rows.stop - rows.start]
-            for a, lo, hi in zip(arrays, cols, cols[1:]):
-                z[:, lo:hi] = a[rows]
-            m = len(z) - len(z) % LANES
-            lanes = z[:m].reshape(-1, tiled.size)
-            lanes -= tiled
-            z[m:] -= mean
-            fn(k, z)
+    def centre(j, k):
+        if j not in bufs:
+            bufs[j] = np.empty((rows_max, cols[-1]))
+        rows = blocks[k]
+        z = bufs[j][: rows.stop - rows.start]
+        for a, lo, hi in zip(arrays, cols, cols[1:]):
+            z[:, lo:hi] = a[rows]
+        m = len(z) - len(z) % LANES
+        lanes = z[:m].reshape(-1, tiled.size)
+        lanes -= tiled
+        z[m:] -= mean
+        fn(k, z)
 
-    if shares == 1:  # one share: run it here, without a thread to start
-        centre(0)
-    else:
-        _in_threads(centre, range(shares))
+    _in_threads(centre, len(blocks), _BLOCKS_PER_THREAD)
 
 
 def centred_product(arrays, w: np.ndarray, means=None) -> np.ndarray:

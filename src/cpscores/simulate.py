@@ -52,6 +52,9 @@ class SimulationSpec:
     def __post_init__(self):
         if self.n_cases < 2:
             raise DataError("n_cases must be at least 2")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise DataError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _stream(seed: int, k: int) -> np.random.Generator:
@@ -85,7 +88,7 @@ def simulate_dataset(
     ]
     count = -(-n // SIM_BLOCK)
 
-    def draw(k):
+    def draw(_, k):
         # the values of the whole-block ``normals @ c_sqrt`` and
         # ``f @ loadings' + draw * sd``, a row block at a time in place
         rows = slice(k * SIM_BLOCK, min(n, (k + 1) * SIM_BLOCK))
@@ -105,7 +108,7 @@ def simulate_dataset(
                 part *= sd
                 part += common[sub] @ loadings_t
 
-    _in_threads(draw, range(count))
+    _in_threads(draw, count)
     (*_, x), (*_, y) = indicators
     true_scores = None
     if factors is not None:
@@ -124,13 +127,10 @@ def random_correlation(rng: np.random.Generator, k: int) -> np.ndarray:
     """Random positive definite correlation matrix of order k."""
     for _ in range(100):
         b = rng.standard_normal((k, k + 5))
-        s = b @ b.T
-        d = 1.0 / np.sqrt(np.diag(s))
-        r = s * np.outer(d, d)
-        np.fill_diagonal(r, 1.0)
+        r = corr_from_cov(b @ b.T)
         w = np.linalg.eigvalsh(r)
         if w[0] > 1e-6 * w[-1]:
-            return (r + r.T) / 2.0
+            return r
     raise DataError("failed to draw a positive definite correlation matrix")
 
 

@@ -173,6 +173,16 @@ class TestSimulate:
         f = np.loadtxt(f_path, delimiter=",", skiprows=1)
         assert f.shape == (50, 3)
 
+    def test_negative_seed_exits_two_naming_it(self, tmp_path, model_file, capsys):
+        x_path = tmp_path / "x.csv"
+        assert main([
+            "simulate", model_file, "--n", "10", "--seed", "-1",
+            "--out-x", str(x_path), "--out-y", str(tmp_path / "y.csv"),
+        ]) == 2
+        assert "error: seed must be a non-negative integer, got -1" in \
+            capsys.readouterr().err
+        assert not x_path.exists()
+
 
 class TestScores:
     def test_regression_joint(self, tmp_path, model_file, simulated):
@@ -474,6 +484,13 @@ class TestVerify:
         assert main(["verify", "--seed", "3", "--n", "50"]) == 1
         out = capsys.readouterr().out
         assert "overall: FAIL" in out
+
+    def test_negative_seed_exits_two_naming_it(self, capsys):
+        # exit 1 is a run that fails its checks; a bad seed is an input error
+        assert main(["verify", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: seed must be a non-negative integer, got -1" in captured.err
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")

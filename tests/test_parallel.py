@@ -6,9 +6,10 @@ threads interleave often, and a runner with two CPUs the capped count of
 many.  The simulator's blocks of ``SIM_BLOCK`` rows must give the same
 bytes for every count, at the default ``linalg.ROW_BLOCK`` and at 7 rows;
 the simulator must draw the stream its definition names, written here
-with numpy alone; an error in a worker thread must reach the caller;
-and a thread that is held up must leave the items it has not taken to
-the others.
+with numpy alone; ``_in_threads`` must run its function once for each
+item, on threads numbered below the count it may start, 0 the caller's;
+an error in a worker thread must reach the caller; and a thread that is
+held up must leave the items it has not taken to the others.
 At case counts where each kernel leaves the calling thread,
 ``centred_product``, ``moments`` and a container's kept column means
 must equal the serial loop written here byte for byte, at both block
@@ -112,6 +113,33 @@ def test_threads_follow_the_cpus_up_to_the_cap(force_workers, cpus, pieces, want
     assert linalg._workers(pieces) == want
 
 
+@pytest.mark.parametrize("cpus", WORKERS)
+@pytest.mark.parametrize("per_thread", [1, 4])
+@pytest.mark.parametrize("count", [0, 1, 5, 9])
+def test_each_item_runs_once_on_a_numbered_thread(force_workers, cpus, per_thread,
+                                                  count):
+    force_workers(cpus)
+    ran = []
+    idents = {}
+    lock = threading.Lock()
+
+    def fn(j, k):
+        with lock:
+            ran.append((j, k))
+            idents.setdefault(j, set()).add(threading.get_ident())
+        time.sleep(0.001)  # long enough for a started thread to take items
+
+    linalg._in_threads(fn, count, per_thread)
+    assert sorted(k for _, k in ran) == list(range(count))
+    threads = linalg._workers(count // per_thread)
+    assert all(0 <= j < threads for j, _ in ran)
+    # one thread per index, and index 0 is the caller's
+    assert all(len(ids) == 1 for ids in idents.values())
+    assert len(set().union(*idents.values())) == len(idents)
+    if 0 in idents:
+        assert idents[0] == {threading.get_ident()}
+
+
 class WorkerError(Exception):
     pass
 
@@ -122,17 +150,19 @@ def test_worker_error_reaches_the_caller(force_workers):
     raised = threading.Event()
     caller = threading.get_ident()
 
-    def fn(item):
+    def fn(j, k):
         if threading.get_ident() != caller:
+            assert j == 1
             raised.set()
-            raise WorkerError(item)
+            raise WorkerError(k)
         # the caller holds its first item until the other thread has
         # raised, so that thread takes an item
+        assert j == 0
         assert raised.wait(timeout=60)
-        done.append(item)
+        done.append(k)
 
     with pytest.raises(WorkerError):
-        linalg._in_threads(fn, range(4))
+        linalg._in_threads(fn, 4)
     # the failing thread took one item and no more; the caller took the rest
     assert len(done) == 3
 
@@ -143,10 +173,11 @@ def test_a_slow_thread_takes_fewer_items(force_workers):
     held = threading.Event()
     caller = threading.get_ident()
 
-    def fn(item):
+    def fn(j, k):
         if threading.get_ident() == caller:
+            assert j == 0
             assert held.wait(timeout=60)
-            ran["caller"].append(item)
+            ran["caller"].append(k)
             return
         # the other thread holds its first item until the caller has run
         # every other one, as a thread on a stalled CPU would
@@ -154,10 +185,11 @@ def test_a_slow_thread_takes_fewer_items(force_workers):
         deadline = time.monotonic() + 60
         while len(ran["caller"]) < 5 and time.monotonic() < deadline:
             time.sleep(0.001)
-        ran["other"].append(item)
+        ran["other"].append((j, k))
 
-    linalg._in_threads(fn, range(6))
+    linalg._in_threads(fn, 6)
     assert (len(ran["caller"]), len(ran["other"])) == (5, 1)
+    assert ran["other"][0][0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -259,17 +291,25 @@ def test_kernels_take_threads_only_with_enough_blocks(monkeypatch):
     # on the calling thread; at 8 blocks and more both kernels split
     monkeypatch.setattr(linalg, "_cpus", lambda: 16)
     shared = []
+    indices = set()
     real = linalg._in_threads
-    monkeypatch.setattr(linalg, "_in_threads",
-                        lambda fn, items: shared.append(len(items)) or real(fn, items))
+
+    def in_threads(fn, count, per_thread=1):
+        shared.append(linalg._workers(count // per_thread))
+        real(lambda j, k: indices.add(j) or fn(j, k), count, per_thread)
+
+    monkeypatch.setattr(linalg, "_in_threads", in_threads)
     arrays = kernel_inputs(10_000)
     linalg.moments(arrays)
     linalg.centred_product(arrays, np.eye(9))
-    assert shared == []
+    assert shared == [1, 1]
+    assert indices == {0}
+    del shared[:]
     arrays = kernel_inputs(threaded_rows(linalg.ROW_BLOCK))
     linalg.moments(arrays)
     linalg.centred_product(arrays, np.eye(9))
     assert shared == [2, 2]
+    assert indices <= {0, 1}
 
 
 def test_each_container_sums_its_columns_for_means_once(monkeypatch, model):

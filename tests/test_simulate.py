@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,17 @@ class TestSimulateDataset:
     def test_too_few_cases_rejected(self, model):
         with pytest.raises(DataError):
             SimulationSpec(model, 1, 0)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**40), 1.5, "3", None, True])
+    def test_seed_not_a_non_negative_integer_rejected(self, model, seed):
+        want = f"seed must be a non-negative integer, got {seed!r}"
+        with pytest.raises(DataError, match=re.escape(want)):
+            SimulationSpec(model, 10, seed)
+
+    def test_numpy_integer_seed_accepted(self, model):
+        a = simulate_dataset(SimulationSpec(model, 10, np.int64(4)))
+        b = simulate_dataset(SimulationSpec(model, 10, 4))
+        assert np.array_equal(a[0].values, b[0].values)
 
 
 class TestRandomModels:

@@ -25,8 +25,9 @@ object keeps what is derived from it, computed on first use
 (:func:`_kept`); a :class:`FactorCorr` keeps its square root
 (:func:`cpscores.linalg.corr_sqrt`), and a :class:`DataMatrix` or
 :class:`ScoreMatrix` its k column means
-(:func:`cpscores.linalg._kept_means`), so each matrix's columns are summed
-for their means once.
+(:func:`cpscores.linalg._kept_means`), which the row-block kernels read
+from the matrices they are given, so each matrix's columns are summed for
+their means once.
 """
 
 from __future__ import annotations
@@ -179,10 +180,12 @@ class FactorCorr:
         return self.values.shape[0]
 
 
-def _refuse_no_columns(values: np.ndarray, name: str) -> None:
-    # every kernel centres columns; with none, numpy fails without a name
-    if values.shape[1] == 0:
-        raise DataError(f"{name} has no columns")
+def _refuse_empty(values: np.ndarray, name: str) -> None:
+    # every kernel centres columns on their means; with no cases numpy
+    # warns of 0/0, and with no columns it fails without a name
+    for count, what in zip(values.shape, ("cases", "columns")):
+        if count == 0:
+            raise DataError(f"{name} has no {what}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,9 +199,7 @@ class DataMatrix:
 
     def __post_init__(self):
         values, labels = _as_matrix(self.values, "data matrix", self.labels)
-        if values.shape[0] == 0:
-            raise DataError("data matrix has no cases")
-        _refuse_no_columns(values, "data matrix")
+        _refuse_empty(values, "data matrix")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "labels", labels)
 
@@ -215,7 +216,7 @@ class DataMatrix:
 class ScoreMatrix:
     """Cases-by-factors score matrix, one column per factor label; the
     whole matrix records how the scores were produced (``provenance``); at
-    least one factor."""
+    least one case and one factor."""
 
     values: np.ndarray
     labels: tuple[str, ...]
@@ -224,7 +225,7 @@ class ScoreMatrix:
 
     def __post_init__(self):
         values, labels = _as_matrix(self.values, "score matrix", self.labels)
-        _refuse_no_columns(values, "score matrix")
+        _refuse_empty(values, "score matrix")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "labels", labels)
 

@@ -13,13 +13,14 @@ by side, from one :func:`cpscores.linalg.moments` pass, and
 for any block: ``model.exo`` with the x data, ``model.endo`` with the y
 data or ``model.joint`` with both, one data matrix per loading block,
 checked by the score families' rule
-(:func:`cpscores.model._indicator_values`).  The estimate is exact for
+(:func:`cpscores.model._check_indicators`).  The estimate is exact for
 scores linear in the block's indicators alone, plain or
 correlation-preserving; scores that also use indicators outside the block
 can give a coefficient above 1, which the report's text flags unclipped.
 ``moments`` refuses a constant column of the scores or the indicators by
-label: a constant indicator would drop out of S while the model still
-weights it, a wrong coefficient with no error.  A closed-form population
+its matrix's label, for data the column header of its file: a constant
+indicator would drop out of S while the model still weights it, a wrong
+coefficient with no error.  A closed-form population
 value for exact regression scores is provided as an oracle.
 
 The verb is imported from this module, ``from cpscores.determinacy import
@@ -35,8 +36,8 @@ import numpy as np
 
 from .containers import DataMatrix, ScoreMatrix
 from .errors import DataError, StructuralError
-from .linalg import _kept_means, moments
-from .model import ENDOGENOUS, EXOGENOUS, Block, SemModel, _indicator_values
+from .linalg import moments
+from .model import ENDOGENOUS, EXOGENOUS, Block, SemModel, _check_indicators
 
 NORMALIZER_SD = "sd"
 # Divides by score variances instead of standard deviations.  Only useful to
@@ -84,16 +85,14 @@ def determinacy(
             f"{NORMALIZER_SD!r} or {NORMALIZER_VARIANCE!r}"
         )
     n = scores.n_cases
-    values = _indicator_values(block, data, n, f"{block.name} determinacy")
+    _check_indicators(block, data, n, f"{block.name} determinacy")
     labels = block.factor_labels
     if scores.labels != labels:
         raise StructuralError(
             f"scores are ordered {scores.labels}, expected {labels}"
         )
     k = len(labels)
-    means = [_kept_means(m) for m in (scores, *data)]
-    cov = moments([scores.values, *values], labels + block.indicator_labels,
-                  means)[1]
+    cov = moments([scores, *data])
     var, cross = np.diag(cov)[:k], cov[:k, k:]
     scale = var if normalizer == NORMALIZER_VARIANCE else np.sqrt(var)
     coeffs = np.einsum("ij,ij->i", cross / scale[:, None], block.weights())

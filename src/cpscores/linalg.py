@@ -15,18 +15,18 @@ Conventions used throughout the package:
   ``LANES``; an array with contiguous columns is reduced along them.  No
   sum goes through BLAS, so none depends on the BLAS thread count;
 * the two kernels that touch all n rows of centred data,
-  :func:`centred_product` and :func:`moments`, go a block of rows at a
-  time: the block of each array, whatever its layout, is copied into that
-  array's columns of a reused row-major buffer, and the joined column
-  means are subtracted in place, ``LANES`` rows at a time.
-  :func:`centred_product` writes each block of ``_product_rows()`` rows
-  times the weights into its rows of the result, and :func:`moments`
-  takes each block of ``ROW_BLOCK`` rows' ``z' z`` and sums them in block
-  order, which gives every covariance the package estimates, the
-  determinacy cross moment between scores and indicators included.  No
-  whole centred or stacked copy of the data is made.  Both take the
-  column means their callers hold: a DataMatrix or ScoreMatrix keeps its
-  own (:func:`_kept_means`), so each matrix is summed for its means once;
+  :func:`centred_product` and :func:`moments`, take a list of same-length
+  DataMatrix or ScoreMatrix containers and go a block of rows at a time:
+  the block of each matrix's values, whatever their layout, is copied
+  into that matrix's columns of a reused row-major buffer, and the
+  matrices' column means, which each keeps (:func:`_kept_means`), are
+  subtracted in place, ``LANES`` rows at a time, so each matrix is summed
+  for its means once.  :func:`centred_product` writes each block of
+  ``_product_rows()`` rows times the weights into its rows of the result,
+  and :func:`moments` takes each block of ``ROW_BLOCK`` rows' ``z' z``
+  and sums them in block order, which gives every covariance the package
+  estimates, the determinacy cross moment between scores and indicators
+  included.  No whole centred or stacked copy of the data is made;
 * :func:`_in_threads` hands out independent pieces of work, the
   simulator's row blocks and the blocks of the two kernels above, to W
   threads: W is the number of CPUs the process may use, at most
@@ -220,25 +220,11 @@ def _kept_means(matrix) -> np.ndarray:
     return column_means(matrix.values)
 
 
-def _floats(arrays) -> list[np.ndarray]:
-    return [np.asarray(a, dtype=float) for a in arrays]
-
-
-def _joined_means(arrays, means) -> np.ndarray:
-    """The column means of ``arrays`` side by side: ``means``, one per
-    array, or computed if None.  Raises DataError if there are none."""
-    if means is None:
-        means = [column_means(a) for a in arrays]
-    mean = np.concatenate(means)
-    if not mean.size:
-        raise DataError("no columns to centre")
-    return mean
-
-
-def _centred(arrays, mean, blocks, fn) -> None:
-    """``fn(k, z)`` for each ``blocks[k]`` of rows of the same-length 2-d
-    float ``arrays``: ``z`` is their rows side by side, less their joined
-    column ``mean`` over all n rows.
+def _centred(matrices, blocks, fn) -> np.ndarray:
+    """``fn(k, z)`` for each ``blocks[k]`` of rows of the same-length
+    DataMatrix or ScoreMatrix ``matrices``: ``z`` is their values side by
+    side, less their kept column means (:func:`_kept_means`), which are
+    returned side by side.
 
     The blocks go to the threads of :func:`_in_threads`, one for each
     ``_BLOCKS_PER_THREAD`` blocks.  ``z`` is a reused row-major buffer of
@@ -246,6 +232,8 @@ def _centred(arrays, mean, blocks, fn) -> None:
     centred ``LANES`` rows at a time, so numpy's inner loop runs over
     ``LANES`` times its width.
     """
+    arrays = [m.values for m in matrices]
+    mean = np.concatenate([_kept_means(m) for m in matrices])
     cols = list(itertools.accumulate((a.shape[1] for a in arrays), initial=0))
     rows_max = max(rows.stop - rows.start for rows in blocks)
     tiled = np.tile(mean, LANES)
@@ -265,24 +253,23 @@ def _centred(arrays, mean, blocks, fn) -> None:
         fn(k, z)
 
     _in_threads(centre, len(blocks), _BLOCKS_PER_THREAD)
+    return mean
 
 
-def centred_product(arrays, w: np.ndarray, means=None) -> np.ndarray:
-    """``hstack([a - a.mean(axis=0) for a in arrays]) @ w.T``, written into
-    a preallocated result a row block of ``_product_rows()`` rows at a
-    time; the result is frozen.  ``means`` are the arrays' column means,
-    one per array, computed if None.  Rows are independent, so the result
-    does not depend on the blocks or the threads that share them."""
-    arrays = _floats(arrays)
+def centred_product(matrices, w: np.ndarray) -> np.ndarray:
+    """``hstack([m.values - mean(m) for m in matrices]) @ w.T`` for a list
+    of same-length DataMatrix or ScoreMatrix ``matrices``, written into a
+    preallocated result a row block of ``_product_rows()`` rows at a
+    time; the result is frozen.  Rows are independent, so the result does
+    not depend on the blocks or the threads that share them."""
     w = np.asarray(w, dtype=float)
-    mean = _joined_means(arrays, means)
-    out = np.empty((len(arrays[0]), w.shape[0]))
+    out = np.empty((matrices[0].n_cases, w.shape[0]))
     blocks = row_blocks(len(out), _product_rows())
 
     def product(k, z):
         np.matmul(z, w.T, out=out[blocks[k]])
 
-    _centred(arrays, mean, blocks, product)
+    _centred(matrices, blocks, product)
     out.setflags(write=False)
     return out
 
@@ -299,31 +286,29 @@ def centred_product(arrays, w: np.ndarray, means=None) -> np.ndarray:
 CONSTANT_RTOL = 1e-8
 
 
-def moments(arrays, labels=None, means=None) -> tuple[np.ndarray, np.ndarray]:
-    """Column means and sample covariance, divisor (n - 1), of the columns
-    of the same-length 2-d ``arrays`` taken side by side; ``means`` are
-    the arrays' column means, one per array, computed if None.
+def moments(matrices) -> np.ndarray:
+    """Sample covariance, divisor (n - 1), of the columns of a list of
+    same-length DataMatrix or ScoreMatrix ``matrices`` taken side by side,
+    centred on the column means each matrix keeps.
 
     The covariance is summed over the :func:`row_blocks`, each block of
-    the arrays centred side by side into a reused buffer, so no whole
-    centred or stacked copy of the arrays is made.  The blocks' ``z' z``
+    the matrices centred side by side into a reused buffer, so no whole
+    centred or stacked copy of their values is made.  The blocks' ``z' z``
     may come from several threads, and are summed in block order, so the
-    covariance does not depend on the thread count.  Raises DataError
-    for fewer than 2 rows, no columns, or a constant column (see
-    ``CONSTANT_RTOL``), naming its label, or its index without ``labels``.
+    covariance does not depend on the thread count.  Raises DataError for
+    fewer than 2 rows or a constant column (see ``CONSTANT_RTOL``), naming
+    its label.
     """
-    arrays = _floats(arrays)
-    n = arrays[0].shape[0]
+    n = matrices[0].n_cases
     if n < 2:
         raise DataError(f"at least 2 cases required for sample moments, got {n}")
-    mean = _joined_means(arrays, means)
     blocks = row_blocks(n)
     products = [None] * len(blocks)
 
     def product(k, z):
         products[k] = z.T @ z
 
-    _centred(arrays, mean, blocks, product)
+    mean = _centred(matrices, blocks, product)
     cov = np.zeros((len(mean), len(mean)))
     for p in products:
         cov += p
@@ -333,15 +318,15 @@ def moments(arrays, labels=None, means=None) -> tuple[np.ndarray, np.ndarray]:
     # rule against that bound needs its largest |value|
     if np.any(sd <= CONSTANT_RTOL * (np.abs(mean) + math.sqrt(n - 1) * sd)):
         largest = np.concatenate([
-            np.maximum(_column_reduce(np.maximum, a), -_column_reduce(np.minimum, a))
-            for a in arrays
+            np.maximum(_column_reduce(np.maximum, m.values),
+                       -_column_reduce(np.minimum, m.values))
+            for m in matrices
         ])
         constant = np.flatnonzero(sd <= CONSTANT_RTOL * largest)
         if constant.size:
-            j = int(constant[0])
-            name = j if labels is None else repr(labels[j])
-            raise DataError(f"constant column {name}: zero sample variance")
-    return mean, cov
+            label = [lb for m in matrices for lb in m.labels][constant[0]]
+            raise DataError(f"constant column {label!r}: zero sample variance")
+    return cov
 
 
 def corr_from_cov(cov: np.ndarray) -> np.ndarray:

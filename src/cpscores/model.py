@@ -196,14 +196,13 @@ class Block:
         return cp_multiplier(corr_sqrt(self.corr), a, what) @ self.weights()
 
 
-def _indicator_values(block: Block, data, n: int | None, what: str) -> list[np.ndarray]:
-    """The values of ``data``, one DataMatrix per entry of
-    ``block.loading_blocks``, refused unless there is one per entry, and
-    each has ``n`` rows (those of the first, if None) and that entry's
-    indicators as columns; ``what`` opens the message.  Columns
-    match indicators by position, since a model file names no indicators,
-    but data labelled with that entry's indicator labels in another order
-    are refused at the first misplaced column."""
+def _check_indicators(block: Block, data, n: int | None, what: str) -> None:
+    """Refuse ``data`` unless it holds one DataMatrix per entry of
+    ``block.loading_blocks``, each with ``n`` rows (those of the first, if
+    None) and that entry's indicators as columns; ``what`` opens the
+    message.  Columns match indicators by position, since a model file
+    names no indicators, but data labelled with that entry's indicator
+    labels in another order are refused at the first misplaced column."""
     if len(data) != len(block.loading_blocks):
         matrices = "matrix" if len(data) == 1 else "matrices"
         raise StructuralError(
@@ -226,7 +225,6 @@ def _indicator_values(block: Block, data, n: int | None, what: str) -> list[np.n
                 f"{what}: indicator data column {i + 1} is {d.labels[i]!r}, "
                 f"the model's indicator {i + 1} is {labels[i]!r}"
             )
-    return [d.values for d in data]
 
 
 @functools.cache

@@ -11,7 +11,7 @@ import numpy as np
 
 from .containers import ScoreMatrix, pd_violation
 from .errors import NearSingularError, StructuralError
-from .linalg import _kept_means, corr_from_cov, moments
+from .linalg import corr_from_cov, moments
 
 
 def standardized_betas(predictors: ScoreMatrix, outcomes: ScoreMatrix) -> np.ndarray:
@@ -22,10 +22,7 @@ def standardized_betas(predictors: ScoreMatrix, outcomes: ScoreMatrix) -> np.nda
             f"outcomes have {outcomes.n_cases}"
         )
     k = predictors.n_factors
-    labels = predictors.labels + outcomes.labels
-    cov = moments([predictors.values, outcomes.values], labels,
-                  [_kept_means(predictors), _kept_means(outcomes)])[1]
-    r = corr_from_cov(cov)
+    r = corr_from_cov(moments([predictors, outcomes]))
     r_xx, r_xy = r[:k, :k], r[:k, k:]
     msg = pd_violation(np.linalg.eigvalsh(r_xx), "collinear predictors: correlation")
     if msg:

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from .containers import FactorCorr, ScoreMatrix, DataMatrix
 from .errors import StructuralError
-from .linalg import _kept_means, centred_product, corr_sqrt, cp_multiplier, moments
-from .model import Block, SemModel, _indicator_values
+from .linalg import centred_product, corr_sqrt, cp_multiplier, moments
+from .model import Block, SemModel, _check_indicators
 
 PROV_REGRESSION = "regression"
 PROV_ORTHOGONAL = "orthogonal"
@@ -39,11 +39,9 @@ PROV_CP = "correlation-preserving"
 def _scores(block: Block, data, w, provenance) -> ScoreMatrix:
     """``hstack([d - mean(d) for d in data]) @ w.T``, one column per factor
     of ``block``, with one DataMatrix per entry of its loading blocks
-    (:func:`cpscores.model._indicator_values`)."""
-    values = _indicator_values(block, data, None, f"{provenance} scores")
-    means = [_kept_means(d) for d in data]
-    return ScoreMatrix(centred_product(values, w, means), block.factor_labels,
-                       provenance)
+    (:func:`cpscores.model._check_indicators`)."""
+    _check_indicators(block, data, None, f"{provenance} scores")
+    return ScoreMatrix(centred_product(data, w), block.factor_labels, provenance)
 
 
 def regression_scores(block: Block, *data: DataMatrix) -> ScoreMatrix:
@@ -80,10 +78,9 @@ def cp_transform(p: ScoreMatrix, c_target: FactorCorr) -> ScoreMatrix:
             f"target correlation is ordered {c_target.labels}, "
             f"scores are ordered {p.labels}"
         )
-    mean, cov = moments([p.values], p.labels, [_kept_means(p)])
     what = f"sample correlation of the scores ({', '.join(p.labels)})"
     values = centred_product(
-        [p.values], cp_multiplier(corr_sqrt(c_target), cov, what), [mean])
+        [p], cp_multiplier(corr_sqrt(c_target), moments([p]), what))
     return p.replace_values(values, PROV_CP)
 
 

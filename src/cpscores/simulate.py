@@ -50,11 +50,12 @@ class SimulationSpec:
     emit_true_factors: bool = True
 
     def __post_init__(self):
-        if self.n_cases < 2:
-            raise DataError("n_cases must be at least 2")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise DataError(f"seed must be a non-negative integer, got {seed!r}")
+        for name, value, least, rule in (
+                ("n_cases", self.n_cases, 2, "an integer of at least 2"),
+                ("seed", self.seed, 0, "a non-negative integer")):
+            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                    or value < least):
+                raise DataError(f"{name} must be {rule}, got {value!r}")
 
 
 def _stream(seed: int, k: int) -> np.random.Generator:
@@ -335,7 +336,7 @@ def run_example(seed: int = DEFAULT_SEED, n_cases: int = DEFAULT_N_CASES) -> Exa
     # parameter route: orthogonal-score based cp scores keep phi
     cp_param = cp_scores_from_orthogonal(model.exo, x_data)
     dev = np.max(np.abs(
-        corr_from_cov(moments([cp_param.values])[1]) - model.phi.values))
+        corr_from_cov(moments([cp_param])) - model.phi.values))
     checks.append(ExampleCheck(
         "parameter-route cp scores reproduce phi",
         dev <= SAMPLE_CORR_TOL,

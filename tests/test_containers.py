@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cpscores
-from cpscores import DataError, DataMatrix, ScoreMatrix, StructuralError, linalg
+from cpscores import DataError, DataMatrix, ScoreMatrix, StructuralError
 from cpscores.determinacy import DeterminacyReport
 from cpscores.simulate import ExampleReport
 
@@ -218,13 +218,16 @@ def test_select_of_consecutive_columns_is_a_view():
     assert_read_only(t)
 
 
+@pytest.mark.parametrize("cls, name", [(DataMatrix, "data matrix"),
+                                       (ScoreMatrix, "score matrix")])
 @pytest.mark.parametrize("values", [np.empty((0, 2)), frozen(np.empty((0, 2)))],
                          ids=["copied", "adopted"])
-def test_data_matrix_refuses_zero_cases(values):
-    # scoring would otherwise take column means of no rows, which numpy
-    # warns about instead of refusing
-    with pytest.raises(DataError, match="no cases"):
-        data(values)
+def test_matrices_refuse_zero_cases(cls, name, values):
+    # every kernel would otherwise take column means of no rows, which
+    # numpy warns about instead of refusing
+    with pytest.raises(DataError) as info:
+        cls(values, LABELS)
+    assert str(info.value) == f"{name} has no cases"
 
 
 @pytest.mark.parametrize("cls, name", [(DataMatrix, "data matrix"),
@@ -238,13 +241,10 @@ def test_matrices_refuse_no_columns(cls, name, values):
     assert str(info.value) == f"{name} has no columns"
 
 
-def test_betas_and_moments_refuse_no_columns():
+def test_betas_refuse_no_columns():
     eta = ScoreMatrix(np.arange(10.0).reshape(5, 2) ** 2, ("eta1", "eta2"))
     with pytest.raises(DataError, match="score matrix has no columns"):
         cpscores.standardized_betas(ScoreMatrix(np.empty((5, 0)), ()), eta)
-    for kernel in (linalg.moments, lambda a: linalg.centred_product(a, np.eye(0))):
-        with pytest.raises(DataError, match="no columns"):
-            kernel([np.empty((5, 0))])
 
 
 @pytest.mark.parametrize("cls", [

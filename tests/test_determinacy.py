@@ -97,6 +97,17 @@ class TestDeterminacyExo:
         with pytest.raises(DataError, match="constant column 'x3'"):
             determinacy(model.exo, reg, DataMatrix(values, x_data.labels))
 
+    def test_constant_indicator_named_by_the_data_label(self, model):
+        # the data matrix's own label, the column header of the user's file,
+        # names the column, not the model's indicator label
+        x_data, _, _ = simulate(model, n=2_000, seed=1)
+        reg = regression_scores(model.exo, x_data)
+        values = x_data.values.copy()
+        values[:, 2] = 0.5
+        labels = tuple("abcdefghijklmnopqrstuvwxyz"[:model.n_x])
+        with pytest.raises(DataError, match="constant column 'c'"):
+            determinacy(model.exo, reg, DataMatrix(values, labels))
+
     def test_zero_variance_rejected(self, model):
         x_data, _, _ = simulate(model, n=50, seed=1)
         scores = ScoreMatrix(np.ones((50, 3)), model.xi_labels)

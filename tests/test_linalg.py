@@ -10,7 +10,7 @@ from cpscores import (
     standardized_betas,
 )
 from cpscores.determinacy import determinacy
-from cpscores.linalg import _sym_power, column_means, corr_from_cov, moments
+from cpscores.linalg import _kept_means, _sym_power, column_means, corr_from_cov, moments
 from cpscores.simulate import SimulationSpec, simulate_dataset
 from conftest import spd_matrix
 
@@ -23,7 +23,7 @@ def scores(values, labels=None):
 
 def sample_corr(s):
     """The package's sample correlation of a score matrix."""
-    return corr_from_cov(moments([s.values], s.labels)[1])
+    return corr_from_cov(moments([s]))
 
 
 class TestSpectral:
@@ -89,32 +89,35 @@ class TestSymInvSqrt:
 
 
 class TestMoments:
+    # the kernel centres each matrix on the column means it keeps
     def test_simple_column(self):
-        values = np.array([[1.0], [2.0], [3.0]])
-        mean, cov = moments([values])
-        assert (values - mean)[:, 0] == pytest.approx([-1.0, 0.0, 1.0])
+        s = scores([[1.0], [2.0], [3.0]])
+        cov = moments([s])
+        assert (s.values - _kept_means(s))[:, 0] == pytest.approx([-1.0, 0.0, 1.0])
         assert cov == pytest.approx(np.ones((1, 1)))
 
     def test_already_centered_unchanged(self):
-        values = np.array([[-1.0, 2.0], [1.0, -2.0]])
-        mean, _ = moments([values])
-        assert values - mean == pytest.approx(values)
+        s = scores([[-1.0, 2.0], [1.0, -2.0]])
+        moments([s])
+        assert s.values - _kept_means(s) == pytest.approx(s.values)
 
     def test_covariance_divides_by_n_minus_one(self, rng):
         values = rng.standard_normal((30, 4)) + np.array([5.0, -2.0, 0.0, 1e3])
-        mean, cov = moments([values])
-        assert (values - mean).mean(axis=0) == pytest.approx(np.zeros(4), abs=1e-12)
+        s = scores(values)
+        cov = moments([s])
+        assert (values - _kept_means(s)).mean(axis=0) == pytest.approx(
+            np.zeros(4), abs=1e-12)
         assert cov == pytest.approx(np.cov(values, rowvar=False), abs=1e-12)
 
     def test_single_case_rejected(self):
         with pytest.raises(DataError, match="at least 2 cases"):
-            moments([[[1.0]]])
+            moments([scores([[1.0]])])
 
     def test_zero_variance_rejected(self):
-        with pytest.raises(DataError, match="'f1'"):
-            moments([[[1.0], [1.0]]], ("f1",))
-        with pytest.raises(DataError, match="column 1"):
-            moments([[[1.0, 2.0], [3.0, 2.0]]])
+        with pytest.raises(DataError, match="constant column 'f1'"):
+            moments([scores([[1.0], [1.0]])])
+        with pytest.raises(DataError, match="constant column 'f2'"):
+            moments([scores([[1.0, 2.0], [3.0, 2.0]])])
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -123,9 +126,12 @@ def test_constant_column_means_at_a_million_rows(order):
     values = np.array([0.1, 1.0 / 3.0, 0.7, 1e6 + 0.1])
     a = np.empty((10**6, 4), order=order)
     a[:] = values
+    a.setflags(write=False)  # adopted by the container in its own layout
     assert np.all(np.abs(column_means(a) - values) <= 1e-12 * values)
-    with pytest.raises(DataError, match="constant column 0"):
-        moments([a])
+    s = scores(a)
+    assert s.values is a
+    with pytest.raises(DataError, match="constant column 'f1'"):
+        moments([s])
 
 
 def test_corr_from_cov_unit_diagonal_and_symmetric(rng):

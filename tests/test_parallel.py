@@ -172,17 +172,19 @@ def test_a_slow_thread_takes_fewer_items(force_workers):
     ran = {"caller": [], "other": []}
     held = threading.Event()
     caller = threading.get_ident()
+    # one deadline for every wait, so a seam that numbers its threads
+    # wrongly fails the test within 60 s instead of 60 s per item
+    deadline = time.monotonic() + 60
 
     def fn(j, k):
         if threading.get_ident() == caller:
             assert j == 0
-            assert held.wait(timeout=60)
+            assert held.wait(timeout=max(0.0, deadline - time.monotonic()))
             ran["caller"].append(k)
             return
         # the other thread holds its first item until the caller has run
         # every other one, as a thread on a stalled CPU would
         held.set()
-        deadline = time.monotonic() + 60
         while len(ran["caller"]) < 5 and time.monotonic() < deadline:
             time.sleep(0.001)
         ran["other"].append((j, k))
@@ -246,15 +248,21 @@ def threaded_rows(row_block):
 
 def kernel_inputs(n):
     """A row-major, a column-major and a strided array, with means far
-    from zero, frozen."""
+    from zero, frozen (the strided one's base before it was taken)."""
     rng = np.random.default_rng(n)
     a = rng.standard_normal((n, 4)) + rng.uniform(-50.0, 50.0, 4)
     b = np.asfortranarray(rng.standard_normal((n, 3)) * 3.0 + 7.0)
     wide = rng.standard_normal((n, 5)) - 20.0
-    c = wide[:, 1:3]
     for arr in (a, b, wide):
         arr.setflags(write=False)
-    return [a, b, c]
+    return [a, b, wide[:, 1:3]]
+
+
+def containers(arrays):
+    """A fresh DataMatrix of each array, which adopts it in its layout."""
+    matrices = [DataMatrix(a, tuple("abcdefg"[:a.shape[1]])) for a in arrays]
+    assert all(m.values is a for m, a in zip(matrices, arrays))
+    return matrices
 
 
 @pytest.mark.parametrize("row_block", [7, linalg.ROW_BLOCK])
@@ -270,20 +278,19 @@ def test_kernels_equal_the_serial_loop_for_any_thread_count(
     want_means = [linalg.column_means(a) for a in arrays]
 
     def run():
-        mean, cov = linalg.moments(arrays)
-        product = linalg.centred_product(arrays, w)
-        given = linalg.centred_product(arrays, w, want_means)
-        kept = [linalg._kept_means(DataMatrix(a, tuple("abcdefg"[:a.shape[1]])))
-                for a in arrays]
-        return [product, given, mean, cov, *kept]
+        # fresh containers for each kernel, so each sums the columns for
+        # their means
+        for_moments, for_product = containers(arrays), containers(arrays)
+        cov = linalg.moments(for_moments)
+        product = linalg.centred_product(for_product, w)
+        kept = [linalg._kept_means(m) for m in for_moments + for_product]
+        return [product, cov, *kept]
 
     for got in by_workers(force_workers, run):
-        product, given, mean, cov, *kept = got
+        product, cov, *kept = got
         assert product.tobytes() == want_product.tobytes()
-        assert given.tobytes() == want_product.tobytes()
-        assert mean.tobytes() == np.concatenate(want_means).tobytes()
         assert cov.tobytes() == want_cov.tobytes()
-        assert [m.tobytes() for m in kept] == [m.tobytes() for m in want_means]
+        assert [m.tobytes() for m in kept] == [m.tobytes() for m in want_means * 2]
 
 
 def test_kernels_take_threads_only_with_enough_blocks(monkeypatch):
@@ -299,15 +306,15 @@ def test_kernels_take_threads_only_with_enough_blocks(monkeypatch):
         real(lambda j, k: indices.add(j) or fn(j, k), count, per_thread)
 
     monkeypatch.setattr(linalg, "_in_threads", in_threads)
-    arrays = kernel_inputs(10_000)
-    linalg.moments(arrays)
-    linalg.centred_product(arrays, np.eye(9))
+    matrices = containers(kernel_inputs(10_000))
+    linalg.moments(matrices)
+    linalg.centred_product(matrices, np.eye(9))
     assert shared == [1, 1]
     assert indices == {0}
     del shared[:]
-    arrays = kernel_inputs(threaded_rows(linalg.ROW_BLOCK))
-    linalg.moments(arrays)
-    linalg.centred_product(arrays, np.eye(9))
+    matrices = containers(kernel_inputs(threaded_rows(linalg.ROW_BLOCK)))
+    linalg.moments(matrices)
+    linalg.centred_product(matrices, np.eye(9))
     assert shared == [2, 2]
     assert indices <= {0, 1}
 

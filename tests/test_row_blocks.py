@@ -145,17 +145,23 @@ def test_large_column_offset_keeps_scores(seed, shape, n):
         assert np.max(np.abs(got.values - near[name].values)) < 1e-9, name
 
 
-def laid_out(values, layout):
-    """``values`` frozen in a row-major or column-major array of their own,
-    or as a view of every other column of a wider row-major array."""
+def laid_out(values, layout, cls=DataMatrix, labels=None):
+    """``values`` in a ``cls`` with ``labels`` (``c1``, ``c2``, ... if
+    None), which adopts them frozen in a row-major or column-major array
+    of their own, or as a view of every other column of a wider row-major
+    array frozen before the view was taken."""
     if layout == "strided":
         wide = np.zeros((values.shape[0], 2 * values.shape[1] + 1))
         wide[:, 1::2] = values
+        wide.setflags(write=False)
         out = wide[:, 1::2]
     else:
         out = np.array(values, order=layout)
-    out.setflags(write=False)
-    return out
+        out.setflags(write=False)
+    labels = labels or tuple(f"c{i + 1}" for i in range(values.shape[1]))
+    matrix = cls(out, labels)
+    assert np.shares_memory(matrix.values, out)  # no silent copy
+    return matrix
 
 
 def assert_close(got, want):
@@ -173,7 +179,9 @@ def offset_draws(seed, n, widths):
 def check_moments(layouts, n):
     a, b = offset_draws(n, n, (4, 1))
     z = np.hstack([a, b])
-    mean, cov = linalg.moments([laid_out(d, lay) for d, lay in zip((a, b), layouts)])
+    matrices = [laid_out(d, lay) for d, lay in zip((a, b), layouts)]
+    cov = linalg.moments(matrices)
+    mean = np.concatenate([linalg._kept_means(m) for m in matrices])
     assert_close(mean, z.mean(axis=0))
     assert_close(cov, np.cov(z, rowvar=False))
 
@@ -187,12 +195,10 @@ def check_centred_product(layouts, n):
 
 
 def check_determinacy(layouts, n):
-    # a column-major array is adopted by its container as it is; a strided
-    # view is copied, row-major
     model = random_model(np.random.default_rng(n), *SHAPES[0])
     s, x = offset_draws(n, n, (model.n_xi, model.n_x))
-    scores = ScoreMatrix(laid_out(s, layouts[0]), model.exo.factor_labels)
-    data = DataMatrix(laid_out(x, layouts[1]), model.x_labels)
+    scores = laid_out(s, layouts[0], ScoreMatrix, model.exo.factor_labels)
+    data = laid_out(x, layouts[1], DataMatrix, model.x_labels)
     p = centred(s)
     cross = p.T @ centred(x) / (n - 1)
     sd = np.sqrt(np.sum(p * p, axis=0) / (n - 1))

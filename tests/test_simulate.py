@@ -76,6 +76,17 @@ class TestSimulateDataset:
         with pytest.raises(DataError, match=re.escape(want)):
             SimulationSpec(model, 10, seed)
 
+    @pytest.mark.parametrize("n_cases", [1, 0, -3, 3.0, "5", None, True])
+    def test_n_cases_not_an_integer_of_at_least_2_rejected(self, model, n_cases):
+        want = f"n_cases must be an integer of at least 2, got {n_cases!r}"
+        with pytest.raises(DataError, match=re.escape(want)):
+            SimulationSpec(model, n_cases, 0)
+
+    def test_numpy_integer_n_cases_accepted(self, model):
+        a = simulate_dataset(SimulationSpec(model, np.int64(10), 4))
+        b = simulate_dataset(SimulationSpec(model, 10, 4))
+        assert np.array_equal(a[0].values, b[0].values)
+
     def test_numpy_integer_seed_accepted(self, model):
         a = simulate_dataset(SimulationSpec(model, 10, np.int64(4)))
         b = simulate_dataset(SimulationSpec(model, 10, 4))

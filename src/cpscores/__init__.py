@@ -24,7 +24,6 @@ from .io import (
 from .model import Block, SemModel, validate_model
 from .regression import standardized_betas
 from .scores import (
-    cp_scores_from_orthogonal,
     cp_scores_from_params,
     cp_transform,
     orthogonal_scores,
@@ -43,9 +42,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Block", "CpscoresError", "DataError", "DataMatrix", "FactorCorr",
     "ModelError", "NearSingularError", "ScoreMatrix", "SemModel",
-    "SimulationSpec", "StructuralError", "cp_scores_from_orthogonal",
-    "cp_scores_from_params", "cp_transform", "example_model", "model_hash",
-    "orthogonal_scores", "parse_model_file", "random_model", "read_data_csv",
-    "read_scores_csv", "regression_scores", "run_example", "simulate_dataset",
+    "SimulationSpec", "StructuralError", "cp_scores_from_params",
+    "cp_transform", "example_model", "model_hash", "orthogonal_scores",
+    "parse_model_file", "random_model", "read_data_csv", "read_scores_csv",
+    "regression_scores", "run_example", "simulate_dataset",
     "standardized_betas", "validate_model", "write_scores_csv",
 ]

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
-
-import numpy as np
 
 from . import io
 from .determinacy import NORMALIZER_SD, NORMALIZER_VARIANCE, determinacy
@@ -107,6 +106,14 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    # a second write to one file would keep only the last output
+    named: dict[str, str] = {}
+    for flag, path in (("--out-x", args.out_x), ("--out-y", args.out_y),
+                       ("--out-factors", args.out_factors)):
+        if path is not None:
+            first = named.setdefault(os.path.realpath(path), flag)
+            if first != flag:
+                raise CpscoresError(f"{first} and {flag} name the same file {path}")
     model = io.parse_model_file(args.model)
     spec = SimulationSpec(
         model, args.n, args.seed, emit_true_factors=args.out_factors is not None

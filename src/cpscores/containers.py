@@ -12,12 +12,14 @@ too.  The package's producers freeze each fresh result
 (``setflags(write=False)``) before wrapping it, so a result, its transpose,
 a slice of it or a view of a read-only mapped file is held as it is.  Every
 other input (a read-only view of a writable array, a writable map, another
-dtype, a list) is copied and the copy is write-protected.  Either way
-``_check_matrix``, which the CSV reader and writer call too, checks shape,
-labels and cells.  An adopted view, like a :meth:`ScoreMatrix.select` of
-consecutive columns, keeps its parent's whole buffer alive for as long as
-the container lives.  A :class:`ScoreMatrix` carries factor labels only;
-the model's blocks say which block each factor belongs to.
+dtype, a list) is copied and the copy is write-protected.  Either way one
+rule, ``_check_matrix``, holds for every container, every model array and
+the CSV reader and writer: a 2-d matrix of finite cells with at least one
+row and one column, and one unique label per column where it has labels.
+An adopted view, like a :meth:`ScoreMatrix.select` of consecutive columns,
+keeps its parent's whole buffer alive for as long as the container lives.
+:class:`DataMatrix` and :class:`ScoreMatrix` share one body; a ScoreMatrix
+carries factor labels only, and the model's blocks place each factor.
 
 An immutable object that holds arrays compares and hashes by identity
 (``eq=False``): ``==`` between arrays has no single truth value.  Such an
@@ -73,16 +75,20 @@ def _as_matrix(values, name: str, labels=None):
 
 
 def _check_matrix(a: np.ndarray, prefix: str, labels=None):
-    """Refuse ``a`` unless it is a 2-d matrix of finite cells with, given
-    ``labels`` (returned as strings), one unique label per column; messages
-    start with ``prefix``.  A finite sum of the cells needs no n x k mask;
-    one that overflowed is told apart from a non-finite cell by the mask.
-    ``einsum`` sums a strided view, such as a selection of columns, with no
-    iterator buffer, where ``a.sum()`` would allocate 64 KiB."""
+    """Refuse ``a`` unless it is a 2-d matrix of finite cells with at least
+    one row and one column and, given ``labels`` (returned as strings), one
+    unique label per column; messages start with ``prefix``.  (With no
+    rows a column mean is 0/0; with no columns numpy fails unnamed.)  A
+    finite sum of the cells needs no n x k mask; one that overflowed is told
+    apart from a non-finite cell by the mask.  ``einsum`` sums a strided
+    view with no iterator buffer, where ``a.sum()`` would allocate 64 KiB."""
     if a.ndim != 2:
         raise StructuralError(
             f"{prefix}: values must be a 2-d matrix, got shape {a.shape}"
         )
+    for count, axis in zip(a.shape, ("rows", "columns")):
+        if count == 0:
+            raise DataError(f"{prefix}: no {axis}")
     if labels is not None:
         labels = _check_labels(labels, a.shape[1], prefix)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -180,32 +186,29 @@ class FactorCorr:
         return self.values.shape[0]
 
 
-def _refuse_empty(values: np.ndarray, name: str) -> None:
-    # every kernel centres columns on their means; with no cases numpy
-    # warns of 0/0, and with no columns it fails without a name
-    for count, what in zip(values.shape, ("cases", "columns")):
-        if count == 0:
-            raise DataError(f"{name} has no {what}")
-
-
 @dataclass(frozen=True, eq=False)
-class DataMatrix:
-    """Cases-by-indicators numeric matrix with indicator labels; at least
-    one case and one indicator."""
+class _LabelledMatrix:
+    """Cases-by-columns matrix, one label per column; ``_name`` opens its messages."""
 
     values: np.ndarray
     labels: tuple[str, ...]
     _derived: dict = _derived_field()
 
     def __post_init__(self):
-        values, labels = _as_matrix(self.values, "data matrix", self.labels)
-        _refuse_empty(values, "data matrix")
+        values, labels = _as_matrix(self.values, self._name, self.labels)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "labels", labels)
 
     @property
     def n_cases(self) -> int:
         return self.values.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class DataMatrix(_LabelledMatrix):
+    """Cases-by-indicators numeric matrix with indicator labels."""
+
+    _name = "data matrix"
 
     @property
     def n_vars(self) -> int:
@@ -213,25 +216,12 @@ class DataMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class ScoreMatrix:
+class ScoreMatrix(_LabelledMatrix):
     """Cases-by-factors score matrix, one column per factor label; the
-    whole matrix records how the scores were produced (``provenance``); at
-    least one case and one factor."""
+    whole matrix records how the scores were produced (``provenance``)."""
 
-    values: np.ndarray
-    labels: tuple[str, ...]
     provenance: str = "unspecified"
-    _derived: dict = _derived_field()
-
-    def __post_init__(self):
-        values, labels = _as_matrix(self.values, "score matrix", self.labels)
-        _refuse_empty(values, "score matrix")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def n_cases(self) -> int:
-        return self.values.shape[0]
+    _name = "score matrix"
 
     @property
     def n_factors(self) -> int:

@@ -57,17 +57,18 @@ Errors name the file and the line, or the data row and the column for a
 non-finite value.  A stream that cannot seek back (a pipe, a FIFO,
 ``/dev/stdin``) is copied once to an unnamed temporary file and read from
 there as a file is, with the same results and messages.  The writer
-refuses non-finite values and duplicate labels too: both sides call the
-containers' one rule for labelled matrices.  It also refuses what the
-reader would read back under other labels: a label with surrounding
-whitespace, and a first label named like a case-id column.  The writer
-emits the header through ``csv.writer`` and each value as ``%.17g``
-formats it, with CRLF line ends, so a write/read round trip is exact to
-double precision.  The body is formatted in numpy, a chunk of cells at a
-time (``_csvformat``), to the bytes, ``-0`` and the stripped trailing
-zeros included, that the earlier cell-by-cell writer produced.  A write
-that fails part way removes the regular file it was writing, whose whole
-rows would otherwise read as valid.
+refuses non-finite values, duplicate labels and a matrix with no rows or
+columns too: both sides call the containers' one rule for labelled
+matrices.  It also refuses what the reader would read back under other
+labels: a label with surrounding whitespace, and a first label named like
+a case-id column.  The writer emits the header through ``csv.writer``
+and each value as ``%.17g`` formats it, with CRLF line ends, so a
+write/read round trip is exact to double precision.  The body is
+formatted in numpy, a chunk of cells at a time (``_csvformat``), to the
+bytes, ``-0`` and the stripped trailing zeros included, that the earlier
+cell-by-cell writer produced.  A write that fails part way removes the
+regular file it was writing, whose whole rows would otherwise read as
+valid.
 
 Parsed-file cache: after parsing a regular file ``x.csv``, named by its
 path and not through a symlink, the reader keeps ``.x.csv.cpscores.npy``
@@ -327,11 +328,10 @@ def write_matrix_csv(path, labels, values) -> None:
     trailing zeros stripped.  The body is formatted in numpy a chunk of
     whole rows at a time (``_format_cells``).  What the reader would
     refuse, or read back otherwise, raises before the file is opened: the
-    containers' rule on shape, labels and finite cells; a label with
-    surrounding whitespace, which the reader strips; a first label the
-    reader takes for a case-id column; a matrix with no rows, whose
-    header-only file has no data rows; and a matrix with no columns, whose
-    file of bare line ends has no header.
+    containers' rule on shape, labels and finite cells, which refuses a
+    matrix with no rows or no columns; a label with surrounding whitespace,
+    which the reader strips; and a first label the reader takes for a
+    case-id column.
 
     A write that fails once the file is open, interrupted or short of
     space, removes the file if it is still the regular file it opened:
@@ -353,10 +353,6 @@ def write_matrix_csv(path, labels, values) -> None:
             f"{path}: first label {labels[0]!r} would be read back as a "
             "case-id column and dropped"
         )
-    if values.shape[0] == 0:
-        raise DataError(f"{path}: no data rows to write")
-    if values.shape[1] == 0:
-        raise DataError(f"{path}: no data columns to write")
     k = values.shape[1]
     chunk_rows = max(1, _WRITE_CHUNK_CELLS // k)
     row_ends = np.zeros((chunk_rows, k), np.intp)

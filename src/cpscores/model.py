@@ -331,7 +331,8 @@ class SemModel:
                 if dev > PSI_CONSISTENCY_TOL:
                     raise StructuralError(
                         "psi and eta_corr are inconsistent "
-                        f"(max deviation {dev:.2e})"
+                        f"(max deviation {dev:.2e}); to change a model, pass "
+                        "psi=None to keep eta_corr or eta_corr=None to keep psi"
                     )
         else:
             psi = _as_matrix(eta_corr.values - implied, "psi")

@@ -5,11 +5,11 @@ block (:class:`cpscores.model.Block`) applied to its centred indicators,
 one data matrix per loading block: regression scores ``C L' sigma^{-1}``,
 orthogonal scores ``(L' sigma^{-1} L)^{-1/2} L' sigma^{-1}``, and
 correlation-preserving scores from parameters, which premultiply the
-regression weights by the multiplier below, or the orthogonal weights by
-``C^{1/2}``, C the block's FactorCorr.  A block keeps each of its weight
-matrices, so repeated scoring under one model repeats only the product
-with the data.  Regression scores of ``model.joint``, which condition on
-every indicator, stand in for mean plausible values.
+regression weights by the multiplier below; C is the block's FactorCorr.
+A block keeps each of its weight matrices, so repeated scoring under one
+model repeats only the product with the data.  Regression scores of
+``model.joint``, which condition on every indicator, stand in for mean
+plausible values.
 
 The correlation-preserving multiplier ``C^{1/2} R^{-1/2} diag(cov)^{-1/2}``
 (:func:`cpscores.linalg.cp_multiplier`) standardizes scores of covariance
@@ -107,10 +107,3 @@ def orthogonal_scores(model: SemModel, x_data: DataMatrix) -> ScoreMatrix:
         model.exo, [x_data], model.exo.orthogonal_weights(), PROV_ORTHOGONAL
     )
 
-
-def cp_scores_from_orthogonal(block: Block, *data: DataMatrix) -> ScoreMatrix:
-    """Correlation-preserving scores of a block as ``C^{1/2}`` times its
-    orthogonal score, with weights ``C^{1/2}`` times the orthogonal
-    weights, C the block's factor correlation; population covariance C."""
-    w = corr_sqrt(block.corr) @ block.orthogonal_weights()
-    return _scores(block, data, w, PROV_CP)

@@ -33,7 +33,7 @@ from .io import model_hash, parse_model_file
 from .linalg import _in_threads, corr_from_cov, corr_sqrt, moments, row_blocks
 from .model import SemModel, combined_factor_corr
 from .regression import standardized_betas
-from .scores import cp_scores_from_orthogonal, cp_transform, regression_scores
+from .scores import cp_scores_from_params, cp_transform, regression_scores
 
 # Rows per random stream: the smallest power of two at or above the
 # verification run's default case count, so that run draws one stream.
@@ -333,8 +333,8 @@ def run_example(seed: int = DEFAULT_SEED, n_cases: int = DEFAULT_N_CASES) -> Exa
         f"max deviation {dev:.3f} (tol {DETERMINACY_TOL})",
     ))
 
-    # parameter route: orthogonal-score based cp scores keep phi
-    cp_param = cp_scores_from_orthogonal(model.exo, x_data)
+    # parameter route: the cp scores `scores --method cp-params` writes keep phi
+    cp_param = cp_scores_from_params(model, x_data)
     dev = np.max(np.abs(
         corr_from_cov(moments([cp_param])) - model.phi.values))
     checks.append(ExampleCheck(

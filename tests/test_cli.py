@@ -183,6 +183,27 @@ class TestSimulate:
             capsys.readouterr().err
         assert not x_path.exists()
 
+    @pytest.mark.parametrize("x, y, factors, flags", [
+        ("s.csv", "s.csv", None, "--out-x and --out-y"),
+        ("x.csv", "s.csv", "link.csv", "--out-y and --out-factors"),
+        ("link.csv", "y.csv", "s.csv", "--out-x and --out-factors"),
+    ], ids=["x-y", "y-factors-by-link", "x-factors-by-link"])
+    def test_two_outputs_to_one_file_exit_two(self, tmp_path, model_file,
+                                              capsys, x, y, factors, flags):
+        # the second write would keep only the last output
+        (tmp_path / "link.csv").symlink_to(tmp_path / "s.csv")
+        argv = ["simulate", model_file, "--n", "10", "--seed", "1",
+                "--out-x", str(tmp_path / x), "--out-y", str(tmp_path / y)]
+        if factors is not None:
+            argv += ["--out-factors", str(tmp_path / factors)]
+        assert main(argv) == 2
+        second = tmp_path / (y if factors is None else factors)
+        assert capsys.readouterr().err == (
+            f"error: {flags} name the same file {second}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "link.csv", "model.txt"]
+        assert not (tmp_path / "link.csv").exists()  # still dangling
+
 
 class TestScores:
     def test_regression_joint(self, tmp_path, model_file, simulated):

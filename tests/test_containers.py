@@ -227,7 +227,7 @@ def test_matrices_refuse_zero_cases(cls, name, values):
     # numpy warns about instead of refusing
     with pytest.raises(DataError) as info:
         cls(values, LABELS)
-    assert str(info.value) == f"{name} has no cases"
+    assert str(info.value) == f"{name}: no rows"
 
 
 @pytest.mark.parametrize("cls, name", [(DataMatrix, "data matrix"),
@@ -238,13 +238,35 @@ def test_matrices_refuse_no_columns(cls, name, values):
     # every kernel centres columns; with none, numpy failed without a name
     with pytest.raises(DataError) as info:
         cls(values, ())
-    assert str(info.value) == f"{name} has no columns"
+    assert str(info.value) == f"{name}: no columns"
 
 
 def test_betas_refuse_no_columns():
     eta = ScoreMatrix(np.arange(10.0).reshape(5, 2) ** 2, ("eta1", "eta2"))
-    with pytest.raises(DataError, match="score matrix has no columns"):
+    with pytest.raises(DataError, match="score matrix: no columns"):
         cpscores.standardized_betas(ScoreMatrix(np.empty((5, 0)), ()), eta)
+
+
+# FactorCorr refusals, with the whole message
+FACTOR_CORR_REFUSALS = [
+    ("no-rows-or-columns", (), np.zeros((0, 0)), DataError,
+     "correlation matrix: no rows"),
+    ("no-rows", ("a",), np.zeros((0, 1)), DataError,
+     "correlation matrix: no rows"),
+    ("not-square", LABELS, np.eye(3)[:, :2], StructuralError,
+     "correlation matrix must be square, got (3, 2)"),
+    ("diagonal", LABELS, [[1.0, 0.2], [0.2, 0.9]], StructuralError,
+     "correlation matrix diagonal differs from 1"),
+]
+
+
+@pytest.mark.parametrize("labels, values, error, message", [
+    pytest.param(*row, id=name) for name, *row in FACTOR_CORR_REFUSALS])
+def test_factor_corr_refusal(labels, values, error, message):
+    with pytest.raises(error) as info:
+        cpscores.FactorCorr(labels, values)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("cls", [

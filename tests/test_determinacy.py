@@ -234,6 +234,29 @@ def test_unknown_normalizer_refused(model, normalizer):
         determinacy(model.exo, reg, x_data, normalizer=normalizer)
 
 
+# Refusals of score columns that are not the block's factors in its
+# order, with the whole message
+SCORE_ORDER_REFUSALS = [
+    ("reversed-xi", "exo", ("xi3", "xi2", "xi1"),
+     "scores are ordered ('xi3', 'xi2', 'xi1'), expected ('xi1', 'xi2', 'xi3')"),
+    ("swapped-eta", "endo", ("eta2", "eta1"),
+     "scores are ordered ('eta2', 'eta1'), expected ('eta1', 'eta2')"),
+    ("other-block", "endo", ("xi1", "xi2"),
+     "scores are ordered ('xi1', 'xi2'), expected ('eta1', 'eta2')"),
+]
+
+
+@pytest.mark.parametrize("block, labels, message", [
+    pytest.param(*row, id=name) for name, *row in SCORE_ORDER_REFUSALS])
+def test_score_order_refusal(model, block, labels, message):
+    x_data, y_data, _ = simulate(model, n=50, seed=3)
+    data = x_data if block == "exo" else y_data
+    scores = ScoreMatrix(np.arange(50.0 * len(labels)).reshape(50, -1), labels)
+    with pytest.raises(StructuralError) as info:
+        determinacy(getattr(model, block), scores, data)
+    assert str(info.value) == message
+
+
 def test_singular_implied_covariance_raises_package_error(rng):
     # two indicators with unit loadings on one factor: sigma is exactly singular
     m = SemModel(

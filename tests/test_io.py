@@ -362,6 +362,39 @@ class TestParseModelFile:
         assert broken
 
 
+# Model-file refusals, one edit of GOOD_MODEL each, with the whole message;
+# ``{path}`` stands for the file's path.
+MODEL_FILE_REFUSALS = [
+    ("duplicate-block", ("[eta_corr]\n1.0\n", "[eta_corr]\n1.0\n[phi]\n1.0\n"),
+     "line 24: duplicate block [phi]"),
+    ("empty-block", ("[lambda_y]\n0.7\n0.65\n", "[lambda_y]\n"),
+     "block [lambda_y] is empty"),
+    ("malformed-dimension", ("n_y 2\n", "n_y\n"),
+     "line 6: expected '<n_x|n_xi|n_y|n_eta> <count>'"),
+    ("unknown-dimension", ("n_y 2\n", "n_z 2\n"),
+     "line 6: expected '<n_x|n_xi|n_y|n_eta> <count>'"),
+    ("non-integer-dimension", ("n_y 2\n", "n_y 2.5\n"),
+     "line 6: non-integer dimension"),
+    ("missing-dimension", ("n_eta 1\n", ""),
+     "{path}: [dimensions] is missing n_eta"),
+    ("asymmetric-phi", ("0.3 1.0", "0.4 1.0"),
+     "{path}: correlation matrix is not symmetric"),
+    ("phi-diagonal", ("0.3 1.0", "0.3 0.9"),
+     "{path}: correlation matrix diagonal differs from 1"),
+]
+
+
+@pytest.mark.usefixtures("model_memo")
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(e, m, id=name) for name, e, m in MODEL_FILE_REFUSALS])
+def test_model_file_refusal(tmp_path, edit, message):
+    assert GOOD_MODEL.count(edit[0]) == 1
+    path = write(tmp_path, GOOD_MODEL.replace(*edit))
+    with pytest.raises(DataError) as info:
+        parse_model_file(path)
+    assert str(info.value) == message.format(path=path)
+
+
 class TestModelHash:
     def test_stable_and_short(self, model):
         h = model_hash(model)
@@ -439,7 +472,7 @@ class TestCsvRoundTrip:
                                      ((), np.zeros((3, 0)), "columns")):
             with pytest.raises(DataError) as info:
                 write_matrix_csv(path, labels, values)
-            assert str(info.value) == f"{path}: no data {what} to write"
+            assert str(info.value) == f"{path}: no {what}"
             assert not path.exists()
 
     def test_writer_rejects_duplicate_labels(self, tmp_path):

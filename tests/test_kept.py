@@ -11,7 +11,6 @@ import pytest
 
 from cpscores import (
     SemModel,
-    cp_scores_from_orthogonal,
     cp_scores_from_params,
     cp_transform,
     orthogonal_scores,
@@ -46,7 +45,6 @@ def fit(model, x, y):
         "endo": regression_scores(model.endo, y).values,
         "cp-params": cp_scores_from_params(model, x).values,
         "orthogonal": orthogonal_scores(model, x).values,
-        "cp-orthogonal": cp_scores_from_orthogonal(model.exo, x).values,
         "score_corr": corr_from_cov(model.endo.score_cov()),
         "det-exo": determinacy(model.exo, cp.select(model.xi_labels), x).coefficients,
         "det-endo": determinacy(
@@ -208,16 +206,3 @@ def test_warm_replication_takes_one_eigendecomposition(eigh_calls):
     # kept by the model's FactorCorr
     assert eigh_calls == [(5, 5)]
 
-
-def test_warm_cp_scores_from_orthogonal_takes_no_eigendecomposition(eigh_calls):
-    (model, _), x, _ = draw(6)
-    cp_scores_from_params(model, x)
-    eigh_calls.clear()
-    # the root of phi is the one the parameter route took, kept by phi;
-    # only L' sigma^{-1} L of the x block is new
-    first = cp_scores_from_orthogonal(model.exo, x)
-    assert eigh_calls == [(3, 3)]
-    eigh_calls.clear()
-    again = cp_scores_from_orthogonal(model.exo, x)
-    assert eigh_calls == []
-    assert np.array_equal(first.values, again.values)

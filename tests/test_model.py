@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -13,6 +14,7 @@ from cpscores import (
     SimulationSpec,
     StructuralError,
     cp_transform,
+    example_model,
     random_model,
     regression_scores,
     simulate_dataset,
@@ -117,7 +119,7 @@ def test_missing_psi_and_eta_corr_rejected():
 
 
 def test_inconsistent_psi_and_eta_corr_rejected():
-    with pytest.raises(StructuralError, match="inconsistent"):
+    with pytest.raises(StructuralError) as info:
         SemModel(
             lambda_x=np.array([[0.7]]),
             phi=np.eye(1),
@@ -126,6 +128,10 @@ def test_inconsistent_psi_and_eta_corr_rejected():
             psi=np.array([[0.5]]),
             eta_corr=np.eye(1),
         )
+    assert str(info.value) == (
+        "psi and eta_corr are inconsistent (max deviation 4.60e-01); to "
+        "change a model, pass psi=None to keep eta_corr or eta_corr=None to "
+        "keep psi")
 
 
 class TestImpliedCovX:
@@ -334,6 +340,51 @@ class TestBlockCorr:
         with pytest.raises(ModelError, match="^combined factor correlation"):
             m.endo
         assert m.exo.sigma_violation() is None
+
+
+# SemModel refusals: one change to a valid two-xi, one-eta model each,
+# with the whole message
+TWO_XI_ONE_ETA = dict(
+    lambda_x=np.array([[0.7, 0.0], [0.0, 0.7]]), phi=np.eye(2),
+    lambda_y=np.array([[0.6]]), gamma=np.array([[0.2, 0.2]]),
+    eta_corr=np.eye(1),
+)
+MODEL_REFUSALS = [
+    ("no-x-rows", dict(lambda_x=np.zeros((0, 2))), DataError,
+     "lambda_x: no rows"),
+    ("no-eta-columns", dict(lambda_y=np.zeros((2, 0))), DataError,
+     "lambda_y: no columns"),
+    ("phi-order", dict(phi=FactorCorr(("a", "b", "c"), np.eye(3))),
+     StructuralError, "phi order 3 does not match lambda_x columns 2"),
+    ("eta-corr-order", dict(eta_corr=FactorCorr(("a", "b"), np.eye(2))),
+     StructuralError, "eta_corr order 2 does not match lambda_y columns 1"),
+    ("psi-shape", dict(psi=np.eye(2), eta_corr=None), StructuralError,
+     "psi shape (2, 2), expected (1, 1)"),
+]
+
+
+@pytest.mark.parametrize("change, error, message", [
+    pytest.param(*row, id=name) for name, *row in MODEL_REFUSALS])
+def test_model_refusal(change, error, message):
+    with pytest.raises(error) as info:
+        SemModel(**{**TWO_XI_ONE_ETA, **change})
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_replace_gamma_of_a_model_given_eta_corr():
+    # replace passes back the psi derived from eta_corr, which the new
+    # gamma contradicts; psi=None derives it again and keeps eta_corr
+    model = example_model()
+    gamma = 0.9 * model.gamma
+    with pytest.raises(StructuralError, match="pass psi=None to keep eta_corr"):
+        dataclasses.replace(model, gamma=gamma)
+    m = dataclasses.replace(model, gamma=gamma, psi=None)
+    assert validate_model(m).ok
+    k = m.n_xi
+    assert np.array_equal(combined_factor_corr(m).values[k:, k:],
+                          model.eta_corr.values)
+    assert np.max(np.abs(m.psi - model.psi)) == pytest.approx(0.040, abs=1e-3)
 
 
 def test_combined_corr_valid_for_random_models(rng):

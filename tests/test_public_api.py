@@ -5,10 +5,10 @@ import cpscores
 PUBLIC_NAMES = [
     "Block", "CpscoresError", "DataError", "DataMatrix", "FactorCorr",
     "ModelError", "NearSingularError", "ScoreMatrix", "SemModel",
-    "SimulationSpec", "StructuralError", "cp_scores_from_orthogonal",
-    "cp_scores_from_params", "cp_transform", "example_model", "model_hash",
-    "orthogonal_scores", "parse_model_file", "random_model", "read_data_csv",
-    "read_scores_csv", "regression_scores", "run_example", "simulate_dataset",
+    "SimulationSpec", "StructuralError", "cp_scores_from_params",
+    "cp_transform", "example_model", "model_hash", "orthogonal_scores",
+    "parse_model_file", "random_model", "read_data_csv", "read_scores_csv",
+    "regression_scores", "run_example", "simulate_dataset",
     "standardized_betas", "validate_model", "write_scores_csv",
 ]
 

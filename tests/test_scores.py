@@ -9,7 +9,6 @@ from cpscores import (
     ScoreMatrix,
     SemModel,
     StructuralError,
-    cp_scores_from_orthogonal,
     cp_scores_from_params,
     cp_transform,
     orthogonal_scores,
@@ -301,6 +300,19 @@ class TestParameterRoute:
             cp_scores_from_params(m, x)
         assert str(info.value) == expected
 
+    def test_betas_reproduce_paths_at_scale(self, model):
+        from cpscores import standardized_betas
+
+        x_data, y_data, _ = simulate(model, n=10_000, seed=1)
+        cp_xi = cp_scores_from_params(model, x_data)
+        # endogenous cp scores from the joint transform of the full proxy
+        proxy = regression_scores(model.joint, x_data, y_data)
+        cp_eta = cp_transform(
+            proxy, combined_factor_corr(model)
+        ).select(model.eta_labels)
+        betas = standardized_betas(cp_xi, cp_eta)
+        assert np.max(np.abs(betas - model.gamma.T)) < 0.02
+
 
 class TestNamedSingularMatrices:
     """A matrix that is not positive definite is named in the error."""
@@ -351,68 +363,20 @@ class TestOrthogonalScores:
         assert orthogonal_scores(model, x).values == pytest.approx(np.zeros((2, 3)))
 
 
-class TestCpFromOrthogonal:
-    def test_identity_phi_equals_orthogonal(self):
-        m = SemModel(
-            lambda_x=np.array([[0.8, 0.0], [0.0, 0.7]]),
-            phi=np.eye(2),
-            lambda_y=np.array([[0.6]]),
-            gamma=np.array([[0.2, 0.0]]),
-            eta_corr=np.eye(1),
-        )
-        x = DataMatrix(np.eye(2), ("x1", "x2"))
-        assert cp_scores_from_orthogonal(m.exo, x).values == pytest.approx(
-            orthogonal_scores(m, x).values
-        )
-
-    def test_population_covariance_is_phi(self, model):
-        root = _sym_power(model.phi.values, 0.5)
-        assert root @ np.eye(3) @ root.T == pytest.approx(model.phi.values, abs=1e-12)
-
-    def test_betas_reproduce_paths_at_scale(self, model):
-        from cpscores import standardized_betas
-
-        x_data, y_data, _ = simulate(model, n=10_000, seed=1)
-        cp_xi = cp_scores_from_orthogonal(model.exo, x_data)
-        # endogenous cp scores from the joint transform of the full proxy
-        proxy = regression_scores(model.joint, x_data, y_data)
-        cp_eta = cp_transform(
-            proxy, combined_factor_corr(model)
-        ).select(model.eta_labels)
-        betas = standardized_betas(cp_xi, cp_eta)
-        assert np.max(np.abs(betas - model.gamma.T)) < 0.02
-
-
 class TestParameterRouteWeights:
     """The parameter-route correlation-preserving weight matrices give
     scores whose population covariance is the block's factor correlation
-    (phi for the x block), over random model shapes: from parameters on
-    the x block, and from orthogonal scores on every block."""
+    (phi for the x block), over random model shapes."""
 
-    @pytest.mark.parametrize("family, block", [
-        (cp_scores_from_params, "exo"), (cp_scores_from_orthogonal, "exo"),
-        (cp_scores_from_orthogonal, "endo"), (cp_scores_from_orthogonal, "joint"),
-    ])
     @pytest.mark.parametrize("n_xi, n_eta, per_factor", [
         (1, 1, 2), (2, 1, 3), (3, 2, 3), (4, 3, 4), (6, 4, 6),
     ])
-    def test_population_covariance_is_phi(self, family, block, n_xi, n_eta,
-                                          per_factor):
+    def test_population_covariance_is_phi(self, n_xi, n_eta, per_factor):
         rng = np.random.default_rng(100 * n_xi + 10 * n_eta + per_factor)
         m = random_model(rng, n_xi=n_xi, n_eta=n_eta,
                          indicators_per_factor=per_factor)
-        b = getattr(m, block)
-        w = applied_weights(family, m if family is cp_scores_from_params else b, b)
-        assert w @ b.sigma() @ w.T == pytest.approx(b.corr.values, abs=1e-10)
-
-    def test_orthogonal_route_is_sqrt_phi_times_orthogonal_scores(self, model):
-        x_data, _, _ = simulate(model, n=500, seed=4)
-        w, v = np.linalg.eigh(model.phi.values)
-        root = (v * np.sqrt(w)) @ v.T
-        expected = orthogonal_scores(model, x_data).values @ root.T
-        assert cp_scores_from_orthogonal(model.exo, x_data).values == pytest.approx(
-            expected, abs=1e-12
-        )
+        w = applied_weights(cp_scores_from_params, m, m.exo)
+        assert w @ m.exo.sigma() @ w.T == pytest.approx(m.phi.values, abs=1e-10)
 
 
 class TestJointRegressionScores:
@@ -432,10 +396,10 @@ class TestJointRegressionScores:
             "takes 2 (x, y)"
         )
         with pytest.raises(StructuralError) as info:
-            cp_scores_from_orthogonal(model.exo, x_data, y_data)
+            regression_scores(model.exo, x_data, y_data)
         assert str(info.value) == (
-            "correlation-preserving scores: 2 indicator data matrices, the "
-            "exogenous block takes 1 (x)"
+            "regression scores: 2 indicator data matrices, the exogenous "
+            "block takes 1 (x)"
         )
 
     def test_population_covariance_is_combined_corr(self, model):

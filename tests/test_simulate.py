@@ -1,5 +1,6 @@
 import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,6 +139,17 @@ class TestRunExample:
     def test_cp_betas_match_paths_exactly(self):
         report = run_example(n_cases=2_000, seed=17)
         assert np.max(np.abs(report.cp_betas - report.gamma_by_xi)) < 1e-9
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_render_keeps_the_committed_bytes(self, seed):
+        # verify's stdout, with the one value that is BLAS rounding noise
+        # masked (test_cp_betas_match_paths_exactly bounds it)
+        path = Path(__file__).parent / "data" / f"verify-seed{seed}.txt"
+        noise = re.compile(r"(max \|beta - path\| = )\d\.\d\de-1[4-6]")
+        expected = noise.sub(r"\1<noise>", path.read_text())
+        text = noise.sub(r"\1<noise>", run_example(seed=seed).render() + "\n")
+        assert text.count("<noise>") == 1
+        assert text == expected
 
     def test_bias_direction_across_seeds(self):
         # the plain-score inflation should appear for at least 2 of 3 seeds

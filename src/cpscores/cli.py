@@ -106,8 +106,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    # a second write to one file would keep only the last output
-    named: dict[str, str] = {}
+    # a second write to one file would keep only the last output, and a
+    # write to the model file would lose the model
+    named = {os.path.realpath(args.model): "the model file"}
     for flag, path in (("--out-x", args.out_x), ("--out-y", args.out_y),
                        ("--out-factors", args.out_factors)):
         if path is not None:

@@ -77,7 +77,9 @@ class Block:
         # block keeps can go stale
         object.__setattr__(self, "loading_blocks", tuple(
             _as_matrix(b, "loadings") for b in self.loading_blocks))
-        rows, cols = map(sum, zip(*(b.shape for b in self.loading_blocks)))
+        # no loading blocks give 0 columns, an order no FactorCorr has
+        rows = sum(len(b) for b in self.loading_blocks)
+        cols = sum(b.shape[1] for b in self.loading_blocks)
         if self.corr.order != cols:
             raise StructuralError(
                 f"{self.name} block: factor correlation of order "

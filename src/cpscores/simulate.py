@@ -21,7 +21,7 @@ of at most ``SIM_BLOCK`` rows is the one stream of ``default_rng(seed)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -200,11 +200,15 @@ DEFAULT_SEED = 0
 DEFAULT_N_CASES = 10_000
 
 
-@dataclass(frozen=True)
-class ExampleCheck:
+@dataclass(frozen=True, eq=False)
+class ResultRow:
+    """One reported result: ``values`` with one tuple of ``labels`` per
+    axis, and the published ``reference`` values it is checked against,
+    if any."""
     name: str
-    passed: bool
-    detail: str
+    labels: tuple[tuple[str, ...], ...]
+    values: np.ndarray
+    reference: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,16 +217,17 @@ class ExampleReport:
     n_cases: int
     rng: str
     model_hash: str
-    plain_betas: np.ndarray
-    cp_betas: np.ndarray
-    gamma_by_xi: np.ndarray
-    plain_determinacy: np.ndarray
-    cp_determinacy: np.ndarray
-    checks: tuple[ExampleCheck, ...] = field(default=())
+    # model paths, plain and correlation-preserving scores, each exogenous
+    # by endogenous
+    betas: tuple[ResultRow, ...]
+    # plain and correlation-preserving scores, each with its reference
+    determinacies: tuple[ResultRow, ...]
+    # (name, passed, detail)
+    checks: tuple[tuple[str, bool, str], ...]
 
     @property
     def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(passed for _, passed, _ in self.checks)
 
     def render(self) -> str:
         lines = [
@@ -231,23 +236,17 @@ class ExampleReport:
             f"  model hash: {self.model_hash}",
             "",
             "standardized betas (rows = exogenous, columns = endogenous):",
-            "  model paths:",
-            _fmt_matrix(self.gamma_by_xi, "    "),
-            "  plain scores (posterior-mean proxy, all indicators):",
-            _fmt_matrix(self.plain_betas, "    "),
-            "  correlation-preserving scores:",
-            _fmt_matrix(self.cp_betas, "    "),
-            "",
-            "determinacy coefficients (xi1..xi3, eta1, eta2):",
-            f"  plain regression scores:       {_fmt_row(self.plain_determinacy)}",
-            f"  reference values:              {_fmt_row(REFERENCE_PLAIN_DETERMINACY)}",
-            f"  correlation-preserving scores: {_fmt_row(self.cp_determinacy)}",
-            f"  reference values:              {_fmt_row(REFERENCE_CP_DETERMINACY)}",
-            "",
-            "checks:",
         ]
-        for c in self.checks:
-            lines.append(f"  [{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}")
+        for row in self.betas:
+            lines += [f"  {row.name}:", _fmt_matrix(row.values, "    ")]
+        lines += ["", "determinacy coefficients (xi1..xi3, eta1, eta2):"]
+        for row in self.determinacies:
+            for name, values in ((row.name, row.values),
+                                 ("reference values", row.reference)):
+                lines.append(f"  {name + ':':<31}{_fmt_row(values)}")
+        lines += ["", "checks:"]
+        for name, passed, detail in self.checks:
+            lines.append(f"  [{'PASS' if passed else 'FAIL'}] {name}: {detail}")
         lines.append(f"overall: {'PASS' if self.ok else 'FAIL'}")
         return "\n".join(lines)
 
@@ -265,93 +264,56 @@ def run_example(seed: int = DEFAULT_SEED, n_cases: int = DEFAULT_N_CASES) -> Exa
     """Simulate the bundled example and compare both score families against
     the published reference values.
 
-    The plain-score panel uses joint regression scores (conditioning on all
-    indicators) as the mean-plausible-value proxy, since that is the
-    quantity mean plausible values estimate; the determinacy rows use the
-    per-block regression scores and the correlation-preserving transform of
-    the proxy scores.
+    The betas rows are the model paths and the betas of two score families
+    on all five factors: joint regression scores (conditioning on all
+    indicators), the mean-plausible-value proxy since that is the quantity
+    mean plausible values estimate, and their correlation-preserving
+    transform.  The determinacy rows estimate each block's coefficients of
+    its own regression scores and of its columns of the transformed
+    scores.  Each check but the parameter route's reads its value from the
+    rows.
     """
     model = example_model()
-    x_data, y_data, _ = simulate_dataset(
-        SimulationSpec(model, n_cases, seed, emit_true_factors=False)
-    )
-    c = combined_factor_corr(model)
+    x, y, _ = simulate_dataset(
+        SimulationSpec(model, n_cases, seed, emit_true_factors=False))
+    proxy = regression_scores(model.joint, x, y)
+    cp = cp_transform(proxy, combined_factor_corr(model))
+    xi, eta = model.xi_labels, model.eta_labels
+    betas = [ResultRow("model paths", (xi, eta), model.gamma.T)]
+    for name, scores in (
+            ("plain scores (posterior-mean proxy, all indicators)", proxy),
+            ("correlation-preserving scores", cp)):
+        values = standardized_betas(scores.select(xi), scores.select(eta))
+        betas.append(ResultRow(name, (xi, eta), values))
+    plain, preserved = [], []
+    for block, data in ((model.exo, x), (model.endo, y)):
+        own = regression_scores(block, data)
+        plain.append(determinacy(block, own, data).coefficients)
+        transformed = cp.select(block.factor_labels)
+        preserved.append(determinacy(block, transformed, data).coefficients)
+    determinacies = (
+        ResultRow("plain regression scores", (model.factor_labels,),
+                  np.concatenate(plain), REFERENCE_PLAIN_DETERMINACY),
+        ResultRow("correlation-preserving scores", (model.factor_labels,),
+                  np.concatenate(preserved), REFERENCE_CP_DETERMINACY))
 
-    # plain panel: posterior-mean proxy scores for all five factors
-    proxy = regression_scores(model.joint, x_data, y_data)
-    proxy_xi = proxy.select(model.xi_labels)
-    proxy_eta = proxy.select(model.eta_labels)
-    plain_betas = standardized_betas(proxy_xi, proxy_eta)
-
-    # correlation-preserving panel: joint transform of the proxy scores
-    cp = cp_transform(proxy, c)
-    cp_xi = cp.select(model.xi_labels)
-    cp_eta = cp.select(model.eta_labels)
-    cp_betas = standardized_betas(cp_xi, cp_eta)
-
-    # determinacy rows: per-block regression scores vs the cp scores
-    reg_xi = regression_scores(model.exo, x_data)
-    reg_eta = regression_scores(model.endo, y_data)
-    plain_det = np.concatenate([
-        determinacy(model.exo, reg_xi, x_data).coefficients,
-        determinacy(model.endo, reg_eta, y_data).coefficients,
-    ])
-    cp_det = np.concatenate([
-        determinacy(model.exo, cp_xi, x_data).coefficients,
-        determinacy(model.endo, cp_eta, y_data).coefficients,
-    ])
-
-    gamma_by_xi = model.gamma.T
-    checks = []
-
-    dev = np.max(np.abs(cp_betas - gamma_by_xi))
-    checks.append(ExampleCheck(
-        "cp betas match model paths",
-        dev <= BETA_TOL,
-        f"max |beta - path| = {dev:.2e} (tol {BETA_TOL})",
-    ))
-
+    paths, plain_betas, cp_betas = (row.values for row in betas)
+    dev = np.max(np.abs(cp_betas - paths))
+    checks = [("cp betas match model paths", dev <= BETA_TOL,
+               f"max |beta - path| = {dev:.2e} (tol {BETA_TOL})")]
     for i, j in INFLATED_BETA_ENTRIES:
-        path = gamma_by_xi[i, j]
-        val = plain_betas[i, j]
-        checks.append(ExampleCheck(
-            f"plain beta bias direction ({model.xi_labels[i]}->{model.eta_labels[j]})",
-            val > path,
-            f"plain beta {val:.3f} vs path {path:.3f} (reference run inflates)",
-        ))
-
-    dev = np.max(np.abs(plain_det - np.asarray(REFERENCE_PLAIN_DETERMINACY)))
-    checks.append(ExampleCheck(
-        "plain determinacies match reference",
-        dev <= DETERMINACY_TOL,
-        f"max deviation {dev:.3f} (tol {DETERMINACY_TOL})",
-    ))
-    dev = np.max(np.abs(cp_det - np.asarray(REFERENCE_CP_DETERMINACY)))
-    checks.append(ExampleCheck(
-        "cp determinacies match reference",
-        dev <= DETERMINACY_TOL,
-        f"max deviation {dev:.3f} (tol {DETERMINACY_TOL})",
-    ))
-
+        path, val = paths[i, j], plain_betas[i, j]
+        checks.append((f"plain beta bias direction ({xi[i]}->{eta[j]})", val > path,
+                       f"plain beta {val:.3f} vs path {path:.3f} (reference run inflates)"))
+    for family, row in zip(("plain", "cp"), determinacies):
+        dev = np.max(np.abs(row.values - row.reference))
+        checks.append((f"{family} determinacies match reference", dev <= DETERMINACY_TOL,
+                       f"max deviation {dev:.3f} (tol {DETERMINACY_TOL})"))
     # parameter route: the cp scores `scores --method cp-params` writes keep phi
-    cp_param = cp_scores_from_params(model, x_data)
-    dev = np.max(np.abs(
-        corr_from_cov(moments([cp_param])) - model.phi.values))
-    checks.append(ExampleCheck(
-        "parameter-route cp scores reproduce phi",
-        dev <= SAMPLE_CORR_TOL,
-        f"max |sample corr - phi| = {dev:.3f} (tol {SAMPLE_CORR_TOL})",
-    ))
-
+    cp_param = cp_scores_from_params(model, x)
+    dev = np.max(np.abs(corr_from_cov(moments([cp_param])) - model.phi.values))
+    checks.append(("parameter-route cp scores reproduce phi", dev <= SAMPLE_CORR_TOL,
+                   f"max |sample corr - phi| = {dev:.3f} (tol {SAMPLE_CORR_TOL})"))
     return ExampleReport(
-        seed=seed,
-        n_cases=n_cases,
-        rng=RNG_NAME,
-        model_hash=model_hash(model),
-        plain_betas=plain_betas,
-        cp_betas=cp_betas,
-        gamma_by_xi=gamma_by_xi,
-        plain_determinacy=plain_det,
-        cp_determinacy=cp_det,
-        checks=tuple(checks),
-    )
+        seed=seed, n_cases=n_cases, rng=RNG_NAME, model_hash=model_hash(model),
+        betas=tuple(betas), determinacies=determinacies, checks=tuple(checks))

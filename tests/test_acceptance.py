@@ -80,10 +80,10 @@ def test_criterion_3_sampled_verification_runs():
     slowest = 0.0
     for seed in (0, 1, 2):
         start = time.perf_counter()
-        rep = run_example(seed=seed)
+        paths, plain, cp = run_example(seed=seed).betas
         slowest = max(slowest, time.perf_counter() - start)
-        beta_ok.append(float(np.max(np.abs(rep.cp_betas - rep.gamma_by_xi))) <= 0.02)
-        bias_ok.append(rep.plain_betas[2, 1] > rep.gamma_by_xi[2, 1])
+        beta_ok.append(float(np.max(np.abs(cp.values - paths.values))) <= 0.02)
+        bias_ok.append(plain.values[2, 1] > paths.values[2, 1])
     passed = all(beta_ok) and sum(bias_ok) >= 2 and slowest < 10.0
     report(3, "sampled verification runs", passed,
            f"preserved betas in band {sum(beta_ok)}/3, bias direction "
@@ -94,11 +94,11 @@ def test_criterion_3_sampled_verification_runs():
 def test_criterion_4_determinacy_reference_values():
     """The default verification run reproduces the published determinacy
     rows for both score families within 0.02."""
-    rep = run_example()
+    plain, cp = run_example().determinacies
     plain_dev = float(np.max(np.abs(
-        rep.plain_determinacy - np.array([0.97, 0.97, 0.97, 0.97, 0.85]))))
+        plain.values - np.array([0.97, 0.97, 0.97, 0.97, 0.85]))))
     cp_dev = float(np.max(np.abs(
-        rep.cp_determinacy - np.array([0.97, 0.97, 0.97, 0.99, 0.82]))))
+        cp.values - np.array([0.97, 0.97, 0.97, 0.99, 0.82]))))
     report(4, "determinacy reference values",
            plain_dev <= 0.02 and cp_dev <= 0.02,
            f"max deviation plain {plain_dev:.3f}, preserved {cp_dev:.3f} "

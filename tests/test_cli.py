@@ -118,12 +118,13 @@ class TestValidate:
         assert main([]) == 2
 
 
-def fresh_process(argv, stdin=None):
-    """Exit code, stdout and stderr of ``argv`` run by a new interpreter,
-    as text; as bytes when ``stdin`` is bytes to pipe to it."""
+def fresh_process(argv, stdin=None, module="cpscores.cli"):
+    """Exit code, stdout and stderr of ``argv`` run by a new interpreter
+    as ``python -m module``, as text; as bytes when ``stdin`` is bytes to
+    pipe to it."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-m", "cpscores.cli", *argv],
+    proc = subprocess.run([sys.executable, "-m", module, *argv],
                           input=stdin, capture_output=True, text=stdin is None,
                           env=env, timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
@@ -141,6 +142,14 @@ def test_parser_built_once_answers_as_a_fresh_process(
         out, err = capsys.readouterr()
         assert (code, out, err) == fresh_process(argv), argv
     assert cli._build_parser.cache_info().misses == 1
+
+
+def test_python_m_cpscores_runs_the_cli(capsys):
+    example = str(resources.files("cpscores") / "data" / "example.model")
+    assert main(["validate", example]) == 0
+    out, err = capsys.readouterr()
+    assert fresh_process(["validate", example], module="cpscores") == (0, out, err)
+    assert "cpscores.__main__" not in sys.modules
 
 
 class TestSimulate:
@@ -183,26 +192,29 @@ class TestSimulate:
             capsys.readouterr().err
         assert not x_path.exists()
 
-    @pytest.mark.parametrize("x, y, factors, flags", [
-        ("s.csv", "s.csv", None, "--out-x and --out-y"),
-        ("x.csv", "s.csv", "link.csv", "--out-y and --out-factors"),
-        ("link.csv", "y.csv", "s.csv", "--out-x and --out-factors"),
-    ], ids=["x-y", "y-factors-by-link", "x-factors-by-link"])
-    def test_two_outputs_to_one_file_exit_two(self, tmp_path, model_file,
-                                              capsys, x, y, factors, flags):
-        # the second write would keep only the last output
+    @pytest.mark.parametrize("x, y, factors, flags, second", [
+        ("s.csv", "s.csv", None, "--out-x and --out-y", "s.csv"),
+        ("x.csv", "s.csv", "link.csv", "--out-y and --out-factors", "link.csv"),
+        ("link.csv", "y.csv", "s.csv", "--out-x and --out-factors", "s.csv"),
+        ("model.txt", "y.csv", None, "the model file and --out-x", "model.txt"),
+    ], ids=["x-y", "y-factors-by-link", "x-factors-by-link", "x-model"])
+    def test_two_outputs_to_one_file_exit_two(self, tmp_path, model_file, capsys,
+                                              x, y, factors, flags, second):
+        # the second write would keep only the last output; a write to the
+        # model file would lose the model
         (tmp_path / "link.csv").symlink_to(tmp_path / "s.csv")
+        model_bytes = Path(model_file).read_bytes()
         argv = ["simulate", model_file, "--n", "10", "--seed", "1",
                 "--out-x", str(tmp_path / x), "--out-y", str(tmp_path / y)]
         if factors is not None:
             argv += ["--out-factors", str(tmp_path / factors)]
         assert main(argv) == 2
-        second = tmp_path / (y if factors is None else factors)
         assert capsys.readouterr().err == (
-            f"error: {flags} name the same file {second}\n")
+            f"error: {flags} name the same file {tmp_path / second}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "link.csv", "model.txt"]
         assert not (tmp_path / "link.csv").exists()  # still dangling
+        assert Path(model_file).read_bytes() == model_bytes
 
 
 class TestScores:

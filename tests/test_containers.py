@@ -12,7 +12,7 @@ import pytest
 import cpscores
 from cpscores import DataError, DataMatrix, ScoreMatrix, StructuralError
 from cpscores.determinacy import DeterminacyReport
-from cpscores.simulate import ExampleReport
+from cpscores.simulate import ExampleReport, ResultRow
 
 LABELS = ("a", "b")
 
@@ -271,7 +271,7 @@ def test_factor_corr_refusal(labels, values, error, message):
 
 @pytest.mark.parametrize("cls", [
     cpscores.SemModel, cpscores.Block, cpscores.FactorCorr, DataMatrix,
-    ScoreMatrix, DeterminacyReport, ExampleReport,
+    ScoreMatrix, DeterminacyReport, ExampleReport, ResultRow,
     cpscores.SimulationSpec,
 ], ids=lambda cls: cls.__name__)
 def test_array_holders_compare_and_hash_by_identity(cls):

@@ -309,6 +309,13 @@ class TestBlockCorr:
             Block("exogenous", (model.lambda_x,), model.phi.values,
                   model.x_labels)
 
+    def test_no_loading_blocks_refused(self):
+        with pytest.raises(StructuralError) as info:
+            Block("exogenous", (), FactorCorr(("a",), np.eye(1)), ())
+        assert str(info.value) == (
+            "exogenous block: factor correlation of order 1, loadings have "
+            "0 columns")
+
     @pytest.mark.parametrize("name", ["exogenous", "joint"])
     def test_corr_order_must_match_loading_columns(self, model, name):
         block = getattr(model, "exo" if name == "exogenous" else "joint")

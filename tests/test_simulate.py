@@ -12,7 +12,13 @@ from cpscores import (
     simulate_dataset,
 )
 from cpscores.model import combined_factor_corr
-from cpscores.simulate import SimulationSpec, random_correlation, random_model
+from cpscores.simulate import (
+    REFERENCE_CP_DETERMINACY,
+    REFERENCE_PLAIN_DETERMINACY,
+    SimulationSpec,
+    random_correlation,
+    random_model,
+)
 
 
 class TestSimulateDataset:
@@ -126,9 +132,11 @@ class TestRunExample:
     def test_value_rounding_to_zero_prints_unsigned(self):
         # the CP beta of a zero path lands on either side of 0 by rounding
         report = run_example(n_cases=2_000)
-        betas = report.cp_betas.copy()
+        paths, plain, cp = report.betas
+        betas = cp.values.copy()
         betas[0, 1], betas[1, 0] = -1e-16, -0.0004
-        text = dataclasses.replace(report, cp_betas=betas).render()
+        rows = (paths, plain, dataclasses.replace(cp, values=betas))
+        text = dataclasses.replace(report, betas=rows).render()
         cp_panel = text.split("correlation-preserving scores:\n")[1]
         assert cp_panel.splitlines()[:2] == [
             f"     {betas[0, 0]:.3f}   0.000",
@@ -138,7 +146,32 @@ class TestRunExample:
 
     def test_cp_betas_match_paths_exactly(self):
         report = run_example(n_cases=2_000, seed=17)
-        assert np.max(np.abs(report.cp_betas - report.gamma_by_xi)) < 1e-9
+        paths, _, cp = report.betas
+        assert np.max(np.abs(cp.values - paths.values)) < 1e-9
+
+    def test_rows_carry_labels_and_references(self, model):
+        report = run_example(n_cases=2_000)
+        assert [row.name for row in report.betas] == [
+            "model paths", "plain scores (posterior-mean proxy, all indicators)",
+            "correlation-preserving scores"]
+        for row in report.betas:
+            assert row.labels == (model.xi_labels, model.eta_labels)
+            assert row.values.shape == (len(model.xi_labels), len(model.eta_labels))
+            assert row.reference is None
+        np.testing.assert_array_equal(report.betas[0].values, model.gamma.T)
+        plain, cp = report.determinacies
+        assert (plain.reference, cp.reference) == (
+            REFERENCE_PLAIN_DETERMINACY, REFERENCE_CP_DETERMINACY)
+        for row in report.determinacies:
+            assert row.labels == (model.factor_labels,)
+            assert row.values.shape == (len(model.factor_labels),)
+        assert [name for name, _, _ in report.checks] == [
+            "cp betas match model paths",
+            "plain beta bias direction (xi1->eta1)",
+            "plain beta bias direction (xi3->eta2)",
+            "plain determinacies match reference",
+            "cp determinacies match reference",
+            "parameter-route cp scores reproduce phi"]
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_render_keeps_the_committed_bytes(self, seed):
@@ -155,7 +188,7 @@ class TestRunExample:
         # the plain-score inflation should appear for at least 2 of 3 seeds
         hits = 0
         for seed in (0, 1, 2):
-            report = run_example(seed=seed)
-            if report.plain_betas[2, 1] > report.gamma_by_xi[2, 1]:
+            paths, plain, _ = run_example(seed=seed).betas
+            if plain.values[2, 1] > paths.values[2, 1]:
                 hits += 1
         assert hits >= 2
